@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..chunking import Chunk, VectorizedChunker
-from ..hashing import Digest, sha1, sha1_many
-from ..storage import FileManifest, Manifest
+from ..hashing import Digest, sha1_many
+from ..storage import FileManifest, Manifest, file_object_ids
 from ..storage.manifest import ENTRY_SIZE, ManifestEntry
 from ..workloads.machine import BackupFile
 from ..core.base import Deduplicator
@@ -71,11 +71,8 @@ class BimodalDeduplicator(Deduplicator):
         return self.big_chunker
 
     def _begin_file(self, file: BackupFile) -> None:
-        fid = file.file_id.encode()
-        container_id = sha1(fid)
-        manifest = Manifest(
-            sha1(fid + b"|manifest"), container_id, entry_size=ENTRY_SIZE
-        )
+        container_id, manifest_id = file_object_ids(file.file_id)
+        manifest = Manifest(manifest_id, container_id, entry_size=ENTRY_SIZE)
         self.cache.add(manifest, pin=True)
         self._ctx = _FileState(
             container_id=container_id,

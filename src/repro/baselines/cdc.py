@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..chunking import VectorizedChunker
-from ..hashing import Digest, sha1, sha1_many
-from ..storage import FileManifest, Manifest
+from ..hashing import Digest, sha1_many
+from ..storage import FileManifest, Manifest, file_object_ids
 from ..storage.manifest import ENTRY_SIZE, ManifestEntry
 from ..workloads.machine import BackupFile
 from ..core.base import Deduplicator
@@ -47,9 +47,8 @@ class CDCDeduplicator(Deduplicator):
         self._ctx: _FileState | None = None
 
     def _begin_file(self, file: BackupFile) -> None:
-        fid = file.file_id.encode()
-        container_id = sha1(fid)
-        manifest = Manifest(sha1(fid + b"|manifest"), container_id, entry_size=ENTRY_SIZE)
+        container_id, manifest_id = file_object_ids(file.file_id)
+        manifest = Manifest(manifest_id, container_id, entry_size=ENTRY_SIZE)
         self.cache.add(manifest, pin=True)
         self._ctx = _FileState(
             container_id=container_id,

@@ -31,7 +31,7 @@ from ..chunking import Chunk, VectorizedChunker
 from ..core.base import Deduplicator
 from ..core.config import DedupConfig
 from ..hashing import Digest, Hasher, sha1, sha1_many
-from ..storage import FileManifest, StorageBackend
+from ..storage import FileManifest, StorageBackend, file_object_ids
 from ..storage.multi_manifest import MultiEntry, MultiManifest, MultiManifestStore
 from ..workloads.machine import BackupFile
 
@@ -117,7 +117,7 @@ class ExtremeBinningDeduplicator(Deduplicator):
                 sha1(b"bin|%d" % self._bin_serial + representative)
             )
 
-        container_id = sha1(self._file_id.encode())
+        container_id, _ = file_object_ids(self._file_id)
         writer = None
         for chunk, digest in zip(chunks, digests, strict=True):
             idx = bin_manifest.find(digest)

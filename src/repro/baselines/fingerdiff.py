@@ -25,8 +25,8 @@ the ablation bench plots it against MHD's bloom+cache budget.
 from __future__ import annotations
 
 from ..chunking import VectorizedChunker
-from ..hashing import Digest, sha1, sha1_many, sha1_spans
-from ..storage import FileManifest, Manifest
+from ..hashing import Digest, sha1_many, sha1_spans
+from ..storage import FileManifest, Manifest, file_object_ids
 from ..storage.manifest import ENTRY_SIZE, ManifestEntry
 from ..workloads.machine import BackupFile
 from ..core.base import Deduplicator
@@ -61,11 +61,8 @@ class FingerdiffDeduplicator(Deduplicator):
         return len(self._db) * (20 + 36 + 16)
 
     def _begin_file(self, file: BackupFile) -> None:
-        fid = file.file_id.encode()
-        self._container_id = sha1(fid)
-        self._manifest = Manifest(
-            sha1(fid + b"|manifest"), self._container_id, entry_size=ENTRY_SIZE
-        )
+        self._container_id, manifest_id = file_object_ids(file.file_id)
+        self._manifest = Manifest(manifest_id, self._container_id, entry_size=ENTRY_SIZE)
         self.cache.add(self._manifest, pin=True)
         self._fm = FileManifest(file.file_id)
         self._writer = None

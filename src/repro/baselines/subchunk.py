@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from ..chunking import VectorizedChunker
 from ..hashing import Digest, sha1, sha1_many
-from ..storage import DiskModel, FileManifest
+from ..storage import DiskModel, FileManifest, file_object_ids
 from ..storage.multi_manifest import MultiEntry, MultiManifest, MultiManifestStore
 from ..workloads.machine import BackupFile
 from ..core.base import Deduplicator
@@ -60,8 +60,8 @@ class SubChunkDeduplicator(Deduplicator):
         return self.big_chunker
 
     def _begin_file(self, file: BackupFile) -> None:
-        fid = file.file_id.encode()
-        self._manifest = MultiManifest(sha1(fid + b"|manifest"))
+        _, manifest_id = file_object_ids(file.file_id)
+        self._manifest = MultiManifest(manifest_id)
         self.cache.add(self._manifest, pin=True)
         self._fm = FileManifest(file.file_id)
 

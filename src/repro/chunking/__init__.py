@@ -8,7 +8,6 @@ specification.  :class:`TTTDChunker`, :class:`GearChunker` and
 related-work section, used in ablation benches.
 """
 
-from ._accel import HAVE_NUMPY, batched_enabled
 from .base import (
     DEFAULT_STREAM_WINDOW,
     Buffer,
@@ -28,8 +27,6 @@ from .tttd import TTTDChunker
 from .vectorized import VectorizedChunker
 
 __all__ = [
-    "HAVE_NUMPY",
-    "batched_enabled",
     "Buffer",
     "Chunk",
     "Chunker",

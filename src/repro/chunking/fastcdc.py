@@ -25,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 import numpy.typing as npt
 
-from ._accel import batched_enabled
 from .base import Buffer, Chunker, ChunkerConfig
 from .reference import ReferenceChunker
 from .vectorized import VectorizedChunker
@@ -43,10 +42,10 @@ class FastCDCChunker(Chunker):
         how many bits the cut condition tightens/loosens by around the
         target size.  ``0`` degenerates to plain CDC.
     batched:
-        Kernel selection for the two underlying candidate scans:
-        ``None`` auto-selects the NumPy :class:`VectorizedChunker` when
-        available, ``False`` forces the scalar
-        :class:`~repro.chunking.reference.ReferenceChunker` spec loop.
+        Kernel for the two underlying candidate scans: ``True`` (the
+        default) the NumPy :class:`VectorizedChunker`, ``False`` the
+        scalar :class:`~repro.chunking.reference.ReferenceChunker` spec
+        loop the equivalence suite compares it against.
         Both produce identical candidates, so normalized selection is
         byte-identical either way.
     """
@@ -56,13 +55,13 @@ class FastCDCChunker(Chunker):
         config: ChunkerConfig | None = None,
         normalization: int = 2,
         *,
-        batched: bool | None = None,
+        batched: bool = True,
     ) -> None:
         self.config = config or ChunkerConfig()
         if not 0 <= normalization <= 4:
             raise ValueError(f"normalization must be in [0, 4], got {normalization}")
         self.normalization = normalization
-        self.batched = batched_enabled(batched)
+        self.batched = batched
         # Two underlying chunkers give us the strict and loose candidate
         # sets from the identical rolling hash (same seed).
         strict_cfg = ChunkerConfig(

@@ -25,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 import numpy.typing as npt
 
-from ._accel import batched_enabled
 from ._select import select_cut_points, splitmix64
 from .base import Buffer, Chunker, ChunkerConfig
 
@@ -40,21 +39,21 @@ class GearChunker(Chunker):
     ``config.window`` is clamped to at most 64 (bits shifted past 63
     vanish, so a wider window is unobservable).
 
-    ``batched=None`` auto-selects the NumPy kernel when available (see
-    :mod:`repro.chunking._accel`); ``batched=False`` forces the scalar
-    byte-at-a-time rolling loop, which is the executable specification
-    the batched kernel must match bit-for-bit and the measured "pre"
-    side of ``benchmarks/bench_throughput.py``.
+    ``batched=True`` (the default) runs the NumPy kernel;
+    ``batched=False`` the scalar byte-at-a-time rolling loop, which is
+    the executable specification the batched kernel must match
+    bit-for-bit (``tests/chunking/test_batched_equivalence.py``) and
+    the measured "pre" side of ``benchmarks/bench_throughput.py``.
     """
 
     def __init__(
         self,
         config: ChunkerConfig | None = None,
         *,
-        batched: bool | None = None,
+        batched: bool = True,
     ) -> None:
         self.config = config or ChunkerConfig()
-        self.batched = batched_enabled(batched)
+        self.batched = batched
         rng = splitmix64(self.config.seed + 0x47454152)  # "GEAR" domain-separated
         self._table = np.array([rng.next() for _ in range(256)], dtype=np.uint64)
         # Plain-int mirror for the scalar loop: indexing a Python list

@@ -13,7 +13,7 @@ from .hhr import (
 )
 from .manifest_cache import ManifestCache
 from .mhd import MHDDeduplicator
-from .protocols import BatchIngestHooks, CacheableManifest, ManifestBackend
+from .protocols import CacheableManifest, ManifestBackend
 from .si_mhd import SIMHDDeduplicator
 from .shm import append_group, build_group_entries
 
@@ -32,7 +32,6 @@ __all__ = [
     "ManifestCache",
     "MHDDeduplicator",
     "SIMHDDeduplicator",
-    "BatchIngestHooks",
     "CacheableManifest",
     "ManifestBackend",
     "append_group",

@@ -59,7 +59,7 @@ from ..workloads.machine import BackupFile
 from .config import DedupConfig
 
 if TYPE_CHECKING:
-    from .protocols import BatchIngestHooks, IngestObserver
+    from .protocols import IngestObserver
 
 __all__ = ["CpuWork", "DedupStats", "Deduplicator", "PipelineStats"]
 
@@ -592,10 +592,3 @@ class Deduplicator(ABC):
             duplicate_bytes=self._duplicate_bytes,
             pipeline=self.pipeline,
         )
-
-
-def _batch_hook_contract(dedup: Deduplicator) -> BatchIngestHooks:
-    """Static assertion that every Deduplicator satisfies the
-    :class:`~repro.core.protocols.BatchIngestHooks` protocol (checked
-    by mypy; never called at runtime)."""
-    return dedup

@@ -28,7 +28,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from ..chunking import Chunk, Chunker, ChunkerConfig, VectorizedChunker
-from ..hashing import Digest, sha1, sha1_many, sha1_spans
+from ..hashing import Digest, sha1_many, sha1_spans
 from ..obs.metrics import COUNT_BUCKETS
 from ..storage import (
     ContainerWriter,
@@ -36,6 +36,7 @@ from ..storage import (
     Manifest,
     ManifestEntry,
     StorageBackend,
+    file_object_ids,
 )
 from ..storage.manifest import MHD_ENTRY_SIZE
 from ..workloads.machine import BackupFile
@@ -173,13 +174,11 @@ class MHDDeduplicator(Deduplicator):
     # ------------------------------------------------------------------
 
     def _begin_file(self, file: BackupFile) -> None:
-        fid = file.file_id.encode()
+        container_id, manifest_id = file_object_ids(file.file_id)
         self._ctx = _FileContext(
             file_id=file.file_id,
-            container_id=sha1(fid),
-            manifest=Manifest(
-                sha1(fid + b"|manifest"), sha1(fid), entry_size=MHD_ENTRY_SIZE
-            ),
+            container_id=container_id,
+            manifest=Manifest(manifest_id, container_id, entry_size=MHD_ENTRY_SIZE),
             fm=FileManifest(file.file_id),
         )
         self.cache.add(self._ctx.manifest, pin=True)

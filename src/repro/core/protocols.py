@@ -1,14 +1,13 @@
 """Typed seams between the dedup core and its pluggable pieces.
 
-The core is deliberately structural: algorithms, manifest kinds and
-storage backends plug in by *shape*, not by inheritance.  This module
+The core is deliberately structural: manifest kinds, their stores and
+session observers plug in by *shape*, not by inheritance.  This module
 writes those shapes down as :class:`typing.Protocol`\\ s so
 ``mypy --strict`` verifies every implementation instead of relying on
 convention:
 
-* :class:`BatchIngestHooks` — the ``_begin_file`` / ``_ingest_chunks``
-  / ``_end_file`` contract every deduplicator's streaming ingest rests
-  on (see :meth:`repro.core.base.Deduplicator.ingest`);
+* :class:`IngestObserver` — the session hooks
+  :meth:`repro.core.base.Deduplicator.ingest` wraps around each file;
 * :class:`CacheableManifest` / :class:`ManifestBackend` — what the
   shared LRU :class:`repro.core.manifest_cache.ManifestCache` needs
   from a manifest object and its persistence layer, satisfied by both
@@ -16,9 +15,11 @@ convention:
   :class:`repro.storage.multi_manifest.MultiManifest` (SubChunk /
   SparseIndexing bins and segments).
 
-The chunk-source seam (:class:`repro.chunking.base.ChunkSource`) lives
-with the chunkers; the object-store seam
-(:class:`repro.storage.backend.ObjectBackend`) with the stores.
+The per-file ingest hooks (``_begin_file`` / ``_ingest_chunks`` /
+``_end_file``) and the object store are abstract base classes, not
+protocols: :class:`repro.core.base.Deduplicator` and
+:class:`repro.storage.backend.StorageBackend`.  The chunk-source seam
+(:class:`repro.chunking.base.ChunkSource`) lives with the chunkers.
 """
 
 from __future__ import annotations
@@ -26,39 +27,14 @@ from __future__ import annotations
 from collections.abc import Mapping
 from typing import Any, Protocol, TypeVar
 
-from ..chunking.base import Chunk
 from ..hashing import Digest
 from ..workloads.machine import BackupFile
 
 __all__ = [
-    "BatchIngestHooks",
     "CacheableManifest",
     "IngestObserver",
     "ManifestBackend",
 ]
-
-
-class BatchIngestHooks(Protocol):
-    """The per-file hook contract of the streaming ingest pipeline.
-
-    ``ingest()`` drives exactly this sequence per file::
-
-        _begin_file(file); _ingest_chunks(batch)*; _end_file()
-
-    Implementations must be *batch-boundary invariant*: splitting the
-    same chunk sequence into different batches must not change any
-    decision (dedupcheck rule DDC003 guards the most common way to
-    break this — reaching for the whole file's bytes mid-stream).
-    """
-
-    def _begin_file(self, file: BackupFile) -> None:
-        """Open per-file state (manifest, container writer, ...)."""
-
-    def _ingest_chunks(self, batch: list[Chunk]) -> None:
-        """Process one batch of stream chunks (absolute offsets)."""
-
-    def _end_file(self) -> None:
-        """Flush per-file state; the file's chunk stream is complete."""
 
 
 class IngestObserver(Protocol):

@@ -24,10 +24,8 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import threading
-import warnings
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable
 from typing import Any
@@ -214,18 +212,6 @@ class ShardFailure:
     kind: str = "error"
 
 
-class _SpeedupValue(float):
-    """Float that tolerates the legacy ``fleet.speedup()`` call form."""
-
-    def __call__(self) -> float:
-        warnings.warn(
-            "FleetResult.speedup is now a property; drop the ()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return float(self)
-
-
 @dataclass(frozen=True)
 class FleetResult:
     """Aggregate over all shards.
@@ -279,14 +265,8 @@ class FleetResult:
 
     @property
     def speedup(self) -> float:
-        """Aggregate work / makespan — the scale-out win.
-
-        A property like every other aggregate (callers that forgot the
-        ``()`` used to get a truthy bound method silently).  The value
-        still answers the legacy call form with a
-        :class:`DeprecationWarning`.
-        """
-        return _SpeedupValue(self.aggregate_seconds / max(1e-12, self.makespan_seconds))
+        """Aggregate work / makespan — the scale-out win."""
+        return self.aggregate_seconds / max(1e-12, self.makespan_seconds)
 
     @property
     def cpu(self) -> CpuWork:
@@ -364,7 +344,6 @@ def dedup_sharded(
     device: DeviceModel | None = None,
     shard_fn: Callable[[Iterable[BackupFile]], dict[str, list[BackupFile]]] = shard_by_machine,
     collect_metrics: bool = False,
-    executor: str = "process",
     shard_timeout: float | None = None,
 ) -> FleetResult:
     """Deduplicate a corpus sharded across worker processes.
@@ -379,13 +358,6 @@ def dedup_sharded(
         the per-shard registries come back on the
         :class:`ShardResult`\\ s and merge via
         :meth:`FleetResult.metrics`.
-    executor:
-        ``"process"`` (default) uses a multiprocessing pool —
-        CPython's answer to CPU-bound scale-out.  ``"thread"`` runs
-        the shards on a :class:`FleetExecutor` thread pool instead:
-        slower for pure CPU work (the GIL), but shards share the
-        parent's memory, which is what the service's in-process
-        execution substrate needs and what debuggers prefer.
     shard_timeout:
         Seconds to wait for each shard's result before declaring the
         worker lost (``kind="lost"`` on :attr:`FleetResult.failures`).
@@ -410,8 +382,6 @@ def dedup_sharded(
         (shard, algo, config, shard_files, device, collect_metrics)
         for shard, shard_files in sorted(shards.items())
     ]
-    if executor not in ("process", "thread"):
-        raise ValueError(f"executor must be 'process' or 'thread', got {executor!r}")
     if workers is None:
         workers = min(len(jobs), mp.cpu_count())
     results: list[ShardResult] = []
@@ -426,18 +396,6 @@ def dedup_sharded(
                 results.append(_run_shard(job))
             except Exception as e:  # noqa: BLE001 - shard isolation: one shard's crash must not sink the fleet
                 record_failure(job[0], e)
-    elif executor == "thread":
-        with FleetExecutor(workers=min(workers, len(jobs))) as fleet:
-            futures = [(job[0], fleet.submit(lambda j=job: _run_shard(j))) for job in jobs]
-            for shard, fut in futures:
-                try:
-                    results.append(fut.result(timeout=shard_timeout))
-                except FutureTimeout:
-                    failures.append(
-                        ShardFailure(shard, f"no result within {shard_timeout}s", kind="lost")
-                    )
-                except Exception as e:  # noqa: BLE001 - shard isolation (see above)
-                    record_failure(shard, e)
     else:
         # apply_async, not map(): map() is all-or-nothing — one dead
         # worker (OOM-kill) used to discard every completed shard.

@@ -13,10 +13,7 @@ service without touching the algorithms:
 * :mod:`~repro.service.server` — the asyncio front end: JSON-lines
   ingest protocol plus live HTTP ``/metrics`` (:class:`DedupServer`);
 * :mod:`~repro.service.client` — the blocking protocol client
-  (:class:`ServiceClient`);
-* :mod:`~repro.service.placement` — pinning tenants onto the cluster's
-  consistent-hash ring partitions (:func:`tenant_node`,
-  :func:`partitions`).
+  (:class:`ServiceClient`).
 
 See ``docs/SERVICE.md`` for the protocol and operational semantics.
 """
@@ -31,7 +28,6 @@ from .quotas import (
     TenantQuota,
     TokenBucket,
 )
-from .placement import partitions, placement_of, tenant_node
 from .server import DedupServer
 from .session import DedupSession, SessionClosed, latest_files, restore_file
 from .tenancy import Tenant, TenantRegistry, tenant_namespace_prefix
@@ -51,9 +47,6 @@ __all__ = [
     "TenantRegistry",
     "TokenBucket",
     "latest_files",
-    "partitions",
-    "placement_of",
     "restore_file",
-    "tenant_node",
     "tenant_namespace_prefix",
 ]

@@ -11,7 +11,6 @@ Table II / Table V benches read out.
 from .backend import (
     DirectoryBackend,
     MemoryBackend,
-    ObjectBackend,
     PrefixedBackend,
     StorageBackend,
 )
@@ -26,7 +25,13 @@ from .faults import (
     RetryPolicy,
     TransientBackendError,
 )
-from .file_manifest import FILE_ENTRY_SIZE, FileExtent, FileManifest, FileManifestStore
+from .file_manifest import (
+    FILE_ENTRY_SIZE,
+    FileExtent,
+    FileManifest,
+    FileManifestStore,
+    file_object_ids,
+)
 from .hooks import HookStore
 from .manifest import (
     ENTRY_SIZE,
@@ -50,12 +55,11 @@ from .retention import (
     plan_retention,
 )
 from .recover import QUARANTINE_PREFIX, RecoveryReport, recover
-from .verify import IntegrityReport, load_manifest, verify_store
+from .verify import Finding, IntegrityReport, load_manifest, verify_store
 
 __all__ = [
     "DirectoryBackend",
     "MemoryBackend",
-    "ObjectBackend",
     "PrefixedBackend",
     "StorageBackend",
     "BackendError",
@@ -77,6 +81,7 @@ __all__ = [
     "FileExtent",
     "FileManifest",
     "FileManifestStore",
+    "file_object_ids",
     "HookStore",
     "ENTRY_SIZE",
     "MANIFEST_HEADER_SIZE",
@@ -88,6 +93,7 @@ __all__ = [
     "MultiEntry",
     "MultiManifest",
     "MultiManifestStore",
+    "Finding",
     "IntegrityReport",
     "load_manifest",
     "verify_store",

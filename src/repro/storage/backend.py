@@ -27,12 +27,10 @@ import logging
 import os
 import tempfile
 from abc import ABC, abstractmethod
-from typing import Protocol
 
 from .disk_model import INODE_SIZE
 
 __all__ = [
-    "ObjectBackend",
     "StorageBackend",
     "MemoryBackend",
     "DirectoryBackend",
@@ -45,43 +43,6 @@ logger = logging.getLogger(__name__)
 #: Never a valid object name (object files are bare hex), so interrupted
 #: writes are invisible to every read path and swept by recovery.
 TMP_SUFFIX = ".tmp"
-
-
-class ObjectBackend(Protocol):
-    """Structural seam the object stores require of a backend.
-
-    :class:`StorageBackend` subclasses satisfy this by shape; code that
-    only *consumes* storage (stores, verification, GC) can accept an
-    ``ObjectBackend`` and remain open to duck-typed backends.
-    """
-
-    def put(self, namespace: str, key: bytes, data: bytes) -> None:
-        """Store an object (overwrites an existing one)."""
-        ...
-
-    def get(self, namespace: str, key: bytes) -> bytes:
-        """Fetch an object; raises ``KeyError`` if absent."""
-        ...
-
-    def exists(self, namespace: str, key: bytes) -> bool:
-        """Membership test without transferring the object."""
-        ...
-
-    def keys(self, namespace: str) -> list[bytes]:
-        """All keys in a namespace (unordered)."""
-        ...
-
-    def delete(self, namespace: str, key: bytes) -> bool:
-        """Remove an object; returns whether it existed."""
-        ...
-
-    def object_count(self, namespace: str) -> int:
-        """Number of stored objects in the namespace."""
-        ...
-
-    def bytes_stored(self, namespace: str) -> int:
-        """Total payload bytes held by a namespace."""
-        ...
 
 
 class StorageBackend(ABC):
@@ -135,6 +96,15 @@ class StorageBackend(ABC):
     @abstractmethod
     def namespaces(self) -> list[str]:
         """Namespaces that currently hold at least one object."""
+
+    def purge_incomplete(self, prefix: str = "") -> int:
+        """Delete interrupted-put debris; returns the number of files removed.
+
+        ``prefix`` restricts the sweep to namespaces starting with it.
+        Backends whose puts leave nothing behind (the default) remove
+        nothing; wrappers forward to the backend they wrap.
+        """
+        return 0
 
 
 class MemoryBackend(StorageBackend):
@@ -416,14 +386,7 @@ class PrefixedBackend(StorageBackend):
     def purge_incomplete(self, prefix: str = "") -> int:
         """Sweep interrupted-put debris *under this view's prefix only*.
 
-        Delegates to the inner backend's ``purge_incomplete`` when it
-        has one (``DirectoryBackend``, or a nested view), composing the
-        prefixes so a tenant-scoped recovery never touches another
-        tenant's in-flight temp files.  Returns 0 on backends without
-        temp-file debris (``MemoryBackend``).
+        Composes the prefixes, so a tenant-scoped recovery never
+        touches another tenant's in-flight temp files.
         """
-        fn = getattr(self.inner, "purge_incomplete", None)
-        if not callable(fn):
-            return 0
-        count: int = fn(self.prefix + prefix)
-        return count
+        return self.inner.purge_incomplete(self.prefix + prefix)

@@ -225,7 +225,7 @@ class FaultInjectingBackend(StorageBackend):
             # torn / bit_flip make no sense for delete; fall through
         return self.inner.delete(namespace, key)
 
-    # ---- read-only delegation (never injected) ---------------------------
+    # ---- plain delegation (never injected) -------------------------------
 
     def exists(self, namespace: str, key: bytes) -> bool:
         return self.inner.exists(namespace, key)
@@ -241,6 +241,9 @@ class FaultInjectingBackend(StorageBackend):
 
     def namespaces(self) -> list[str]:
         return self.inner.namespaces()
+
+    def purge_incomplete(self, prefix: str = "") -> int:
+        return self.inner.purge_incomplete(prefix)
 
 
 @dataclass(frozen=True)
@@ -334,3 +337,6 @@ class RetryingBackend(StorageBackend):
 
     def namespaces(self) -> list[str]:
         return self._call(lambda: self.inner.namespaces())
+
+    def purge_incomplete(self, prefix: str = "") -> int:
+        return self._call(lambda: self.inner.purge_incomplete(prefix))

@@ -16,6 +16,7 @@ in this repository: ``restore() == original`` byte-for-byte.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from ..hashing.digest import HASH_SIZE, Digest, sha1
@@ -23,7 +24,13 @@ from .backend import StorageBackend
 from .chunk_store import DiskChunkStore
 from .disk_model import DiskModel
 
-__all__ = ["FileExtent", "FileManifest", "FileManifestStore", "FILE_ENTRY_SIZE"]
+__all__ = [
+    "FileExtent",
+    "FileManifest",
+    "FileManifestStore",
+    "FILE_ENTRY_SIZE",
+    "file_object_ids",
+]
 
 #: Per-entry bytes: container address + byte offset + byte size.
 FILE_ENTRY_SIZE = 36
@@ -104,6 +111,18 @@ class FileManifest:
         return cls(name, extents)
 
 
+def file_object_ids(file_id: str) -> tuple[Digest, Digest]:
+    """``(container id, manifest id)`` of the objects ingesting a file creates.
+
+    Every per-file deduplicator addresses the file's DiskChunk container
+    and its Manifest by the caller's name for the file — which is why
+    the same name cannot be stored twice; an identity that does not
+    depend on the name changes here and nowhere else.
+    """
+    fid = file_id.encode()
+    return sha1(fid), sha1(fid + b"|manifest")
+
+
 class FileManifestStore:
     """Metered persistence for FileManifests, keyed by file id."""
 
@@ -143,9 +162,11 @@ class FileManifestStore:
         are digests of the ids, so the names must come from the
         manifests themselves.
         """
-        ids: list[str] = []
+        return sorted(fm.file_id for fm in self.manifests())
+
+    def manifests(self) -> Iterator[FileManifest]:
+        """Every stored file manifest, in no particular order (metered reads)."""
         for key in self._backend.keys(DiskModel.FILE_MANIFEST):
             raw = self._backend.get(DiskModel.FILE_MANIFEST, key)
             self._meter.record(DiskModel.FILE_MANIFEST, "read", len(raw))
-            ids.append(FileManifest.from_bytes(raw).file_id)
-        return sorted(ids)
+            yield FileManifest.from_bytes(raw)

@@ -9,14 +9,18 @@ byte of the container.  This module implements the classic two-step:
 1. :func:`delete_file` — drop a FileManifest (the only per-file
    object; chunk data is shared and cannot be touched here).
 2. :func:`sweep` — mark-and-sweep over the whole store: walk every
-   surviving FileManifest, collect the referenced container set, and
-   delete unreferenced containers together with their now-useless
-   metadata (manifests whose containers are all gone, and hooks that
-   pointed at deleted manifests).
+   surviving FileManifest, collect the referenced container set,
+   delete the unreferenced containers, then run crash recovery's
+   :func:`~repro.storage.recover.repair` loop with deletion in place
+   of quarantine.  That removes the now-useless metadata: manifests
+   whose containers are all gone, the dead entries of multi-container
+   manifests, hooks into either.
 
-Sweeping preserves the store invariants — a swept store still passes
-:func:`repro.storage.verify.verify_store` and restores every
-surviving file byte-identically (tested).
+A swept store passes :func:`repro.storage.verify.verify_store` (the
+loop's exit condition) and restores every surviving file
+byte-identically (tested).  Anything fsck already rejected before the
+sweep is deleted too: run :func:`~repro.storage.recover.recover` first
+to keep damaged objects for inspection.
 
 Container granularity means space reclamation is *coarse*: one
 surviving reference pins a whole container (real systems defragment
@@ -32,10 +36,8 @@ from dataclasses import dataclass
 from ..hashing.digest import Digest
 from .backend import StorageBackend
 from .disk_model import DiskModel
-from .file_manifest import FileManifest, FileManifestStore
-from .manifest import Manifest
-from .multi_manifest import MultiManifest
-from .verify import load_manifest
+from .file_manifest import FileManifestStore
+from .recover import repair
 
 __all__ = ["GCReport", "delete_file", "sweep"]
 
@@ -94,8 +96,7 @@ def _referenced_extents(backend: StorageBackend) -> dict[Digest, int]:
     pinned-bytes figure meaningless.
     """
     spans: dict[Digest, list[tuple[int, int]]] = {}
-    for key in backend.keys(DiskModel.FILE_MANIFEST):
-        fm = FileManifest.from_bytes(backend.get(DiskModel.FILE_MANIFEST, key))
+    for fm in FileManifestStore(backend, DiskModel()).manifests():
         for e in fm.extents:
             spans.setdefault(e.container_id, []).append((e.offset, e.offset + e.size))
     return {cid: _union_bytes(sp) for cid, sp in spans.items()}
@@ -107,12 +108,10 @@ def sweep(backend: StorageBackend) -> GCReport:
 
     containers_deleted = bytes_reclaimed = 0
     containers_kept = bytes_pinned = 0
-    live_containers: set[Digest] = set()
     for raw_cid in backend.keys(DiskModel.CHUNK):
         cid = Digest(raw_cid)
         size = len(backend.get(DiskModel.CHUNK, cid))
         if cid in referenced:
-            live_containers.add(cid)
             containers_kept += 1
             # referenced[cid] is a union of in-bounds extents, so it can
             # only exceed the container size on a corrupt store (extents
@@ -123,48 +122,15 @@ def sweep(backend: StorageBackend) -> GCReport:
         containers_deleted += 1
         bytes_reclaimed += size
 
-    # Manifests survive while any of their containers do.  Surviving
-    # multi-container manifests are rewritten without entries for dead
-    # containers, so the store keeps verifying clean.
-    manifests_deleted = 0
-    dead_manifests: set[Digest] = set()
-    surviving_digests: dict[Digest, set[Digest]] = {}
-    for raw_mid in backend.keys(DiskModel.MANIFEST):
-        mid = Digest(raw_mid)
-        manifest = load_manifest(backend.get(DiskModel.MANIFEST, mid))
-        if isinstance(manifest, Manifest):
-            containers = {manifest.chunk_id}
-        else:
-            assert isinstance(manifest, MultiManifest)
-            containers = {e.container_id for e in manifest.entries}
-        live = containers & live_containers
-        if containers and not live:
-            backend.delete(DiskModel.MANIFEST, mid)
-            dead_manifests.add(mid)
-            manifests_deleted += 1
-            continue
-        if isinstance(manifest, MultiManifest) and live != containers:
-            kept = [e for e in manifest.entries if e.container_id in live]
-            backend.put(
-                DiskModel.MANIFEST, mid, MultiManifest(mid, kept).to_bytes()
-            )
-            surviving_digests[mid] = {e.digest for e in kept}
-        else:
-            surviving_digests[mid] = set(manifest.index)
-
-    hooks_deleted = 0
-    for hook in backend.keys(DiskModel.HOOK):
-        target = Digest(backend.get(DiskModel.HOOK, hook))
-        digests = surviving_digests.get(target)  # None: dead or dangling
-        if digests is None or hook not in digests:
-            backend.delete(DiskModel.HOOK, hook)
-            hooks_deleted += 1
+    # Whatever the deletions above orphaned is now invalid by fsck's
+    # rules; dispose of it the way recovery does, deleting outright.
+    _, disposed = repair(backend, backend.delete)
 
     return GCReport(
         containers_deleted=containers_deleted,
         containers_kept=containers_kept,
         bytes_reclaimed=bytes_reclaimed,
         bytes_pinned=bytes_pinned,
-        manifests_deleted=manifests_deleted,
-        hooks_deleted=hooks_deleted,
+        manifests_deleted=sum(f.kind == DiskModel.MANIFEST and not f.survivors for f in disposed),
+        hooks_deleted=sum(f.kind == DiskModel.HOOK for f in disposed),
     )

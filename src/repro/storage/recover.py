@@ -1,54 +1,51 @@
 """Crash recovery — the repairing counterpart of :mod:`.verify`.
 
-:func:`verify_store` *detects* inconsistencies; :func:`recover` makes
-the store consistent again after a crash or a torn write, following
-one rule: **never delete bytes that might still be wanted** — damaged
-objects are *quarantined* (moved to a ``quarantine.<namespace>``
-namespace, invisible to every store walk) rather than destroyed, except
-for Hooks, which are derived data and safe to drop.
+:func:`verify_store` *defines* what a consistent store is;
+:func:`recover` makes the store consistent again after a crash or a
+torn write by disposing of exactly what fsck reports, re-checking until
+fsck reports nothing (:func:`repair`).  It follows one rule: **never
+delete bytes that might still be wanted** — damaged objects are
+*quarantined* (moved to a ``quarantine.<namespace>`` namespace,
+invisible to every store walk) rather than destroyed, except for Hooks,
+which are derived data and safe to drop.
 
 What a crash can leave behind, and the repair for each:
 
 * stray ``*.tmp`` files from an interrupted atomic put — deleted
-  (:meth:`DirectoryBackend.purge_incomplete`);
-* torn/unparseable Manifests and FileManifests (a non-atomic backend,
-  or injected torn writes) — quarantined;
-* Manifests stored under the wrong key, failing to tile their
-  DiskChunk, or pointing at a missing container (a crash mid-GC-sweep)
-  — quarantined; multi-container manifests are instead *rewritten*
-  without their dead entries when some containers survive;
-* FileManifests whose extents fall outside a stored container (the
-  file's container write never completed) — quarantined: the file was
-  not durable before the crash;
-* Hooks that are the wrong size, dangle (their manifest died with the
-  crash or was quarantined above), or whose digest left the manifest —
-  deleted;
+  (:meth:`StorageBackend.purge_incomplete`) before the first walk;
+* Manifests and FileManifests fsck rejects (torn/unparseable, stored
+  under the wrong key, failing to tile their DiskChunk, pointing at
+  missing container bytes — a crash mid-GC-sweep, or a file whose
+  container write never completed) — quarantined; a multi-container
+  manifest is instead *rewritten* without its dead entries when some
+  of its containers survive;
+* Hooks fsck rejects (wrong size, dangling, digest gone from the
+  manifest) — deleted;
 * with ``check_hashes=True``, containers whose bytes no longer match
-  their manifest entry digests (silent corruption) — quarantined,
-  together with everything that references them, via the passes above.
+  their manifest entry digests (silent corruption) — quarantined; the
+  next walk then reports everything that referenced them.
 
 Every repair is counted in the :class:`RecoveryReport` and reported
 through the telemetry anomaly channel
-(:func:`repro.obs.telemetry.note_anomaly`), and the pass finishes with
-a full :func:`verify_store` walk whose report it returns — recovery
-that does not end in ``ok`` is a bug (tested by the crash matrix).
+(:func:`repro.obs.telemetry.note_anomaly`).  The walk that finds
+nothing left to repair is the returned ``integrity`` report, so a
+clean store is walked exactly once.
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from ..hashing.digest import HASH_SIZE, Digest, sha1
+from ..hashing.digest import Digest
 from ..obs.telemetry import note_anomaly
 from .backend import StorageBackend
 from .disk_model import DiskModel
-from .file_manifest import FileManifest, FileManifestStore
-from .manifest import Manifest
 from .multi_manifest import MultiManifest
-from .verify import _PARSE_ERRORS, IntegrityReport, load_manifest, verify_store
+from .verify import Finding, IntegrityReport, verify_store
 
-__all__ = ["QUARANTINE_PREFIX", "RecoveryReport", "recover"]
+__all__ = ["QUARANTINE_PREFIX", "RecoveryReport", "recover", "repair"]
 
 logger = logging.getLogger(__name__)
 
@@ -56,6 +53,17 @@ logger = logging.getLogger(__name__)
 #: store namespaces are fixed names, so prefixed namespaces can never
 #: collide with live data and are invisible to verify/GC/restore walks.
 QUARANTINE_PREFIX = "quarantine."
+
+
+#: The RecoveryReport counters; each is also an ``anomaly.recover.<name>`` metric.
+_COUNTERS = (
+    "tmp_purged",
+    "containers_quarantined",
+    "manifests_quarantined",
+    "manifests_rewritten",
+    "file_manifests_quarantined",
+    "hooks_deleted",
+)
 
 
 @dataclass
@@ -74,14 +82,7 @@ class RecoveryReport:
     @property
     def repairs(self) -> int:
         """Total repair actions taken (0 = the store was clean)."""
-        return (
-            self.tmp_purged
-            + self.containers_quarantined
-            + self.manifests_quarantined
-            + self.manifests_rewritten
-            + self.file_manifests_quarantined
-            + self.hooks_deleted
-        )
+        return sum(int(getattr(self, name)) for name in _COUNTERS)
 
     @property
     def ok(self) -> bool:
@@ -105,33 +106,45 @@ class RecoveryReport:
         )
 
 
-def _quarantine(backend: StorageBackend, namespace: str, key: Digest, raw: bytes) -> None:
-    backend.put(QUARANTINE_PREFIX + namespace, key, raw)
-    backend.delete(namespace, key)
+def repair(
+    backend: StorageBackend,
+    retire: Callable[[str, Digest], object],
+    check_hashes: bool = False,
+) -> tuple[IntegrityReport, list[Finding]]:
+    """Dispose of everything fsck reports until it reports nothing.
+
+    Each round walks the store once.  A multi-container manifest with
+    survivors is rewritten around its dead containers (Manifests are
+    the one mutable object kind); every other invalid object is handed
+    to ``retire(namespace, key)``, which must take it out of its
+    namespace — :func:`recover` quarantines,
+    :func:`repro.storage.gc.sweep` deletes.  Retiring an object can
+    orphan its dependents (a container's manifests and recipes, a
+    rewritten manifest's hooks); the next round reports those.  Every
+    round removes or shrinks at least one object, so the loop ends.
+
+    Returns the final, clean report and every finding disposed of.
+    """
+    disposed: list[Finding] = []
+    while True:
+        integrity = verify_store(backend, check_entry_hashes=check_hashes)
+        if integrity.ok:
+            return integrity, disposed
+        for f in integrity.findings:
+            if f.survivors:
+                backend.put(f.kind, f.key, MultiManifest(f.key, list(f.survivors)).to_bytes())
+            else:
+                retire(f.kind, f.key)
+        disposed += integrity.findings
 
 
-def _corrupt_containers(
-    backend: StorageBackend, container_sizes: dict[Digest, int]
-) -> set[Digest]:
-    """Containers whose bytes mismatch any in-bounds manifest entry digest."""
-    bad: set[Digest] = set()
-    for raw_key in backend.keys(DiskModel.MANIFEST):
-        try:
-            m = load_manifest(backend.get(DiskModel.MANIFEST, Digest(raw_key)))
-        except _PARSE_ERRORS:
-            continue  # quarantined later by the manifest pass
-        if isinstance(m, Manifest):
-            spans = [(m.chunk_id, e.digest, e.offset, e.size) for e in m.entries]
-        else:
-            spans = [(e.container_id, e.digest, e.offset, e.size) for e in m.entries]
-        for cid, digest, offset, size in spans:
-            total = container_sizes.get(cid)
-            if cid in bad or total is None or offset + size > total:
-                continue
-            data = backend.get(DiskModel.CHUNK, cid)
-            if sha1(data[offset : offset + size]) != digest:
-                bad.add(cid)
-    return bad
+#: Namespace of a retired object -> its RecoveryReport counter and action verb.
+_RETIRED = {
+    DiskModel.CHUNK: ("containers_quarantined", "quarantined"),
+    DiskModel.MANIFEST: ("manifests_quarantined", "quarantined"),
+    DiskModel.FILE_MANIFEST: ("file_manifests_quarantined", "quarantined"),
+    DiskModel.HOOK: ("hooks_deleted", "deleted"),
+}
 
 
 def recover(backend: StorageBackend, check_hashes: bool = False) -> RecoveryReport:
@@ -151,144 +164,24 @@ def recover(backend: StorageBackend, check_hashes: bool = False) -> RecoveryRepo
     """
     report = RecoveryReport()
 
-    # 0. Sweep interrupted-put debris so nothing below trips over it.
-    # Duck-typed: DirectoryBackend sweeps its directories, a
-    # PrefixedBackend tenant view sweeps only under its own prefix,
-    # MemoryBackend has no debris to sweep.
-    purge = getattr(backend, "purge_incomplete", None)
-    if callable(purge):
-        report.tmp_purged = purge()
-        if report.tmp_purged:
-            report.act(f"purged {report.tmp_purged} stray temp files")
+    # Sweep interrupted-put debris so the walks below never trip over it.
+    report.tmp_purged = backend.purge_incomplete()
+    if report.tmp_purged:
+        report.act(f"purged {report.tmp_purged} stray temp files")
 
-    container_sizes: dict[Digest, int] = {
-        Digest(k): len(backend.get(DiskModel.CHUNK, k))
-        for k in backend.keys(DiskModel.CHUNK)
-    }
+    def retire(namespace: str, key: Digest) -> None:
+        # Hooks are derived data a later run re-creates: the one kind dropped.
+        if namespace != DiskModel.HOOK:
+            backend.put(QUARANTINE_PREFIX + namespace, key, backend.get(namespace, key))
+        backend.delete(namespace, key)
 
-    # 1. Optional deep pass: silently-corrupted containers go first,
-    #    so the structural passes below see them as "missing" and
-    #    quarantine everything that depends on them.
-    if check_hashes:
-        for cid in sorted(_corrupt_containers(backend, container_sizes)):
-            _quarantine(backend, DiskModel.CHUNK, cid, backend.get(DiskModel.CHUNK, cid))
-            del container_sizes[cid]
-            report.containers_quarantined += 1
-            report.act(f"quarantined corrupt container {cid.hex()[:12]}")
+    report.integrity, disposed = repair(backend, retire, check_hashes)
+    for f in disposed:
+        counter, verb = ("manifests_rewritten", "rewrote") if f.survivors else _RETIRED[f.kind]
+        setattr(report, counter, getattr(report, counter) + 1)
+        report.act(f"{verb} {f}")
 
-    # 2. Manifests: parse, key, container presence, tiling.
-    manifests: dict[Digest, Manifest | MultiManifest] = {}
-    for raw_key in sorted(backend.keys(DiskModel.MANIFEST)):
-        key = Digest(raw_key)
-        raw = backend.get(DiskModel.MANIFEST, key)
-        try:
-            m = load_manifest(raw)
-        except _PARSE_ERRORS as e:
-            _quarantine(backend, DiskModel.MANIFEST, key, raw)
-            report.manifests_quarantined += 1
-            report.act(f"quarantined unparseable manifest {key.hex()[:12]} ({e})")
-            continue
-        if m.manifest_id != key:
-            _quarantine(backend, DiskModel.MANIFEST, key, raw)
-            report.manifests_quarantined += 1
-            report.act(f"quarantined manifest {key.hex()[:12]} stored under wrong key")
-            continue
-        if isinstance(m, Manifest):
-            size = container_sizes.get(m.chunk_id)
-            bad_reason = None
-            if size is None:
-                bad_reason = f"container {m.chunk_id.hex()[:12]} missing"
-            else:
-                try:
-                    m.validate_tiling(size)
-                except AssertionError as e:
-                    bad_reason = f"does not tile its container ({e})"
-            if bad_reason is not None:
-                _quarantine(backend, DiskModel.MANIFEST, key, raw)
-                report.manifests_quarantined += 1
-                report.act(f"quarantined manifest {key.hex()[:12]}: {bad_reason}")
-                continue
-        else:
-            kept = [
-                e
-                for e in m.entries
-                if e.container_id in container_sizes
-                and e.offset + e.size <= container_sizes[e.container_id]
-            ]
-            if not kept:
-                _quarantine(backend, DiskModel.MANIFEST, key, raw)
-                report.manifests_quarantined += 1
-                report.act(
-                    f"quarantined manifest {key.hex()[:12]}: all containers missing"
-                )
-                continue
-            if len(kept) != len(m.entries):
-                m = MultiManifest(key, kept)
-                backend.put(DiskModel.MANIFEST, key, m.to_bytes())
-                report.manifests_rewritten += 1
-                report.act(
-                    f"rewrote manifest {key.hex()[:12]} without its dead containers"
-                )
-        manifests[key] = m
-
-    # 3. FileManifests: a file is durable only if its recipe parses,
-    #    sits under the right key, and every extent is backed by
-    #    stored container bytes.
-    for raw_key in sorted(backend.keys(DiskModel.FILE_MANIFEST)):
-        key = Digest(raw_key)
-        raw = backend.get(DiskModel.FILE_MANIFEST, key)
-        bad_reason = None
-        try:
-            fm = FileManifest.from_bytes(raw)
-        except _PARSE_ERRORS as e:
-            bad_reason = f"unparseable ({e})"
-        else:
-            if FileManifestStore.key_for(fm.file_id) != key:
-                bad_reason = "stored under wrong key"
-            else:
-                for i, e in enumerate(fm.extents):
-                    size = container_sizes.get(e.container_id)
-                    if size is None:
-                        bad_reason = f"extent {i}: container {e.container_id.hex()[:12]} missing"
-                        break
-                    if e.offset + e.size > size:
-                        bad_reason = f"extent {i}: beyond container size {size}"
-                        break
-        if bad_reason is not None:
-            _quarantine(backend, DiskModel.FILE_MANIFEST, key, raw)
-            report.file_manifests_quarantined += 1
-            report.act(f"quarantined file manifest {key.hex()[:12]}: {bad_reason}")
-
-    # 4. Hooks: derived data — anything malformed or dangling is
-    #    simply deleted (the digest can be re-hooked by a future run).
-    for raw_key in sorted(backend.keys(DiskModel.HOOK)):
-        key = Digest(raw_key)
-        payload = backend.get(DiskModel.HOOK, key)
-        bad_reason = None
-        if len(payload) != HASH_SIZE:
-            bad_reason = f"payload is {len(payload)} bytes, want {HASH_SIZE}"
-        else:
-            target = manifests.get(Digest(payload))
-            if target is None:
-                bad_reason = f"dangling manifest {payload.hex()[:12]}"
-            elif key not in target:
-                bad_reason = "digest no longer present in its manifest"
-        if bad_reason is not None:
-            backend.delete(DiskModel.HOOK, key)
-            report.hooks_deleted += 1
-            report.act(f"deleted hook {key.hex()[:12]}: {bad_reason}")
-
-    # 5. Prove it: the recovered store must verify clean.
-    report.integrity = verify_store(backend, deep=True, check_entry_hashes=check_hashes)
-
-    for name, count in (
-        ("recover.tmp_purged", report.tmp_purged),
-        ("recover.containers_quarantined", report.containers_quarantined),
-        ("recover.manifests_quarantined", report.manifests_quarantined),
-        ("recover.manifests_rewritten", report.manifests_rewritten),
-        ("recover.file_manifests_quarantined", report.file_manifests_quarantined),
-        ("recover.hooks_deleted", report.hooks_deleted),
-    ):
-        if count:
-            note_anomaly(name, count=count)
+    for name in _COUNTERS:
+        if count := int(getattr(report, name)):
+            note_anomaly(f"recover.{name}", count=count)
     return report

@@ -1,11 +1,19 @@
-"""Store integrity verification.
+"""Store integrity verification — the one definition of a consistent store.
 
 A deduplicated store is only as good as its ability to prove itself
-consistent: every Hook must point at an existing Manifest that still
-contains the hook's digest; every Manifest must tile its DiskChunk
-exactly and hash-match the bytes it describes; every FileManifest
-extent must lie inside a stored container.  This module walks a
-backend and checks all of it — the fsck of the repository.
+consistent: every Hook must be a 20-byte pointer at an existing
+Manifest that still contains the hook's digest; every Manifest must
+sit under its own id, tile its DiskChunk exactly and hash-match the
+bytes it describes; every FileManifest must sit under the key of its
+file id and every extent must lie inside a stored container.  This
+module walks a backend and checks all of it — the fsck of the
+repository.
+
+Every rule is written here and nowhere else.  A violation is reported
+as a string in :attr:`IntegrityReport.errors` and as a typed
+:class:`Finding` naming the invalid object; crash recovery and GC act
+on the findings (:func:`repro.storage.recover.repair`), so "fsck
+clean" and "nothing to recover" are one predicate.
 
 Used by tests (including failure-injection tests that corrupt stores
 on purpose) and exposed to users via ``Deduplicator.verify_integrity``.
@@ -16,16 +24,17 @@ from __future__ import annotations
 import contextlib
 import logging
 import struct
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
-from ..hashing.digest import Digest, sha1
+from ..hashing.digest import HASH_SIZE, Digest, sha1
 from .backend import StorageBackend
 from .disk_model import DiskModel
-from .file_manifest import FileManifest
+from .file_manifest import FileManifest, FileManifestStore
 from .manifest import Manifest
-from .multi_manifest import MultiManifest
+from .multi_manifest import MultiEntry, MultiManifest
 
-__all__ = ["IntegrityReport", "load_manifest", "verify_store"]
+__all__ = ["Finding", "IntegrityReport", "load_manifest", "verify_store"]
 
 logger = logging.getLogger(__name__)
 
@@ -33,6 +42,27 @@ logger = logging.getLogger(__name__)
 #: parsing: truncated structs (``struct.error``), entry validation
 #: (``ValueError``) and, for FileManifests, bad name bytes.
 _PARSE_ERRORS = (ValueError, struct.error, UnicodeDecodeError)
+
+
+@dataclass(frozen=True)
+class Finding:
+    """One stored object that breaks a store rule.
+
+    ``kind`` is the object's namespace (``DiskModel.CHUNK`` /
+    ``MANIFEST`` / ``HOOK`` / ``FILE_MANIFEST``).  The object has to
+    leave the store for it to be consistent again — unless it is a
+    multi-container manifest that lost only some of its containers:
+    then ``survivors`` holds the entries still backed by stored bytes,
+    and rewriting the manifest down to them repairs it.
+    """
+
+    kind: str
+    key: Digest
+    reason: str
+    survivors: tuple[MultiEntry, ...] = ()
+
+    def __str__(self) -> str:
+        return f"{self.kind.replace('_', ' ')} {self.key.hex()[:12]}: {self.reason}"
 
 
 @dataclass
@@ -44,15 +74,20 @@ class IntegrityReport:
     file_manifests_checked: int = 0
     containers_checked: int = 0
     errors: list[str] = field(default_factory=list)
+    findings: list[Finding] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         """True when the walk found no inconsistencies."""
         return not self.errors
 
-    def error(self, msg: str) -> None:
-        """Record one inconsistency."""
-        self.errors.append(msg)
+    def flag(
+        self, kind: str, key: Digest, reason: str, survivors: Iterable[MultiEntry] = ()
+    ) -> None:
+        """Record one invalid object (at most one finding per object per walk)."""
+        finding = Finding(kind, key, reason, tuple(survivors))
+        self.findings.append(finding)
+        self.errors.append(str(finding))
 
     def summary(self) -> str:
         """One-line human-readable outcome."""
@@ -77,6 +112,63 @@ def load_manifest(raw: bytes) -> Manifest | MultiManifest:
     return MultiManifest.from_bytes(raw)
 
 
+def _extent_fault(sizes: dict[Digest, int], cid: Digest, offset: int, size: int) -> str | None:
+    """Why ``[offset, offset + size)`` of container ``cid`` is not stored bytes."""
+    total = sizes.get(cid)
+    if total is None:
+        return f"container {cid.hex()[:12]} missing"
+    if offset + size > total:
+        return f"extent [{offset}, {offset + size}) beyond container size {total}"
+    return None
+
+
+def _container_fault(
+    m: Manifest | MultiManifest, sizes: dict[Digest, int]
+) -> tuple[str | None, list[MultiEntry]]:
+    """Why ``m`` does not fit the stored containers (``None``: it does).
+
+    A Manifest must tile its DiskChunk exactly; every MultiManifest
+    entry must lie inside a stored container — the second value is the
+    entries of a faulty MultiManifest that do.
+    """
+    if isinstance(m, Manifest):
+        total = sizes.get(m.chunk_id)
+        if total is None:
+            return f"DiskChunk {m.chunk_id.hex()[:12]} missing", []
+        try:
+            m.validate_tiling(total)
+        except AssertionError as e:
+            return f"does not tile its DiskChunk ({e})", []
+        return None, []
+    live = [
+        e for e in m.entries if _extent_fault(sizes, e.container_id, e.offset, e.size) is None
+    ]
+    if len(live) == len(m.entries):
+        return None, []
+    return f"{len(m.entries) - len(live)} of {len(m.entries)} entries missing their bytes", live
+
+
+def _hash_mismatches(
+    backend: StorageBackend, m: Manifest | MultiManifest, known: set[Digest]
+) -> Iterator[Digest]:
+    """Containers (not already ``known`` bad) whose bytes mismatch an entry of ``m``."""
+    spans: Iterable[tuple[Digest, Digest, int, int]]
+    if isinstance(m, Manifest):
+        spans = ((m.chunk_id, e.digest, e.offset, e.size) for e in m.entries)
+    else:
+        spans = ((e.container_id, e.digest, e.offset, e.size) for e in m.entries)
+    loaded: Digest | None = None
+    data = b""
+    for cid, digest, offset, size in spans:
+        if cid in known:
+            continue
+        if cid != loaded:
+            loaded, data = cid, backend.get(DiskModel.CHUNK, cid)
+        if sha1(data[offset : offset + size]) != digest:
+            known.add(cid)
+            yield cid
+
+
 def verify_store(
     backend: StorageBackend,
     deep: bool = True,
@@ -90,117 +182,85 @@ def verify_store(
         Also verify manifest extents against container sizes and
         FileManifest extents against containers.
     check_entry_hashes:
-        Re-hash every single-container manifest entry's bytes and
-        compare with the recorded digest (expensive; catches silent
-        container corruption).
+        Re-hash every manifest entry's bytes and compare with the
+        recorded digest (expensive; catches silent container
+        corruption, reported against the container).
     """
     report = IntegrityReport()
-    container_sizes: dict[Digest, int] = {}
-    for raw_key in backend.keys(DiskModel.CHUNK):
-        container_sizes[Digest(raw_key)] = len(
-            backend.get(DiskModel.CHUNK, raw_key)
-        )
-        report.containers_checked += 1
+    sizes: dict[Digest, int] = {
+        Digest(k): len(backend.get(DiskModel.CHUNK, k)) for k in backend.keys(DiskModel.CHUNK)
+    }
+    report.containers_checked = len(sizes)
 
-    manifests: dict[Digest, Manifest | MultiManifest] = {}
-    for raw_key in backend.keys(DiskModel.MANIFEST):
-        key = Digest(raw_key)
-        raw = backend.get(DiskModel.MANIFEST, key)
+    # Manifests a Hook may legitimately point at: the ones that pass
+    # every check, so a Hook into an invalid manifest is reported in
+    # the same walk as the manifest itself.
+    valid: dict[Digest, Manifest | MultiManifest] = {}
+    corrupt: set[Digest] = set()
+    for key in sorted(map(Digest, backend.keys(DiskModel.MANIFEST))):
         try:
-            m = load_manifest(raw)
+            m = load_manifest(backend.get(DiskModel.MANIFEST, key))
         except _PARSE_ERRORS as e:
             logger.debug("manifest %s failed to parse", key.hex()[:12], exc_info=True)
-            report.error(f"manifest {key.hex()[:12]}: unparseable ({e})")
+            report.flag(DiskModel.MANIFEST, key, f"unparseable ({e})")
             continue
         report.manifests_checked += 1
         if m.manifest_id != key:
-            report.error(
-                f"manifest {key.hex()[:12]}: stored under wrong key "
-                f"(claims {m.manifest_id.hex()[:12]})"
+            report.flag(
+                DiskModel.MANIFEST,
+                key,
+                f"stored under wrong key (claims {m.manifest_id.hex()[:12]})",
             )
             continue
-        manifests[key] = m
-        if not deep:
-            continue
-        if isinstance(m, Manifest):
-            size = container_sizes.get(m.chunk_id)
-            if size is None:
-                report.error(
-                    f"manifest {key.hex()[:12]}: DiskChunk "
-                    f"{m.chunk_id.hex()[:12]} missing"
-                )
-                continue
-            try:
-                m.validate_tiling(size)
-            except AssertionError as e:
-                report.error(f"manifest {key.hex()[:12]}: {e}")
+        if deep:
+            fault, survivors = _container_fault(m, sizes)
+            if fault is not None:
+                report.flag(DiskModel.MANIFEST, key, fault, survivors)
+                if not survivors:
+                    continue
+                m = MultiManifest(key, survivors)
             if check_entry_hashes:
-                data = backend.get(DiskModel.CHUNK, m.chunk_id)
-                for i, entry in enumerate(m.entries):
-                    actual = sha1(data[entry.offset : entry.end])
-                    if actual != entry.digest:
-                        report.error(
-                            f"manifest {key.hex()[:12]} entry {i}: digest "
-                            f"mismatch (container bytes corrupted?)"
-                        )
-        else:  # MultiManifest: per-entry container bounds
-            for i, entry in enumerate(m.entries):
-                size = container_sizes.get(entry.container_id)
-                if size is None:
-                    report.error(
-                        f"manifest {key.hex()[:12]} entry {i}: container "
-                        f"{entry.container_id.hex()[:12]} missing"
+                for cid in _hash_mismatches(backend, m, corrupt):
+                    report.flag(
+                        DiskModel.CHUNK,
+                        cid,
+                        f"digest mismatch against manifest {key.hex()[:12]} "
+                        "(container bytes corrupted?)",
                     )
-                elif entry.offset + entry.size > size:
-                    report.error(
-                        f"manifest {key.hex()[:12]} entry {i}: extent "
-                        f"[{entry.offset}, {entry.offset + entry.size}) beyond "
-                        f"container size {size}"
-                    )
-                elif check_entry_hashes:
-                    data = backend.get(DiskModel.CHUNK, entry.container_id)
-                    if sha1(data[entry.offset : entry.offset + entry.size]) != entry.digest:
-                        report.error(
-                            f"manifest {key.hex()[:12]} entry {i}: digest mismatch"
-                        )
+        valid[key] = m
 
-    for raw_key in backend.keys(DiskModel.HOOK):
-        key = Digest(raw_key)
+    for key in sorted(map(Digest, backend.keys(DiskModel.HOOK))):
         report.hooks_checked += 1
-        target = Digest(backend.get(DiskModel.HOOK, key))
-        hook_manifest = manifests.get(target)
-        if hook_manifest is None:
-            report.error(
-                f"hook {key.hex()[:12]}: dangling manifest {target.hex()[:12]}"
+        payload = backend.get(DiskModel.HOOK, key)
+        if len(payload) != HASH_SIZE:
+            report.flag(
+                DiskModel.HOOK, key, f"payload is {len(payload)} bytes, want {HASH_SIZE}"
             )
-        elif key not in hook_manifest:
+        elif (target := valid.get(Digest(payload))) is None:
+            report.flag(DiskModel.HOOK, key, f"dangling manifest {payload.hex()[:12]}")
+        elif key not in target:
             # HHR never re-chunks hook entries, so a hook's digest must
             # survive in its manifest for the life of the store.
-            report.error(
-                f"hook {key.hex()[:12]}: digest no longer present in its manifest"
-            )
+            report.flag(DiskModel.HOOK, key, "digest no longer present in its manifest")
 
-    for key in backend.keys(DiskModel.FILE_MANIFEST):
+    for key in sorted(map(Digest, backend.keys(DiskModel.FILE_MANIFEST))):
         report.file_manifests_checked += 1
         try:
             fm = FileManifest.from_bytes(backend.get(DiskModel.FILE_MANIFEST, key))
         except _PARSE_ERRORS as e:
-            logger.debug(
-                "file manifest %s failed to parse", key.hex()[:12], exc_info=True
-            )
-            report.error(f"file manifest {key.hex()[:12]}: unparseable ({e})")
+            logger.debug("file manifest %s failed to parse", key.hex()[:12], exc_info=True)
+            report.flag(DiskModel.FILE_MANIFEST, key, f"unparseable ({e})")
             continue
-        if not deep:
-            continue
-        for i, e in enumerate(fm.extents):
-            size = container_sizes.get(e.container_id)
-            if size is None:
-                report.error(
-                    f"file manifest {fm.file_id!r} extent {i}: container "
-                    f"{e.container_id.hex()[:12]} missing"
-                )
-            elif e.offset + e.size > size:
-                report.error(
-                    f"file manifest {fm.file_id!r} extent {i}: beyond container"
-                )
+        if FileManifestStore.key_for(fm.file_id) != key:
+            # Restore looks a file up by the key of its id, so a recipe
+            # anywhere else is unreachable.
+            report.flag(DiskModel.FILE_MANIFEST, key, f"{fm.file_id!r} stored under wrong key")
+        elif deep:
+            for i, e in enumerate(fm.extents):
+                fault = _extent_fault(sizes, e.container_id, e.offset, e.size)
+                if fault is not None:
+                    report.flag(
+                        DiskModel.FILE_MANIFEST, key, f"{fm.file_id!r} extent {i}: {fault}"
+                    )
+                    break
     return report

@@ -19,7 +19,6 @@ from repro.chunking import (
     GearChunker,
     ReferenceChunker,
     VectorizedChunker,
-    batched_enabled,
 )
 
 from .conftest import buffers, random_bytes
@@ -100,17 +99,3 @@ def _stream_cuts(chunker, data, window_bytes):
     for batch in chunker.chunk_stream(io.BytesIO(data), window_bytes=window_bytes):
         for c in batch:
             yield (c.offset, c.size)
-
-
-def test_env_knob_forces_scalar(monkeypatch):
-    monkeypatch.setenv("REPRO_SCALAR_CHUNKING", "1")
-    assert GearChunker(SMALL).batched is False
-    assert FastCDCChunker(SMALL).batched is False
-    monkeypatch.delenv("REPRO_SCALAR_CHUNKING")
-    assert GearChunker(SMALL).batched is True
-    assert batched_enabled(None) is True
-
-
-def test_explicit_override_beats_env(monkeypatch):
-    monkeypatch.setenv("REPRO_SCALAR_CHUNKING", "1")
-    assert GearChunker(SMALL, batched=True).batched is True

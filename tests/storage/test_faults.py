@@ -6,12 +6,14 @@ from repro.obs import runtime_anomalies
 from repro.storage import (
     BackendError,
     CrashPoint,
+    DirectoryBackend,
     FaultInjectingBackend,
     FaultSpec,
     MemoryBackend,
     RetryingBackend,
     RetryPolicy,
     TransientBackendError,
+    recover,
 )
 
 KEY1 = b"\x01" * 20
@@ -232,3 +234,20 @@ class TestRetryingBackend:
         assert b.bytes_stored("chunk") == 3
         assert b.namespaces() == ["chunk"]
         assert b.delete("chunk", KEY1)
+
+
+@pytest.mark.parametrize("wrap", [FaultInjectingBackend, RetryingBackend])
+def test_wrappers_forward_purge_incomplete(tmp_path, wrap):
+    """Recovery through a wrapper still sweeps the real backend's debris."""
+    inner = DirectoryBackend(tmp_path)
+    inner.put("chunk", KEY1, b"payload")
+    stray = tmp_path / "chunk" / ".stray.tmp"
+    stray.write_bytes(b"half-written junk")
+    report = recover(wrap(inner))
+    assert report.tmp_purged == 1
+    assert not stray.exists()
+    assert inner.get("chunk", KEY1) == b"payload"
+
+
+def test_purge_incomplete_defaults_to_nothing():
+    assert MemoryBackend().purge_incomplete() == 0

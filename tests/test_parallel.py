@@ -247,23 +247,6 @@ class TestFleetExecutor:
         assert not lane._pumping
 
 
-def test_thread_executor_matches_process_results(files):
-    """executor="thread" is a semantic no-op: same stats, same shards."""
-    proc = dedup_sharded(files, config=CFG, workers=3)
-    thr = dedup_sharded(files, config=CFG, workers=3, executor="thread")
-    assert len(proc.shards) == len(thr.shards)
-    for a, b in zip(proc.shards, thr.shards):
-        assert a.shard == b.shard
-        assert a.stats.stored_chunk_bytes == b.stats.stored_chunk_bytes
-        assert a.stats.unique_chunks == b.stats.unique_chunks
-        assert a.stats.io.ops == b.stats.io.ops
-
-
-def test_unknown_executor_fails_fast(files):
-    with pytest.raises(ValueError):
-        dedup_sharded(files[:5], config=CFG, workers=1, executor="carrier-pigeon")
-
-
 def test_fleet_metrics_cross_process(files):
     """Shard registries survive the multiprocessing pickle boundary."""
     seq = dedup_sharded(files, config=CFG, workers=1, collect_metrics=True)
@@ -319,15 +302,11 @@ def _broken_reader():
 
 def test_worker_exception_reported_not_raised(files):
     """A shard whose source raises is reported on failures; the other
-    shards' results survive, in every executor."""
+    shards' results survive, in-process and across the pool."""
     bad = BackupFile("pc99/gen000/bad", source=_broken_reader, size_hint=10)
     corpus = _gen0(files) + [bad]
-    for kwargs in (
-        {"workers": 1},
-        {"workers": 3, "executor": "thread"},
-        {"workers": 3, "executor": "process"},
-    ):
-        fleet = dedup_sharded(corpus, config=CFG, **kwargs)
+    for workers in (1, 3):
+        fleet = dedup_sharded(corpus, config=CFG, workers=workers)
         assert not fleet.ok
         assert {s.shard for s in fleet.shards} == {"pc00", "pc01", "pc02"}
         assert [f.shard for f in fleet.failures] == ["pc99"]
@@ -341,21 +320,13 @@ def test_no_failures_on_happy_path(files):
     assert fleet.failures == ()
 
 
-# -- speedup property + deprecated callable shim ---------------------------
+# -- speedup property ------------------------------------------------------
 
 
 def test_speedup_is_a_property(files):
     fleet = dedup_sharded(_gen0(files), config=CFG, workers=1)
     assert isinstance(fleet.speedup, float)
     assert fleet.speedup >= 1.0
-
-
-def test_speedup_legacy_call_form_warns():
-    files = [BackupFile("pc00/gen000/x", b"a" * 50_000)]
-    fleet = dedup_sharded(files, config=CFG, workers=1)
-    with pytest.deprecated_call():
-        value = fleet.speedup()
-    assert value == pytest.approx(float(fleet.speedup))
 
 
 # -- edge cases ------------------------------------------------------------
@@ -370,19 +341,17 @@ def test_empty_shard_map(files):
 
 
 def test_all_executors_produce_identical_stats(files):
-    """workers=1, thread pool and process pool are semantically equal."""
+    """workers=1 (in-process) and the process pool are semantically equal."""
     corpus = _gen0(files)
     serial = dedup_sharded(corpus, config=CFG, workers=1)
-    thread = dedup_sharded(corpus, config=CFG, workers=3, executor="thread")
-    process = dedup_sharded(corpus, config=CFG, workers=3, executor="process")
-    for fleet in (thread, process):
-        assert len(fleet.shards) == len(serial.shards)
-        for a, b in zip(serial.shards, fleet.shards):
-            assert a.shard == b.shard
-            assert a.stats.stored_chunk_bytes == b.stats.stored_chunk_bytes
-            assert a.stats.unique_chunks == b.stats.unique_chunks
-            assert a.stats.metadata_bytes == b.stats.metadata_bytes
-            assert a.stats.io.ops == b.stats.io.ops
+    process = dedup_sharded(corpus, config=CFG, workers=3)
+    assert len(process.shards) == len(serial.shards)
+    for a, b in zip(serial.shards, process.shards):
+        assert a.shard == b.shard
+        assert a.stats.stored_chunk_bytes == b.stats.stored_chunk_bytes
+        assert a.stats.unique_chunks == b.stats.unique_chunks
+        assert a.stats.metadata_bytes == b.stats.metadata_bytes
+        assert a.stats.io.ops == b.stats.io.ops
 
 
 def test_zero_byte_corpus_ders_are_finite():

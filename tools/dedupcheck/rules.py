@@ -168,7 +168,7 @@ class StreamingPurity:
     """DDC003 — ``_ingest_chunks`` must not touch whole-file bytes.
 
     The streaming ingest contract
-    (:class:`repro.core.protocols.BatchIngestHooks`) requires
+    (:meth:`repro.core.base.Deduplicator._ingest_chunks`) requires
     batch-boundary invariance; materialising the file via
     ``BackupFile.read_bytes()`` or ``<file>.data`` inside the hook is
     the canonical way to break it (and the bounded-memory guarantee).
