@@ -294,11 +294,11 @@ def cmd_restore(args) -> int:
         print(f"not in store: {unknown}", file=sys.stderr)
         return 1
     for file_id in targets:
-        data = file_manifests.get(file_id).restore(chunks)
         out_path = os.path.join(args.output_dir, file_id)
         os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
         with open(out_path, "wb") as fh:
-            fh.write(data)
+            for piece in file_manifests.get(file_id).iter_restore(chunks):
+                fh.write(piece)
     print(f"restored {len(targets)} files to {args.output_dir}")
     return 0
 

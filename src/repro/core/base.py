@@ -532,6 +532,10 @@ class Deduplicator(ABC):
         """Reconstruct a file byte-for-byte (the dedup invariant)."""
         return self.file_manifests.get(file_id).restore(self.chunks)
 
+    def restore_iter(self, file_id: str) -> Iterator[bytes]:
+        """The file's bytes in order, in bounded pieces (streaming restore)."""
+        return self.file_manifests.get(file_id).iter_restore(self.chunks)
+
     def warm_start(self) -> int:
         """Rebuild in-memory indexes from an existing store.
 

@@ -30,7 +30,7 @@ from .quotas import (
 )
 from .server import DedupServer
 from .session import DedupSession, SessionClosed, latest_files, restore_file
-from .tenancy import Tenant, TenantRegistry, tenant_namespace_prefix
+from .tenancy import Tenant, TenantFiles, TenantRegistry, tenant_namespace_prefix
 
 __all__ = [
     "DedupServer",
@@ -43,6 +43,7 @@ __all__ = [
     "SessionClosed",
     "Tenant",
     "TenantBusy",
+    "TenantFiles",
     "TenantQuota",
     "TenantRegistry",
     "TokenBucket",

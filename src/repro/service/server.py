@@ -70,7 +70,7 @@ from ..parallel import FleetExecutor, SerialLane
 from ..registry import resolve
 from ..storage import StorageBackend
 from .quotas import ServiceError, TenantBusy, TenantQuota
-from .session import DedupSession, SessionClosed, latest_files, restore_file
+from .session import DedupSession, SessionClosed
 from .tenancy import Tenant, TenantRegistry, validate_tenant_id
 
 __all__ = ["DedupServer"]
@@ -765,9 +765,8 @@ class _Connection:
 
     async def _op_list(self, request: dict[str, Any]) -> dict[str, Any]:
         tenant_id = self._tenant_arg(request)
-        view = self.server.registry.view(tenant_id)
-        files = await self._run_in_fleet(lambda: latest_files(view))
-        return {"ok": True, "files": files}
+        files = self.server.registry.files(tenant_id)
+        return {"ok": True, "files": await self._run_in_fleet(files.latest)}
 
     async def _op_get(self, request: dict[str, Any]) -> dict[str, Any] | None:
         """Restore one file: a size header line, then the raw bytes.
@@ -777,9 +776,9 @@ class _Connection:
         """
         tenant_id = self._tenant_arg(request)
         path = self._require(request, "path", str)
-        view = self.server.registry.view(tenant_id)
+        files = self.server.registry.files(tenant_id)
         try:
-            data = await self._run_in_fleet(lambda: restore_file(view, path))
+            data = await self._run_in_fleet(lambda: files.restore(path))
         except KeyError as e:
             return {"ok": False, "error": "not_found", "message": str(e)}
         self._send({"ok": True, "path": path, "size": len(data)})

@@ -42,7 +42,6 @@ by push generation: client path ``disk0.img`` is stored as
 
 from __future__ import annotations
 
-import re
 import time
 from collections.abc import Callable
 from typing import BinaryIO
@@ -54,13 +53,10 @@ from ..obs.telemetry import HeartbeatEvent, Telemetry
 from ..obs.trace import Span
 from ..registry import resolve
 from ..storage import StorageBackend
-from ..storage.chunk_store import DiskChunkStore
-from ..storage.disk_model import DiskModel
-from ..storage.file_manifest import FileManifestStore
 from ..storage.recover import RecoveryReport, recover
 from ..workloads.machine import BackupFile
 from .quotas import RateLimited, TenantBusy
-from .tenancy import Tenant
+from .tenancy import Tenant, TenantFiles, latest_files, split_store_id
 
 __all__ = [
     "DedupSession",
@@ -70,52 +66,18 @@ __all__ = [
     "split_store_id",
 ]
 
-#: Store-side file ids are ``g<6-digit generation>/<client path>``.
-_GEN_RE = re.compile(r"^g(\d{6})/(.+)$", re.DOTALL)
-
 
 class SessionClosed(RuntimeError):
     """An operation was attempted on a session that is not open."""
 
 
-def split_store_id(store_id: str) -> tuple[int, str]:
-    """``g000002/a/b.img`` → ``(2, "a/b.img")``.
-
-    Ids without a generation prefix (stores written by the plain CLI,
-    not the service) map to generation ``-1`` under their full id.
-    """
-    m = _GEN_RE.match(store_id)
-    if m is None:
-        return (-1, store_id)
-    return (int(m.group(1)), m.group(2))
-
-
-def latest_files(backend: StorageBackend) -> dict[str, str]:
-    """Map each client path to its newest generation's store id."""
-    store = FileManifestStore(backend, DiskModel())
-    latest: dict[str, tuple[int, str]] = {}
-    for store_id in store.list_ids():
-        gen, path = split_store_id(store_id)
-        if path not in latest or gen > latest[path][0]:
-            latest[path] = (gen, store_id)
-    return {path: store_id for path, (_, store_id) in sorted(latest.items())}
-
-
 def restore_file(backend: StorageBackend, path: str) -> bytes:
     """Restore the newest generation of ``path`` from a tenant view.
 
-    Reads only the store — no deduplicator needed, which is how the
-    service restores without holding the tenant's session lock.
+    Lists the view on every call; the service's ``get`` goes through
+    the tenant's kept :class:`~repro.service.tenancy.TenantFiles`.
     """
-    ids = latest_files(backend)
-    try:
-        store_id = ids[path]
-    except KeyError:
-        raise KeyError(f"no file {path!r} in store") from None
-    meter = DiskModel()
-    manifests = FileManifestStore(backend, meter)
-    chunks = DiskChunkStore(backend, meter)
-    return manifests.get(store_id).restore(chunks)
+    return TenantFiles(backend).restore(path)
 
 
 class _QuotaObserver:
@@ -254,6 +216,7 @@ class DedupSession:
         if not locked and not self.tenant.lock.acquire(timeout=self.open_wait):
             raise TenantBusy(self.tenant.tenant_id, self.open_wait)
         try:
+            self.tenant.files.drop()
             self.tenant.sessions_opened += 1
             self.session_id = (
                 f"{self.tenant.tenant_id}-{self.tenant.sessions_opened:04d}"
@@ -444,6 +407,7 @@ class DedupSession:
         self.tenant.inc_metric("service_sessions_committed")
         self._state = "committed"
         self._dedup = None
+        self.tenant.files.drop()
         self.tenant.lock.release()
         return stats
 
@@ -464,6 +428,7 @@ class DedupSession:
         try:
             self.recovery = recover(self.tenant.view)
         finally:
+            self.tenant.files.drop()
             self.tenant.inc_metric("service_sessions_aborted")
             self.tenant.lock.release()
         return self.recovery

@@ -39,9 +39,20 @@ from dataclasses import dataclass, field
 
 from ..obs.metrics import MetricsRegistry
 from ..storage import PrefixedBackend, StorageBackend
+from ..storage.chunk_store import DiskChunkStore
+from ..storage.disk_model import DiskModel
+from ..storage.file_manifest import FileManifestStore
 from .quotas import QuotaLedger, TenantQuota, TokenBucket
 
-__all__ = ["TENANT_PREFIX", "Tenant", "TenantRegistry", "tenant_namespace_prefix"]
+__all__ = [
+    "TENANT_PREFIX",
+    "Tenant",
+    "TenantFiles",
+    "TenantRegistry",
+    "latest_files",
+    "split_store_id",
+    "tenant_namespace_prefix",
+]
 
 #: Prefix under which every tenant's namespaces live on the shared
 #: backend.  Contains a dot, so it can never collide with the four
@@ -70,6 +81,82 @@ def validate_tenant_id(tenant_id: str) -> str:
     return tenant_id
 
 
+#: Store-side file ids are ``g<6-digit generation>/<client path>``.
+_GEN_RE = re.compile(r"^g(\d{6})/(.+)$", re.DOTALL)
+
+
+def split_store_id(store_id: str) -> tuple[int, str]:
+    """``g000002/a/b.img`` → ``(2, "a/b.img")``.
+
+    Ids without a generation prefix (stores written by the plain CLI,
+    not the service) map to generation ``-1`` under their full id.
+    """
+    m = _GEN_RE.match(store_id)
+    if m is None:
+        return (-1, store_id)
+    return (int(m.group(1)), m.group(2))
+
+
+def latest_files(backend: StorageBackend) -> dict[str, str]:
+    """Map each client path to its newest generation's store id."""
+    store = FileManifestStore(backend, DiskModel())
+    latest: dict[str, tuple[int, str]] = {}
+    for store_id in store.list_ids():
+        gen, path = split_store_id(store_id)
+        if path not in latest or gen > latest[path][0]:
+            latest[path] = (gen, store_id)
+    return {path: store_id for path, (_, store_id) in sorted(latest.items())}
+
+
+class TenantFiles:
+    """One tenant view's client path → newest store id, listed once.
+
+    :func:`latest_files` reads every FileManifest of the tenant, so the
+    sessionless read path (``list``, ``get``) keeps its result: the
+    first :meth:`latest` lists, later ones answer from memory.  Every
+    session of the tenant calls :meth:`drop` when it opens and when it
+    commits or aborts, so no listing outlives the push that changes
+    the tenant's files (one made while a push is open may already show
+    that push's finished files, as an unkept listing would).  Nothing
+    is persisted.
+
+    Thread-safe.  The listing runs under the lock, so a :meth:`drop`
+    that races it waits and then clears its result; a stale listing is
+    never kept.
+    """
+
+    def __init__(self, view: StorageBackend) -> None:
+        self._view = view
+        self._lock = threading.Lock()
+        self._latest: dict[str, str] | None = None
+
+    def latest(self) -> dict[str, str]:
+        """Each client path's newest store id (shared: do not mutate)."""
+        with self._lock:
+            if self._latest is None:
+                self._latest = latest_files(self._view)
+            return self._latest
+
+    def drop(self) -> None:
+        """Forget the listing; the next :meth:`latest` reads the store."""
+        with self._lock:
+            self._latest = None
+
+    def restore(self, path: str) -> bytes:
+        """The newest generation of ``path``; ``KeyError`` if unknown.
+
+        Reads only the store — no deduplicator needed, which is how the
+        service restores without holding the tenant's session lock.
+        """
+        try:
+            store_id = self.latest()[path]
+        except KeyError:
+            raise KeyError(f"no file {path!r} in store") from None
+        meter = DiskModel()
+        manifest = FileManifestStore(self._view, meter).get(store_id)
+        return manifest.restore(DiskChunkStore(self._view, meter))
+
+
 @dataclass
 class Tenant:
     """One tenant's control-plane state.
@@ -85,6 +172,8 @@ class Tenant:
     view: StorageBackend
     ledger: QuotaLedger
     bucket: TokenBucket
+    #: Path index of the sessionless read path; sessions drop it.
+    files: TenantFiles
     #: Live service-side metrics for this tenant (ingest counters,
     #: session counts) plus every committed session's dedup registry
     #: merged in — what ``/metrics`` renders under ``tenant="<id>"``.
@@ -143,11 +232,28 @@ class TenantRegistry:
         self.default_rate_bytes = default_rate_bytes
         self.default_burst_bytes = default_burst_bytes
         self._tenants: dict[str, Tenant] = {}
+        self._files: dict[str, TenantFiles] = {}
         self._lock = threading.Lock()
 
     def view(self, tenant_id: str) -> PrefixedBackend:
         """A fresh storage view of one tenant's keyspace."""
         return PrefixedBackend(self.backend, tenant_namespace_prefix(tenant_id))
+
+    def files(self, tenant_id: str) -> TenantFiles:
+        """The path index of one tenant's keyspace.
+
+        Reading needs no registration (a restarted service restores
+        tenants nobody has opened a session for yet); a tenant
+        registered later gets the same object as its ``files``.
+        """
+        with self._lock:
+            return self._files_locked(tenant_id)
+
+    def _files_locked(self, tenant_id: str) -> TenantFiles:
+        files = self._files.get(tenant_id)
+        if files is None:
+            files = self._files[tenant_id] = TenantFiles(self.view(tenant_id))
+        return files
 
     def register(
         self,
@@ -199,6 +305,7 @@ class TenantRegistry:
                     rate_bytes if rate_bytes is not None else self.default_rate_bytes,
                     burst_bytes if burst_bytes is not None else self.default_burst_bytes,
                 ),
+                files=self._files_locked(tenant_id),
             )
             self._tenants[tenant_id] = tenant
             return tenant

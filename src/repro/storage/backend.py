@@ -14,6 +14,11 @@ same object model is served by one of two interchangeable backends:
   to ``prefix + ns``, so two views with different prefixes can never
   observe each other's objects.
 
+Besides whole objects (``put``/``get``) the contract serves parts of
+one: ``get_range`` reads an extent and ``object_size`` measures an
+object without fetching it — what restores, HHR reloads, fsck and GC
+ask for, since they address ``(container, offset, size)`` extents.
+
 Backends are **not** metered; metering happens in the object stores,
 because only they know whether an access is a real disk access or a
 RAM-cache hit.  Backends do provide inode accounting (object counts)
@@ -45,6 +50,18 @@ logger = logging.getLogger(__name__)
 TMP_SUFFIX = ".tmp"
 
 
+def _not_found(namespace: str, key: bytes) -> KeyError:
+    return KeyError(f"{namespace}/{key.hex()[:12]} not found")
+
+
+def check_extent(offset: int, size: int, total: int) -> None:
+    """Raise ``ValueError`` unless ``[offset, offset + size)`` lies in ``total`` bytes."""
+    if offset < 0 or size < 0 or offset + size > total:
+        raise ValueError(
+            f"extent [{offset}, {offset + size}) outside object of {total} bytes"
+        )
+
+
 class StorageBackend(ABC):
     """Namespace → key → bytes object store."""
 
@@ -55,6 +72,29 @@ class StorageBackend(ABC):
     @abstractmethod
     def get(self, namespace: str, key: bytes) -> bytes:
         """Fetch an object; raises ``KeyError`` if absent."""
+
+    def get_range(self, namespace: str, key: bytes, offset: int, size: int) -> bytes:
+        """Fetch ``size`` bytes at ``offset`` of an object.
+
+        Equal to ``get(namespace, key)[offset : offset + size]`` for an
+        extent inside the object; ``KeyError`` if the object is absent,
+        ``ValueError`` if the extent is negative or runs past its end.
+        The default transfers the whole object; backends that can read
+        part of one override it (:class:`MemoryBackend`'s ``get`` hands
+        back the stored object itself, so for it the default already is
+        a slice).
+        """
+        data = self.get(namespace, key)
+        check_extent(offset, size, len(data))
+        return data[offset : offset + size]
+
+    def object_size(self, namespace: str, key: bytes) -> int:
+        """Byte length of an object; ``KeyError`` if absent.
+
+        The default transfers the object to measure it; backends that
+        know the length without reading override it.
+        """
+        return len(self.get(namespace, key))
 
     @abstractmethod
     def exists(self, namespace: str, key: bytes) -> bool:
@@ -120,7 +160,7 @@ class MemoryBackend(StorageBackend):
         try:
             return self._data[namespace][key]
         except KeyError:
-            raise KeyError(f"{namespace}/{key.hex()[:12]} not found") from None
+            raise _not_found(namespace, key) from None
 
     def exists(self, namespace: str, key: bytes) -> bool:
         return key in self._data.get(namespace, {})
@@ -267,7 +307,34 @@ class DirectoryBackend(StorageBackend):
             with open(self._path(namespace, key), "rb") as fh:
                 return fh.read()
         except FileNotFoundError:
-            raise KeyError(f"{namespace}/{key.hex()[:12]} not found") from None
+            raise _not_found(namespace, key) from None
+
+    def get_range(self, namespace: str, key: bytes, offset: int, size: int) -> bytes:
+        try:
+            fd = os.open(self._path(namespace, key), os.O_RDONLY)
+        except FileNotFoundError:
+            raise _not_found(namespace, key) from None
+        try:
+            check_extent(offset, size, os.fstat(fd).st_size)
+            parts: list[bytes] = []
+            got = 0
+            while got < size:  # pread may return less than asked
+                piece = os.pread(fd, size - got, offset + got)
+                if not piece:
+                    raise ValueError(
+                        f"extent [{offset}, {offset + size}) short by {size - got} bytes"
+                    )
+                parts.append(piece)
+                got += len(piece)
+            return b"".join(parts)
+        finally:
+            os.close(fd)
+
+    def object_size(self, namespace: str, key: bytes) -> int:
+        try:
+            return os.stat(self._path(namespace, key)).st_size
+        except FileNotFoundError:
+            raise _not_found(namespace, key) from None
 
     def exists(self, namespace: str, key: bytes) -> bool:
         return os.path.exists(self._path(namespace, key))
@@ -361,6 +428,12 @@ class PrefixedBackend(StorageBackend):
 
     def get(self, namespace: str, key: bytes) -> bytes:
         return self.inner.get(self._ns(namespace), key)
+
+    def get_range(self, namespace: str, key: bytes, offset: int, size: int) -> bytes:
+        return self.inner.get_range(self._ns(namespace), key, offset, size)
+
+    def object_size(self, namespace: str, key: bytes) -> int:
+        return self.inner.object_size(self._ns(namespace), key)
 
     def exists(self, namespace: str, key: bytes) -> bool:
         return self.inner.exists(self._ns(namespace), key)

@@ -11,15 +11,17 @@ Metering: one ``write`` operation is recorded when a container closes
 (a buffered sequential write — matching Table II's "Chunk Output
 Times" of *F* for MHD), with the container's full byte count.  Every
 extent read records one ``read`` operation — HHR's reloads are the
-"Chunk Input Times 2L" row.  Reads that land on a still-open container
-are served from its RAM buffer but metered identically, since those
-bytes are conceptually already on disk.
+"Chunk Input Times 2L" row — and asks the backend for exactly the
+extent (``get_range``), so what the meter charges is what the backend
+transfers.  Reads that land on a still-open container are served from
+its RAM buffer but metered identically, since those bytes are
+conceptually already on disk.
 """
 
 from __future__ import annotations
 
 from ..hashing.digest import Digest
-from .backend import StorageBackend
+from .backend import StorageBackend, check_extent
 from .disk_model import DiskModel
 
 __all__ = ["ContainerWriter", "DiskChunkStore"]
@@ -60,6 +62,7 @@ class ContainerWriter:
         self._store._finalize(self)
 
     def _read(self, offset: int, size: int) -> bytes:
+        check_extent(offset, size, len(self._buf))
         return bytes(self._buf[offset : offset + size])
 
 
@@ -96,19 +99,14 @@ class DiskChunkStore:
         open_writer = self._open.get(container_id)
         if open_writer is not None:
             return open_writer._read(offset, size)
-        data = self._backend.get(DiskModel.CHUNK, container_id)
-        if offset + size > len(data):
-            raise ValueError(
-                f"extent [{offset}, {offset + size}) beyond container size {len(data)}"
-            )
-        return data[offset : offset + size]
+        return self._backend.get_range(DiskModel.CHUNK, container_id, offset, size)
 
     def size(self, container_id: Digest) -> int:
         """Byte size of a container (open or closed)."""
         open_writer = self._open.get(container_id)
         if open_writer is not None:
             return open_writer.size
-        return len(self._backend.get(DiskModel.CHUNK, container_id))
+        return self._backend.object_size(DiskModel.CHUNK, container_id)
 
     def exists(self, container_id: Digest) -> bool:
         """Whether a container (open or closed) exists."""

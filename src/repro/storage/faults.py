@@ -225,6 +225,11 @@ class FaultInjectingBackend(StorageBackend):
             # torn / bit_flip make no sense for delete; fall through
         return self.inner.delete(namespace, key)
 
+    # ``get_range`` and ``object_size`` are deliberately the inherited
+    # defaults: they reach the store through :meth:`get` above, so an
+    # extent read meets the same fault plan, at the same operation
+    # index, as the whole-object read it replaced.
+
     # ---- plain delegation (never injected) -------------------------------
 
     def exists(self, namespace: str, key: bytes) -> bool:
@@ -319,6 +324,12 @@ class RetryingBackend(StorageBackend):
 
     def get(self, namespace: str, key: bytes) -> bytes:
         return self._call(lambda: self.inner.get(namespace, key))
+
+    def get_range(self, namespace: str, key: bytes, offset: int, size: int) -> bytes:
+        return self._call(lambda: self.inner.get_range(namespace, key, offset, size))
+
+    def object_size(self, namespace: str, key: bytes) -> int:
+        return self._call(lambda: self.inner.object_size(namespace, key))
 
     def exists(self, namespace: str, key: bytes) -> bool:
         return self._call(lambda: self.inner.exists(namespace, key))

@@ -29,11 +29,15 @@ __all__ = [
     "FileManifest",
     "FileManifestStore",
     "FILE_ENTRY_SIZE",
+    "RESTORE_PIECE_SIZE",
     "file_object_ids",
 ]
 
 #: Per-entry bytes: container address + byte offset + byte size.
 FILE_ENTRY_SIZE = 36
+
+#: Largest piece :meth:`FileManifest.iter_restore` yields.
+RESTORE_PIECE_SIZE = 4 << 20
 
 _EXTENT_STRUCT = struct.Struct(f"<{HASH_SIZE}sqq")
 
@@ -88,6 +92,18 @@ class FileManifest:
         return b"".join(
             chunks.read(e.container_id, e.offset, e.size) for e in self.extents
         )
+
+    def iter_restore(self, chunks: DiskChunkStore) -> Iterator[bytes]:
+        """The file's bytes in order, in pieces of at most :data:`RESTORE_PIECE_SIZE`.
+
+        For callers that write the file out rather than hold it: RAM is
+        bounded by one piece however large the file or its extents.
+        """
+        for e in self.extents:
+            for done in range(0, e.size, RESTORE_PIECE_SIZE):
+                yield chunks.read(
+                    e.container_id, e.offset + done, min(RESTORE_PIECE_SIZE, e.size - done)
+                )
 
     def to_bytes(self) -> bytes:
         """Serialise (36 B per extent plus the name header)."""

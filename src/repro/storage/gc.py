@@ -110,7 +110,7 @@ def sweep(backend: StorageBackend) -> GCReport:
     containers_kept = bytes_pinned = 0
     for raw_cid in backend.keys(DiskModel.CHUNK):
         cid = Digest(raw_cid)
-        size = len(backend.get(DiskModel.CHUNK, cid))
+        size = backend.object_size(DiskModel.CHUNK, cid)
         if cid in referenced:
             containers_kept += 1
             # referenced[cid] is a union of in-bounds extents, so it can

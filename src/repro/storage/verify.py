@@ -188,7 +188,7 @@ def verify_store(
     """
     report = IntegrityReport()
     sizes: dict[Digest, int] = {
-        Digest(k): len(backend.get(DiskModel.CHUNK, k)) for k in backend.keys(DiskModel.CHUNK)
+        Digest(k): backend.object_size(DiskModel.CHUNK, k) for k in backend.keys(DiskModel.CHUNK)
     }
     report.containers_checked = len(sizes)
 

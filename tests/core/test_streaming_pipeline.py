@@ -168,6 +168,60 @@ def test_peak_buffer_is_bounded_for_64mib_file():
     assert stats.pipeline.windows >= size // window
 
 
+class _Unique(io.RawIOBase):
+    """A seeded random stream with no repeats, generated read by read."""
+
+    def __init__(self, size: int, seed: int = 11):
+        super().__init__()
+        self._rng = np.random.default_rng(seed)
+        self._left = size
+
+    def readable(self) -> bool:
+        return True
+
+    def read(self, n: int = -1) -> bytes:
+        n = self._left if n < 0 else min(n, self._left)
+        self._left -= n
+        return self._rng.integers(0, 256, size=n, dtype=np.uint8).tobytes()
+
+
+def test_streaming_restore_of_64mib_file_is_bounded(tmp_path):
+    """The restore twin of the ingest bound: a 64 MiB file of unique
+    data is one 64 MiB extent, and ``restore_iter`` hands it out of a
+    ``DirectoryBackend`` in pieces — peak traced RAM is a couple of
+    pieces, not the file."""
+    import hashlib
+    import tracemalloc
+
+    from repro.storage import DirectoryBackend
+    from repro.storage.file_manifest import RESTORE_PIECE_SIZE
+
+    size = 64 << 20
+    digest = hashlib.sha1()
+    stream = _Unique(size)
+    while piece := stream.read(1 << 20):
+        digest.update(piece)
+
+    dedup = resolve("cdc")(DedupConfig(ecs=4096, sd=16), backend=DirectoryBackend(tmp_path))
+    dedup.process([BackupFile("big/img", source=lambda: _Unique(size), size_hint=size)])
+    assert len(dedup.file_manifests.get("big/img").extents) == 1
+
+    restored = hashlib.sha1()
+    nbytes = largest = 0
+    tracemalloc.start()
+    try:
+        for piece in dedup.restore_iter("big/img"):
+            restored.update(piece)
+            nbytes += len(piece)
+            largest = max(largest, len(piece))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert nbytes == size and restored.digest() == digest.digest()
+    assert largest == RESTORE_PIECE_SIZE
+    assert peak < 3 * RESTORE_PIECE_SIZE < size // 4
+
+
 def test_peak_buffer_sampled_at_eof_flush():
     """The EOF flush samples the high-water mark too: with a single
     short read smaller than the stream window, the only chance to

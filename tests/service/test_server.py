@@ -45,7 +45,7 @@ class ServerHarness:
     """A DedupServer on a background event-loop thread."""
 
     def __init__(self, tmp_path, **kwargs):
-        self.backend = DirectoryBackend(tmp_path / "store")
+        self.backend = kwargs.pop("backend", None) or DirectoryBackend(tmp_path / "store")
         kwargs.setdefault("config", CFG)
         kwargs.setdefault("workers", 8)
         self.server = DedupServer(self.backend, **kwargs)
@@ -216,6 +216,79 @@ class TestConcurrentTenants:
             for tid, blob in gen1.items():
                 assert client.list_files(tid)["disk.img"] == "g000001/disk.img"
                 assert client.get(tid, blob and "disk.img") == blob
+
+
+class ListingCounter(DirectoryBackend):
+    """Counts enumerations of each FileManifest namespace."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.listings: dict[str, int] = {}
+
+    def keys(self, namespace):
+        if namespace.endswith("file_manifest"):
+            self.listings[namespace] = self.listings.get(namespace, 0) + 1
+        return super().keys(namespace)
+
+
+class TestGetResolvesFromAKeptListing:
+    """``get``/``list`` list a tenant's FileManifests once per push, not
+    once per call."""
+
+    @pytest.fixture
+    def counting(self, tmp_path):
+        h = ServerHarness(tmp_path, backend=ListingCounter(tmp_path / "store"))
+        yield h
+        h.stop()
+
+    @staticmethod
+    def push(h, tenant, files):
+        with h.client() as client:
+            client.open(tenant)
+            client.push_many(files)
+            client.commit()
+
+    def test_fifty_gets_list_the_tenant_once(self, counting):
+        files = [(f"f{i}.img", rand(8_000, 30 + i)) for i in range(5)]
+        self.push(counting, "alice", files)
+        counting.backend.listings.clear()
+        with counting.client() as client:
+            for i in range(50):
+                path, blob = files[i % 5]
+                assert client.get("alice", path) == blob
+            assert sorted(client.list_files("alice")) == sorted(p for p, _ in files)
+            with pytest.raises(ServiceError) as err:
+                client.get("alice", "ghost.img")
+            assert err.value.code == "not_found"
+        assert counting.backend.listings == {"tenant.alice.file_manifest": 1}
+
+    def test_get_after_a_second_commit_sees_the_new_generation(self, counting):
+        old, new = rand(30_000, 40), rand(30_000, 41)
+        self.push(counting, "alice", [("disk.img", old)])
+        with counting.client() as client:
+            assert client.get("alice", "disk.img") == old  # listing now kept
+        self.push(counting, "alice", [("disk.img", new), ("extra.img", old)])
+        with counting.client() as client:
+            assert client.get("alice", "disk.img") == new
+            assert client.get("alice", "extra.img") == old
+            assert client.list_files("alice")["disk.img"] == "g000001/disk.img"
+
+    def test_restart_reads_need_no_session(self, counting, tmp_path):
+        """A tenant nobody has opened in this process is listed once too."""
+        files = [(f"f{i}.img", rand(8_000, 50 + i)) for i in range(3)]
+        self.push(counting, "alice", files)
+        restarted = ServerHarness(tmp_path, backend=ListingCounter(tmp_path / "store"))
+        try:
+            with restarted.client() as client:
+                for path, blob in files * 3:
+                    assert client.get("alice", path) == blob
+            assert restarted.backend.listings == {"tenant.alice.file_manifest": 1}
+            # A later session of the tenant drops that same listing.
+            self.push(restarted, "alice", [("f0.img", files[1][1])])
+            with restarted.client() as client:
+                assert client.get("alice", "f0.img") == files[1][1]
+        finally:
+            restarted.stop()
 
 
 class TestQuotaAndRateOverTheWire:

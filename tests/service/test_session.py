@@ -6,6 +6,9 @@ rate-limited session still produces byte-identical restores.
 """
 
 import io
+import sys
+import threading
+import time
 
 import pytest
 
@@ -23,7 +26,8 @@ from repro.service import (
     restore_file,
 )
 from repro.service.session import split_store_id
-from repro.storage import DirectoryBackend
+from repro.storage import DirectoryBackend, DiskModel
+from repro.storage.file_manifest import file_object_ids
 
 CFG = DedupConfig(ecs=1024, sd=8, bloom_bytes=1 << 18)
 
@@ -142,6 +146,88 @@ class TestGenerations:
         view = registry.view("alice")
         assert latest_files(view)["disk.img"] == "g000002/disk.img"
         assert restore_file(view, "disk.img") == edited
+
+
+class TestKeptListing:
+    """``Tenant.files`` keeps the path listing between pushes and every
+    session drops it on open, commit and abort."""
+
+    def test_registry_hands_out_one_listing_per_tenant(self, registry):
+        files = registry.files("alice")  # readable before registration
+        assert registry.register("alice").files is files
+        assert registry.files("alice") is files
+        assert registry.files("bob") is not files
+
+    def test_commit_drops_the_listing(self, registry):
+        tenant = registry.register("alice")
+        old, new = rand(20_000, 60), rand(20_000, 61)
+        with DedupSession(tenant, config=CFG) as s:
+            s.write("disk.img", old)
+        assert tenant.files.restore("disk.img") == old
+        assert tenant.files.latest() is tenant.files.latest()  # kept
+        with DedupSession(tenant, config=CFG) as s:
+            s.write("disk.img", new)
+        assert tenant.files.latest() == {"disk.img": "g000001/disk.img"}
+        assert tenant.files.restore("disk.img") == new
+        with pytest.raises(KeyError):
+            tenant.files.restore("ghost.img")
+
+    def test_abort_drops_a_listing_made_during_the_push(self, registry):
+        """A read during an open push may already resolve to one of its
+        finished files.  If the abort's recovery then removes that file
+        (here: its container is lost first), the next read must fall
+        back to the committed generation, not to the removed recipe."""
+        tenant = registry.register("alice")
+        committed, doomed = rand(20_000, 62), rand(20_000, 63)
+        with DedupSession(tenant, config=CFG) as s:
+            s.write("disk.img", committed)
+
+        session = DedupSession(tenant, config=CFG).open()
+        store_id = session.write("disk.img", doomed)
+        assert tenant.files.latest() == {"disk.img": store_id}
+        container_id, _ = file_object_ids(store_id)
+        assert tenant.view.delete(DiskModel.CHUNK, container_id)
+        report = session.abort()
+        assert report.file_manifests_quarantined == 1
+
+        assert tenant.files.latest() == {"disk.img": "g000000/disk.img"}
+        assert tenant.files.restore("disk.img") == committed
+
+
+    def test_racing_reads_never_keep_a_stale_listing(self, registry):
+        """Readers list while pushes commit; once a commit has returned,
+        the listing must show its generation."""
+        tenant = registry.register("alice")
+        stop = threading.Event()
+        errors: list[BaseException] = []
+
+        def reader():
+            while not stop.is_set():
+                try:
+                    tenant.files.latest()
+                except BaseException as e:  # noqa: BLE001 - reported below
+                    errors.append(e)
+                    return
+
+        readers = [threading.Thread(target=reader) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in readers:
+                t.start()
+            deadline = time.monotonic() + 20
+            for gen in range(8):
+                assert time.monotonic() < deadline
+                with DedupSession(tenant, config=CFG) as s:
+                    s.write("disk.img", rand(4_000, 70 + gen))
+                assert tenant.files.latest()["disk.img"] == f"g{gen:06d}/disk.img"
+        finally:
+            stop.set()
+            for t in readers:
+                t.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert not any(t.is_alive() for t in readers)
 
 
 class TestQuota:

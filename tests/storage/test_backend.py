@@ -1,8 +1,17 @@
 """Backend contract tests, run against both implementations."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.storage import INODE_SIZE, DirectoryBackend, MemoryBackend
+from repro.storage import (
+    INODE_SIZE,
+    DirectoryBackend,
+    FaultInjectingBackend,
+    MemoryBackend,
+    PrefixedBackend,
+    RetryingBackend,
+)
 
 
 @pytest.fixture(params=["memory", "directory"])
@@ -97,6 +106,69 @@ def test_delete_is_namespace_scoped(backend):
     backend.put("hook", KEY1, b"b")
     backend.delete("chunk", KEY1)
     assert backend.exists("hook", KEY1)
+
+
+#: Every backend in the tree.  ``memory`` and ``fault-injecting`` serve
+#: ranges through the defaults built on ``get``; the others override.
+RANGED = {
+    "memory": lambda root: MemoryBackend(),
+    "directory": DirectoryBackend,
+    "prefixed": lambda root: PrefixedBackend(DirectoryBackend(root), "view."),
+    "retrying": lambda root: RetryingBackend(DirectoryBackend(root)),
+    "fault-injecting": lambda root: FaultInjectingBackend(DirectoryBackend(root)),
+}
+
+
+@pytest.fixture(params=sorted(RANGED))
+def ranged(request, tmp_path):
+    return RANGED[request.param](tmp_path / "store")
+
+
+class TestRangedReads:
+    """``get_range`` is a slice of ``get``; ``object_size`` its length."""
+
+    # One backend serves every example: each put overwrites KEY1.
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(payload=st.binary(max_size=256), extent=st.data())
+    def test_get_range_is_a_slice_of_get(self, ranged, payload, extent):
+        ranged.put("chunk", KEY1, payload)
+        whole = ranged.get("chunk", KEY1)
+        assert ranged.object_size("chunk", KEY1) == len(whole) == len(payload)
+        offset = extent.draw(st.integers(0, len(payload) + 2))
+        size = extent.draw(st.integers(0, len(payload) + 2))
+        if offset + size <= len(payload):
+            assert ranged.get_range("chunk", KEY1, offset, size) == whole[offset : offset + size]
+        else:
+            with pytest.raises(ValueError):
+                ranged.get_range("chunk", KEY1, offset, size)
+
+    def test_extent_edges(self, ranged):
+        ranged.put("chunk", KEY1, b"0123456789")
+        assert ranged.get_range("chunk", KEY1, 0, 10) == b"0123456789"
+        assert ranged.get_range("chunk", KEY1, 6, 4) == b"6789"  # ends at the end
+        assert ranged.get_range("chunk", KEY1, 10, 0) == b""  # empty, at the end
+        assert ranged.get_range("chunk", KEY1, 3, 0) == b""
+        for offset, size in [(6, 5), (10, 1), (11, 0), (-1, 2), (2, -1)]:
+            with pytest.raises(ValueError):
+                ranged.get_range("chunk", KEY1, offset, size)
+
+    def test_absent_object_raises_keyerror(self, ranged):
+        ranged.put("chunk", KEY1, b"x")
+        with pytest.raises(KeyError):
+            ranged.get_range("chunk", KEY2, 0, 1)
+        with pytest.raises(KeyError):
+            ranged.object_size("chunk", KEY2)
+        with pytest.raises(KeyError):
+            ranged.object_size("never-seen-namespace", KEY1)
+
+    def test_empty_object(self, ranged):
+        ranged.put("chunk", KEY1, b"")
+        assert ranged.object_size("chunk", KEY1) == 0
+        assert ranged.get_range("chunk", KEY1, 0, 0) == b""
 
 
 class TestDirectoryDurability:

@@ -1,13 +1,15 @@
 """Stateful property test: both backends against a model dict.
 
-Hypothesis drives random interleavings of put/get/exists/count against
-MemoryBackend and DirectoryBackend simultaneously; any divergence from
-the reference model (or between the two backends) fails.
+Hypothesis drives random interleavings of put/get/get_range/
+object_size/exists/count against MemoryBackend and DirectoryBackend
+simultaneously; any divergence from the reference model (or between
+the two backends) fails.
 """
 
 import shutil
 import tempfile
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
@@ -50,6 +52,37 @@ class BackendMachine(RuleBasedStateMachine):
                     pass
             else:
                 assert backend.get(ns, key) == expected
+
+    @rule(
+        key=keys,
+        ns=st.sampled_from(_NS),
+        offset=st.integers(0, 210),
+        size=st.integers(0, 210),
+    )
+    def get_range(self, key, ns, offset, size):
+        expected = self.model.get((ns, key))
+        if expected is None:
+            error = KeyError
+        elif offset + size > len(expected):
+            error = ValueError
+        else:
+            error = None
+        for backend in (self.memory, self.directory):
+            if error is None:
+                assert backend.get_range(ns, key, offset, size) == expected[offset : offset + size]
+            else:
+                with pytest.raises(error):
+                    backend.get_range(ns, key, offset, size)
+
+    @rule(key=keys, ns=st.sampled_from(_NS))
+    def object_size(self, key, ns):
+        expected = self.model.get((ns, key))
+        for backend in (self.memory, self.directory):
+            if expected is None:
+                with pytest.raises(KeyError):
+                    backend.object_size(ns, key)
+            else:
+                assert backend.object_size(ns, key) == len(expected)
 
     @rule(key=keys, ns=st.sampled_from(_NS))
     def exists(self, key, ns):

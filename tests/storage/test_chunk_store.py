@@ -109,6 +109,15 @@ def test_read_beyond_extent_fails(store):
         store.read(CID, 3, 10)
 
 
+def test_read_beyond_extent_fails_on_open_container(store):
+    w = store.open_container(CID)
+    w.append(b"short")
+    with pytest.raises(ValueError):
+        store.read(CID, 3, 10)
+    assert store.read(CID, 3, 2) == b"rt"  # up to the end is fine
+    w.close()
+
+
 def test_read_invalid_extent(store):
     with pytest.raises(ValueError):
         store.read(CID, -1, 5)

@@ -7,6 +7,8 @@ from repro.storage import (
     BackendError,
     CrashPoint,
     DirectoryBackend,
+    DiskChunkStore,
+    DiskModel,
     FaultInjectingBackend,
     FaultSpec,
     MemoryBackend,
@@ -159,6 +161,50 @@ class TestFaultInjectingBackend:
             assert b.namespaces() == []
 
 
+class TestExtentReadsKeepTheGetFaultPlan:
+    """``DiskChunkStore.read`` reaches a fault-injecting backend through
+    its ``get``: a fault planned on a chunk-namespace ``get`` still
+    fires on an extent read, at the same operation index."""
+
+    CID = b"\x07" * 20
+    PAYLOAD = bytes(range(200))
+
+    def store(self, *specs):
+        backend = FaultInjectingBackend(MemoryBackend(), schedule=specs)
+        backend.inner.put(DiskModel.CHUNK, self.CID, self.PAYLOAD)
+        return backend, DiskChunkStore(backend, DiskModel())
+
+    def test_io_error_fires(self):
+        backend, chunks = self.store(FaultSpec("io_error", op="get", namespace=DiskModel.CHUNK))
+        with pytest.raises(BackendError):
+            chunks.read(self.CID, 10, 20)
+        assert backend.faults_injected["io_error"] == 1
+        assert chunks.read(self.CID, 10, 20) == self.PAYLOAD[10:30]  # fired once
+
+    def test_crash_fires_at_its_index(self):
+        backend, chunks = self.store(
+            FaultSpec("crash", op="get", namespace=DiskModel.CHUNK, at=2)
+        )
+        assert chunks.read(self.CID, 0, 5) == self.PAYLOAD[:5]
+        assert chunks.size(self.CID) == len(self.PAYLOAD)  # object_size counts as a get
+        with pytest.raises(CrashPoint):
+            chunks.read(self.CID, 5, 5)
+
+    def test_bit_flip_corrupts_the_extent_read(self):
+        backend, chunks = self.store(FaultSpec("bit_flip", op="get", namespace=DiskModel.CHUNK))
+        whole = chunks.read(self.CID, 0, len(self.PAYLOAD))
+        assert backend.faults_injected["bit_flip"] == 1
+        diff = [a ^ b for a, b in zip(whole, self.PAYLOAD, strict=True) if a != b]
+        assert len(diff) == 1 and bin(diff[0]).count("1") == 1
+
+    def test_retrying_absorbs_a_transient_extent_read(self):
+        backend, _ = self.store(FaultSpec("transient", op="get", namespace=DiskModel.CHUNK))
+        retrying = RetryingBackend(backend, sleep=lambda _s: None)
+        chunks = DiskChunkStore(retrying, DiskModel())
+        assert chunks.read(self.CID, 190, 10) == self.PAYLOAD[190:]
+        assert retrying.retries == 1
+
+
 class TestRetryPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -233,6 +279,8 @@ class TestRetryingBackend:
         assert b.object_count("chunk") == 1
         assert b.bytes_stored("chunk") == 3
         assert b.namespaces() == ["chunk"]
+        assert b.get_range("chunk", KEY1, 1, 2) == b"bc"
+        assert b.object_size("chunk", KEY1) == 3
         assert b.delete("chunk", KEY1)
 
 

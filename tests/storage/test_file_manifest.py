@@ -3,6 +3,7 @@
 import pytest
 
 from repro.hashing import sha1
+from repro.storage import file_manifest
 from repro.storage import (
     DiskChunkStore,
     DiskModel,
@@ -65,6 +66,21 @@ class TestRestore:
         fm.append(C2, 2, 5)
         assert fm.restore(chunks) == b"hello world"
         assert meter.count(DiskModel.CHUNK, "read") == 2
+        assert list(fm.iter_restore(chunks)) == [b"hello ", b"world"]
+
+    def test_iter_restore_cuts_large_extents_into_pieces(self, monkeypatch):
+        monkeypatch.setattr(file_manifest, "RESTORE_PIECE_SIZE", 4)
+        meter = DiskModel()
+        chunks = DiskChunkStore(MemoryBackend(), meter)
+        w = chunks.open_container(C1)
+        w.append(b"0123456789abc")
+        w.close()
+        fm = FileManifest("f", [FileExtent(C1, 1, 10), FileExtent(C1, 11, 2)])
+        pieces = list(fm.iter_restore(chunks))
+        assert pieces == [b"1234", b"5678", b"9a", b"bc"]
+        assert b"".join(pieces) == fm.restore(chunks)
+        # Pieces are metered as the reads they are; restore() stays one per extent.
+        assert meter.count(DiskModel.CHUNK, "read") == 4 + 2
 
 
 class TestSerialization:
