@@ -1,26 +1,36 @@
-"""Cluster scaling — fingerprint-routed shards vs one global node.
+"""Cluster scaling — two partitionings of one fleet vs one global node.
 
-The distributed half of the fleet-scaling story: instead of sharding
-by machine (``bench_fleet_scaling``), segments are routed by
-representative fingerprint over the consistent-hash ring, so similar
-segments land on the same shard *regardless of source machine*.  The
-bench sweeps the shard count and reports
+Quantifies the distributed-backup trade the paper's introduction
+motivates: splitting the index across nodes cuts the makespan, but
+duplicates shared *across* shards are no longer found.  Both
+partitionings run on the same shard workers and report the same
+``FleetResult``, so their rows are directly comparable:
 
-* the cross-shard DER loss relative to a single global node,
-* the routing-table RAM the coordinator holds (Table III-style),
-* the makespan/aggregate trade as shards are added, and
-* the measured cost of one rebalance pass (splitting the hottest
-  shard onto a fresh worker).
+* **ring-routed** — segments are routed by representative fingerprint
+  over the consistent-hash ring, so similar segments land on the same
+  shard *regardless of source machine*; swept over the shard count;
+* **by machine** — whole files go to their machine's shard (one node
+  per machine, no routing table).
+
+Reported per row: the cross-shard DER loss relative to a single global
+node, the makespan/aggregate trade, the routing-table RAM the
+coordinator holds (Table III-style), plus the measured cost of one
+rebalance pass (splitting the hottest shard onto a fresh worker).
 """
 
 import pytest
 
 from conftest import DEVICE, SD_MAIN, write_report
 from repro.analysis import evaluate, format_table
-from repro.cluster import ClusterConfig, ClusterRouter, split_shard
+from repro.cluster import (
+    ClusterConfig,
+    ClusterRouter,
+    dedup_sharded,
+    shard_by_machine,
+    split_shard,
+)
 from repro.core import DedupConfig, MHDDeduplicator
 from repro.storage import MemoryBackend
-from repro.workloads import BackupFile
 
 ECS = 1024
 SHARD_COUNTS = [1, 2, 4, 8]
@@ -54,6 +64,8 @@ def results(corpus_files):
             "metrics": router.metrics.filtered("cluster.").as_dict(),
         }
 
+    by_machine = dedup_sharded(corpus_files, algo="bf-mhd", config=config, device=DEVICE)
+
     # One rebalance pass: split the hottest of 2 shards onto a third.
     router = ClusterRouter(
         MemoryBackend(), workers=2, config=_cluster_config(), device=DEVICE
@@ -64,11 +76,34 @@ def results(corpus_files):
     probe = corpus_files[0]
     with probe.open() as r:
         assert router.restore_file(probe.file_id) == r.read()
-    return single, sweeps, rebalance
+    return single, sweeps, rebalance, by_machine
 
 
-def test_cluster_scaling(benchmark, results):
-    single, sweeps, rebalance = results
+def test_cluster_scaling(benchmark, results, corpus_files):
+    single, sweeps, rebalance, by_machine = results
+
+    def loss(fleet) -> float:
+        return 1.0 - fleet.data_only_der / single.data_only_der
+
+    def row(label, fleet, table_ram) -> list[str]:
+        return [
+            label,
+            f"{fleet.data_only_der:.3f}",
+            f"{fleet.real_der:.3f}",
+            f"{loss(fleet):.1%}",
+            f"{fleet.aggregate_seconds:.2f}s",
+            f"{fleet.makespan_seconds:.2f}s",
+            str(table_ram),
+        ]
+
+    def summary(fleet) -> dict:
+        return {
+            "data_only_der": fleet.data_only_der,
+            "real_der": fleet.real_der,
+            "makespan_seconds": fleet.makespan_seconds,
+            "aggregate_seconds": fleet.aggregate_seconds,
+            "speedup": fleet.speedup,
+        }
 
     def build() -> str:
         rows = [
@@ -83,19 +118,13 @@ def test_cluster_scaling(benchmark, results):
             ]
         ]
         for n in SHARD_COUNTS:
-            fleet = sweeps[n]["fleet"]
-            loss = 1.0 - fleet.data_only_der / single.data_only_der
-            rows.append(
-                [
-                    f"cluster ({n} shards)",
-                    f"{fleet.data_only_der:.3f}",
-                    f"{fleet.real_der:.3f}",
-                    f"{loss:.1%}",
-                    f"{fleet.aggregate_seconds:.2f}s",
-                    f"{fleet.makespan_seconds:.2f}s",
-                    f"{sweeps[n]['routing_table_bytes']}",
-                ]
-            )
+            sweep = sweeps[n]
+            rows.append(row(f"cluster ({n} shards)", sweep["fleet"], sweep["routing_table_bytes"]))
+        rows.append(row(f"by machine ({len(by_machine.shards)} shards)", by_machine, "-"))
+        per_machine = [
+            [s.shard, f"{s.stats.data_only_der:.3f}", f"{s.dedup_seconds:.2f}s"]
+            for s in by_machine.shards
+        ]
         reb = [
             [
                 rebalance.hot_node,
@@ -119,6 +148,10 @@ def test_cluster_scaling(benchmark, results):
                 reb,
                 title="rebalance: split hottest shard",
             )
+            + "\n\n"
+            + format_table(
+                ["shard", "data DER", "time"], per_machine, title="by machine: per shard"
+            )
         )
 
     report = benchmark.pedantic(build, rounds=1, iterations=1)
@@ -128,17 +161,10 @@ def test_cluster_scaling(benchmark, results):
         runs={"global": single},
         extra={
             "shard_counts": SHARD_COUNTS,
-            "der_loss": {
-                str(n): 1.0 - sweeps[n]["fleet"].data_only_der / single.data_only_der
-                for n in SHARD_COUNTS
-            },
+            "der_loss": {str(n): loss(sweeps[n]["fleet"]) for n in SHARD_COUNTS},
             "clusters": {
                 str(n): {
-                    "data_only_der": sweeps[n]["fleet"].data_only_der,
-                    "real_der": sweeps[n]["fleet"].real_der,
-                    "makespan_seconds": sweeps[n]["fleet"].makespan_seconds,
-                    "aggregate_seconds": sweeps[n]["fleet"].aggregate_seconds,
-                    "speedup": sweeps[n]["fleet"].speedup,
+                    **summary(sweeps[n]["fleet"]),
                     "routing_table_bytes": sweeps[n]["routing_table_bytes"],
                     "ring": sweeps[n]["ring"],
                     "metrics": sweeps[n]["metrics"],
@@ -146,18 +172,32 @@ def test_cluster_scaling(benchmark, results):
                 for n in SHARD_COUNTS
             },
             "rebalance": rebalance.as_dict(),
+            "by_machine": {
+                **summary(by_machine),
+                "der_loss": loss(by_machine),
+                "shards": {
+                    s.shard: {
+                        "dedup_seconds": s.dedup_seconds,
+                        "data_only_der": s.stats.data_only_der,
+                    }
+                    for s in by_machine.shards
+                },
+            },
         },
     )
 
     # Routing loses only cross-shard duplicates, never correctness.
     for n in SHARD_COUNTS:
-        fleet = sweeps[n]["fleet"]
-        assert fleet.ok
-        assert fleet.data_only_der <= single.data_only_der * 1.001
+        assert sweeps[n]["fleet"].data_only_der <= single.data_only_der * 1.001
     # More shards: shorter makespan, cheaper per-node work.
     assert sweeps[8]["fleet"].makespan_seconds < sweeps[1]["fleet"].makespan_seconds
     # Table RAM grows linearly in vnode points — still tiny.
     assert sweeps[8]["routing_table_bytes"] < 64 * 1024
+    # By machine: one shard per machine, the same trade without a ring.
+    assert len(by_machine.shards) == len(shard_by_machine(corpus_files))
+    assert by_machine.makespan_seconds < single.dedup_seconds
+    assert by_machine.data_only_der <= single.data_only_der
+    assert by_machine.speedup > 1.5
 
 
 def test_cluster_never_beats_global(results):
@@ -165,7 +205,7 @@ def test_cluster_never_beats_global(results):
     DER loss is non-negative at every shard count.  (It is *not*
     monotone in the shard count: fingerprint routing can regroup
     similar segments when arcs shift, recovering some loss.)"""
-    single, sweeps, _ = results
+    single, sweeps, _, _ = results
     for n in SHARD_COUNTS:
         loss = 1.0 - sweeps[n]["fleet"].data_only_der / single.data_only_der
         assert loss >= -0.001
@@ -174,7 +214,7 @@ def test_cluster_never_beats_global(results):
 def test_rebalance_cost_is_bounded(results):
     """Consistent hashing: one join moves roughly 1/(n+1) of the hot
     shard's segments, not the whole keyspace."""
-    _single, sweeps, rebalance = results
+    _single, sweeps, rebalance, _ = results
     total_segments = sweeps[2]["metrics"]["cluster.route.segments"]
     assert 0 < rebalance.segments_moved < total_segments
     assert rebalance.seconds >= 0.0

@@ -539,8 +539,7 @@ def cmd_list(args) -> int:
 def cmd_serve(args) -> int:
     import asyncio
 
-    from .parallel import FleetExecutor
-    from .service import DedupServer, TenantQuota
+    from .service import DedupServer, FleetExecutor, TenantQuota
 
     backend: StorageBackend = DirectoryBackend(args.store_dir)
     server = DedupServer(

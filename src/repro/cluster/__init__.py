@@ -8,6 +8,9 @@ by representative fingerprint over a consistent-hash
 :class:`~repro.cluster.ring.HashRing`, and
 :func:`~repro.cluster.rebalance.split_shard` grows the fleet by
 splitting the hottest shard with measured cost.
+:func:`~repro.cluster.fleet.dedup_sharded` is the other partitioning —
+whole files by machine — on the same workers, reporting the same
+:class:`~repro.cluster.fleet.FleetResult`.
 
 See DESIGN.md §8 for the architecture (ring, routing key, rebalance,
 failure model) and ``benchmarks/bench_cluster_scaling.py`` for the
@@ -21,6 +24,7 @@ from .fingerprint import (
     route_segment,
     routing_key,
 )
+from .fleet import FleetResult, ShardResult, dedup_sharded, fleet_result, shard_by_machine
 from .rebalance import RebalanceReport, hottest_shard, split_shard
 from .ring import DEFAULT_VNODES, HashRing
 from .router import (
@@ -46,15 +50,20 @@ __all__ = [
     "ClusterError",
     "ClusterRecipe",
     "ClusterRouter",
+    "FleetResult",
     "HashRing",
     "RebalanceReport",
     "SegmentPlacement",
+    "ShardResult",
     "ShardWorker",
+    "dedup_sharded",
+    "fleet_result",
     "hooks_of",
     "hottest_shard",
     "representative",
     "route_segment",
     "routing_key",
+    "shard_by_machine",
     "shard_prefix",
     "split_shard",
     "validate_worker_name",

@@ -97,10 +97,6 @@ class HashRing:
             i = 0  # wrap past the highest vnode to the first
         return self._points[i][1]
 
-    def route_label(self, label: str) -> str:
-        """Route a textual key (tenant id, file id) by its UTF-8 bytes."""
-        return self.route(label.encode())
-
     # -- accounting ------------------------------------------------------
 
     def ownership(self) -> dict[str, float]:

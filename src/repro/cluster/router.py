@@ -26,8 +26,9 @@ into one deduplicating system:
 
 Workers re-chunk and re-hash the segment bytes they receive — the
 routing tax of a shared-nothing design; the fleet-level cost shows up
-in :meth:`ClusterRouter.finalize`'s :class:`~repro.parallel.FleetResult`
-(the per-shard fleet substrate reused as-is).
+in :meth:`ClusterRouter.finalize`'s
+:class:`~repro.cluster.fleet.FleetResult`, the same result type the
+by-machine fleet (:func:`~repro.cluster.fleet.dedup_sharded`) reports.
 """
 
 from __future__ import annotations
@@ -41,12 +42,12 @@ from ..chunking import StreamStats, VectorizedChunker
 from ..core.config import DedupConfig
 from ..hashing import Digest, sha1, sha1_many
 from ..obs import MetricsRegistry
-from ..parallel import FleetResult, ShardResult
 from ..registry import capabilities
 from ..storage import StorageBackend
 from ..storage.verify import IntegrityReport
 from ..workloads.machine import BackupFile
 from .fingerprint import route_segment, routing_key
+from .fleet import FleetResult, fleet_result
 from .ring import DEFAULT_VNODES, HashRing
 from .worker import ShardWorker
 
@@ -162,11 +163,8 @@ class ClusterRecipe:
 class _PendingSegment:
     """A routed segment waiting in its worker's dispatch batch.
 
-    ``attempts`` counts crashed ingests; each retry runs under an
-    attempt-suffixed segment id (``<id>~rN``) because the crashed
-    attempt may have durably written containers derived from the
-    original id.  ``final_id`` is the id that actually landed — the one
-    the recipe records.
+    ``final_id`` is the id the segment actually landed under — the one
+    the recipe records (see :meth:`ShardWorker.attempt_id`).
     """
 
     segment_id: str
@@ -174,15 +172,7 @@ class _PendingSegment:
     fingerprint: Digest
     wal_key: Digest
     node: str
-    attempts: int = 0
     final_id: str | None = None
-
-    def next_id(self) -> str:
-        return (
-            self.segment_id
-            if self.attempts == 0
-            else f"{self.segment_id}~r{self.attempts}"
-        )
 
 
 def _encode_wal(node: str, segment_id: str, data: bytes) -> bytes:
@@ -355,38 +345,33 @@ class ClusterRouter:
 
     def _dispatch(self, node: str) -> None:
         for seg in self._pending.pop(node, []):
-            self._ingest_acked(seg)
+            seg.final_id = self._ingest_acked(node, seg.segment_id, seg.data, seg.wal_key)
 
-    def _ingest_acked(self, seg: _PendingSegment) -> None:
-        """Ingest one segment, respawning the worker on a crash.
+    def _ingest_acked(self, node: str, segment_id: str, data: bytes, wal_key: Digest) -> str:
+        """Ingest one journalled segment; returns the id it landed under.
 
-        The journal entry is deleted only on acknowledgment.  A retry
-        re-ingests the coordinator's copy of the bytes — the same bytes
-        a cold-restart replay would read back from the journal — under
-        an attempt-suffixed segment id, because the crashed attempt may
-        have durably written containers derived from the original id
-        (container ids are content- and id-addressed, never reopenable).
-        A crash that landed *after* the segment became durable is
-        detected and acknowledged rather than retried.
+        The one path by which a segment becomes durable, for live
+        dispatch and journal replay alike.  The worker names the
+        attempt (:meth:`ShardWorker.attempt_id`): a segment that
+        already landed — the worker died between its last durable
+        write and the ack, or an interrupted replay got that far — is
+        acknowledged rather than re-ingested, and an id burnt by a
+        crashed attempt is skipped.  A crash respawns the worker over
+        its quarantine-repaired shard and asks again.  The journal
+        entry is deleted only on acknowledgment.
         """
         while True:
-            worker = self.workers[seg.node]
-            tried = seg.next_id()
-            try:
-                worker.ingest_segment(tried, seg.data)
-            except Exception as exc:  # noqa: BLE001 - worker failure isolation: any death must not sink the cluster
-                self._on_worker_crash(seg.node, exc)
-                if self.workers[seg.node].has_segment(tried):
-                    # The worker died between its last durable write and
-                    # the ack: the segment survived quarantine intact.
-                    pass
-                else:
-                    seg.attempts += 1
+            worker = self.workers[node]
+            tried, landed = worker.attempt_id(segment_id)
+            if not landed:
+                try:
+                    worker.ingest_segment(tried, data)
+                except Exception as exc:  # noqa: BLE001 - worker failure isolation: any death must not sink the cluster
+                    self._on_worker_crash(node, exc)
                     continue
-            seg.final_id = tried
-            self.backend.delete(WAL_NAMESPACE, seg.wal_key)
+            self.backend.delete(WAL_NAMESPACE, wal_key)
             self.metrics.counter("cluster.segments.acked").inc()
-            return
+            return tried
 
     def _on_worker_crash(self, node: str, exc: BaseException) -> None:
         crashes = self._crashes.get(node, 0) + 1
@@ -406,12 +391,10 @@ class ClusterRouter:
 
         The cold-restart half of crash recovery: a coordinator that
         finds journal entries on startup re-dispatches them (the shard
-        quarantine sweep has already run via worker warm restart).
-        Entries whose segment already landed durably (the crash hit
-        between the last write and the ack) are simply acknowledged;
-        the rest are re-ingested under a ``~replay`` id so they cannot
-        collide with containers of the interrupted attempt.  Idempotent
-        — an empty journal is a no-op.
+        quarantine sweep has already run via worker warm restart)
+        through the same acknowledged-ingest path as live dispatch, so
+        a replay that is itself interrupted can simply be run again.
+        Idempotent — an empty journal is a no-op.
         """
         replayed = 0
         for key in sorted(self.backend.keys(WAL_NAMESPACE)):
@@ -419,10 +402,7 @@ class ClusterRouter:
             if node not in self.workers:
                 # Its owner left the ring: re-route by content.
                 node = self.ring.route(sha1(data))
-            worker = self.workers[node]
-            if not worker.has_segment(segment_id):
-                worker.ingest_segment(f"{segment_id}~replay", data)
-            self.backend.delete(WAL_NAMESPACE, key)
+            self._ingest_acked(node, segment_id, data, key)
             replayed += 1
         if replayed:
             self.metrics.counter("cluster.wal.replayed").inc(replayed)
@@ -460,28 +440,15 @@ class ClusterRouter:
     def finalize(self) -> FleetResult:
         """Flush and finalize every worker; the fleet-level aggregate.
 
-        Reuses :class:`repro.parallel.FleetResult` verbatim — the
-        cluster *is* the per-shard fleet with routing in front — so
-        every existing aggregate (makespan vs aggregate seconds, DER,
-        CPU, pipeline) applies unchanged.
+        The cluster *is* a fleet of shard workers with routing in
+        front, so every aggregate of :class:`FleetResult` (makespan vs
+        aggregate seconds, DER, CPU, pipeline) applies unchanged.
         """
         self.flush()
         if self._finalized:
             raise ClusterError("cluster already finalized")
         self._finalized = True
-        shards: list[ShardResult] = []
-        for name in sorted(self.workers):
-            worker = self.workers[name]
-            stats = worker.finalize()
-            shards.append(
-                ShardResult(
-                    shard=name,
-                    stats=stats,
-                    dedup_seconds=self.device.dedup_time(stats),
-                    metrics=worker.metrics_registry(),
-                )
-            )
-        return FleetResult(shards=tuple(shards))
+        return fleet_result(self.workers, self.device)
 
     def fsck(self, check_entry_hashes: bool = False) -> dict[str, IntegrityReport]:
         """Per-shard integrity reports (all must be ``ok``)."""

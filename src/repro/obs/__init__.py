@@ -6,7 +6,7 @@ with read-only observation), so any layer of the stack can depend on
 it without cycles.  The pieces:
 
 * :class:`MetricsRegistry` with :class:`Counter` / :class:`Gauge` /
-  :class:`Histogram` — picklable, mergeable process-local metrics.
+  :class:`Histogram` — mergeable process-local metrics.
 * :class:`Tracer` / spans (:mod:`repro.obs.trace`) — nested timed
   events over the chunk→hash→index→store pipeline.
 * Sinks (:mod:`repro.obs.sinks`) — ``NullSink`` (default, zero

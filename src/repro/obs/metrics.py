@@ -7,10 +7,7 @@ in order:
 * **Cheap.**  A metric handle is fetched with one dict lookup and
   updated with one integer add; hot paths cache handles and skip even
   the lookup.  No locks — the registry is process-local by contract
-  (each ``multiprocessing`` shard owns its own).
-* **Picklable.**  Instances hold only plain containers so a worker
-  process can return its registry through a ``multiprocessing`` pool
-  result unchanged.
+  (each fleet shard owns its own).
 * **Mergeable.**  :meth:`MetricsRegistry.merge` folds another registry
   in; the operation is associative and commutative (counters add,
   gauges keep the max, histograms add bucket-wise), so fleet
@@ -62,15 +59,6 @@ class Counter:
     def __repr__(self) -> str:
         return f"Counter({self.value})"
 
-    # __slots__ classes need explicit pickle support.
-    def __getstate__(self) -> int:
-        """Pickle as the bare value."""
-        return self.value
-
-    def __setstate__(self, state: int) -> None:
-        """Restore from the bare value."""
-        self.value = state
-
 
 class Gauge:
     """A point-in-time numeric metric (last-write-wins; merge keeps max).
@@ -95,14 +83,6 @@ class Gauge:
 
     def __repr__(self) -> str:
         return f"Gauge({self.value})"
-
-    def __getstate__(self) -> float:
-        """Pickle as the bare value."""
-        return self.value
-
-    def __setstate__(self, state: float) -> None:
-        """Restore from the bare value."""
-        self.value = state
 
 
 class Histogram:
@@ -182,22 +162,6 @@ class Histogram:
 
     def __repr__(self) -> str:
         return f"Histogram(n={self.total}, sum={self.sum})"
-
-    def __getstate__(self) -> dict[str, Any]:
-        """Pickle as a plain dict of the slot values."""
-        return {
-            "bounds": self.bounds,
-            "counts": self.counts,
-            "total": self.total,
-            "sum": self.sum,
-        }
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        """Restore the slot values."""
-        self.bounds = state["bounds"]
-        self.counts = state["counts"]
-        self.total = state["total"]
-        self.sum = state["sum"]
 
 
 class MetricsRegistry:

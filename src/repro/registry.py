@@ -1,13 +1,13 @@
 """The one place mapping algorithm names to deduplicator classes.
 
-``cli.py``, ``parallel.py``, the examples and the benchmark harness all
-need the same nine-entry name → class table; maintaining parallel
-copies let them drift.  They now all call :func:`resolve` /
-:func:`available` here.
+``cli.py``, the cluster's shard workers, the service, the examples and
+the benchmark harness all need the same nine-entry name → class table;
+maintaining separate copies let them drift.  They now all call
+:func:`resolve` / :func:`available` here.
 
 The table is populated lazily so importing :mod:`repro.registry` stays
-cheap and multiprocessing workers (``parallel.py``) can resolve names
-after pickling without dragging every deduplicator through the fork.
+cheap: the deduplicator modules load on the first lookup, not at
+import.
 """
 
 from __future__ import annotations

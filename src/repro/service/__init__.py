@@ -10,6 +10,9 @@ service without touching the algorithms:
   token-bucket rate limits (:class:`TenantQuota`, :class:`TokenBucket`);
 * :mod:`~repro.service.session` — the explicit open → write* →
   commit/abort lifecycle with crash-safe abort (:class:`DedupSession`);
+* :mod:`~repro.service.lanes` — per-session FIFO lanes over the
+  server's shared thread pool (:class:`SerialLane`,
+  :class:`FleetExecutor`);
 * :mod:`~repro.service.server` — the asyncio front end: JSON-lines
   ingest protocol plus live HTTP ``/metrics`` (:class:`DedupServer`);
 * :mod:`~repro.service.client` — the blocking protocol client
@@ -19,6 +22,7 @@ See ``docs/SERVICE.md`` for the protocol and operational semantics.
 """
 
 from .client import ServiceClient
+from .lanes import FleetExecutor, SerialLane
 from .quotas import (
     QuotaExceeded,
     QuotaLedger,
@@ -35,9 +39,11 @@ from .tenancy import Tenant, TenantFiles, TenantRegistry, tenant_namespace_prefi
 __all__ = [
     "DedupServer",
     "DedupSession",
+    "FleetExecutor",
     "QuotaExceeded",
     "QuotaLedger",
     "RateLimited",
+    "SerialLane",
     "ServiceClient",
     "ServiceError",
     "SessionClosed",

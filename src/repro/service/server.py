@@ -28,8 +28,8 @@ Refusals carry machine-readable codes: ``{"ok": false, "error":
 
 **Execution model.**  The event loop never runs dedup work — and,
 just as important, fleet threads never *wait*.  Each session gets a
-:class:`~repro.parallel.SerialLane` on the server's shared
-:class:`~repro.parallel.FleetExecutor` — lanes keep one session's
+:class:`~repro.service.lanes.SerialLane` on the server's shared
+:class:`~repro.service.lanes.FleetExecutor` — lanes keep one session's
 operations ordered while different sessions (hence tenants) proceed
 concurrently.  Everything that can block sits on the event loop
 instead of the pool: an ``open`` contending for a busy tenant's
@@ -66,9 +66,9 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.sinks import JsonlTraceSink, prom_text_multi
 from ..obs.slo import SLOEngine
 from ..obs.telemetry import HeartbeatEvent
-from ..parallel import FleetExecutor, SerialLane
 from ..registry import resolve
 from ..storage import StorageBackend
+from .lanes import FleetExecutor, SerialLane
 from .quotas import ServiceError, TenantBusy, TenantQuota
 from .session import DedupSession, SessionClosed
 from .tenancy import Tenant, TenantRegistry, validate_tenant_id

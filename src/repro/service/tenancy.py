@@ -22,8 +22,8 @@ explicitly-locked pieces of tenant state —
 :class:`~repro.service.quotas.TokenBucket`, ``Tenant.lock`` — are safe
 to touch from any thread.  The per-tenant
 :class:`~repro.obs.metrics.MetricsRegistry` is *not* internally locked
-(by design: it is the same lock-free, picklable registry the dedup
-core uses process-locally), so every shared-tenant-registry access
+(by design: it is the same lock-free registry the dedup core uses
+process-locally), so every shared-tenant-registry access
 goes through the :meth:`Tenant.inc_metric` /
 :meth:`Tenant.merge_metrics` / :meth:`Tenant.metrics_snapshot`
 helpers, which serialise on ``Tenant.metrics_lock``.  Session worker

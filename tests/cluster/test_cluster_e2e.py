@@ -6,12 +6,12 @@ from repro.cluster import (
     ClusterConfig,
     ClusterRecipe,
     ClusterRouter,
+    FleetResult,
     SegmentPlacement,
     WAL_NAMESPACE,
 )
 from repro.core import DedupConfig, MHDDeduplicator
 from repro.hashing import sha1
-from repro.parallel import FleetResult
 from repro.storage import MemoryBackend
 from repro.workloads import tiny_corpus
 

@@ -17,7 +17,13 @@ from repro.cluster import (
     shard_prefix,
 )
 from repro.core import DedupConfig
-from repro.storage import DiskModel, FaultInjectingBackend, FaultSpec, MemoryBackend
+from repro.storage import (
+    CrashPoint,
+    DiskModel,
+    FaultInjectingBackend,
+    FaultSpec,
+    MemoryBackend,
+)
 from repro.storage.backend import PrefixedBackend
 from repro.workloads import tiny_corpus
 
@@ -43,6 +49,19 @@ def faulted_views(victim, schedule, sink=None):
             if sink is not None:
                 sink.append(view)
         return view
+
+    return factory
+
+
+def dying_views(namespace):
+    """A view_factory whose every worker dies on its first put to
+    ``namespace`` (with ``max_respawns=0`` the coordinator goes too)."""
+
+    def factory(name, backend):
+        return FaultInjectingBackend(
+            PrefixedBackend(backend, shard_prefix(name)),
+            schedule=[FaultSpec("crash", op="put", namespace=namespace, at=0)],
+        )
 
     return factory
 
@@ -134,17 +153,11 @@ class TestColdRestartReplay:
         # Every worker dies on its first chunk put and the coordinator
         # tolerates zero respawns — the whole "process" goes down with
         # journal entries still pending.
-        def factory(name, inner):
-            return FaultInjectingBackend(
-                PrefixedBackend(inner, shard_prefix(name)),
-                schedule=[FaultSpec("crash", op="put", namespace=DiskModel.CHUNK, at=0)],
-            )
-
         dead = ClusterRouter(
             backend,
             workers=2,
             config=ClusterConfig(dedup=CFG, max_respawns=0),
-            view_factory=factory,
+            view_factory=dying_views(DiskModel.CHUNK),
         )
         with pytest.raises(ClusterError):
             ingest_all(dead, files)
@@ -166,3 +179,42 @@ class TestColdRestartReplay:
         originals = ingest_all(reborn, files)
         for fid, data in originals.items():
             assert reborn.restore_file(fid) == data
+
+    def test_interrupted_replay_does_not_brick_the_next_one(self, files):
+        """A coordinator that dies *inside* replay leaves a durable
+        container behind; the next replay must step past it (one
+        retry-id rule for live dispatch and replay), not collide with
+        it forever."""
+        backend = MemoryBackend()
+        fragile = ClusterConfig(dedup=CFG, max_respawns=0)
+        victim = files[0]
+        dead = ClusterRouter(
+            backend, workers=2, config=fragile, view_factory=dying_views(DiskModel.CHUNK)
+        )
+        with pytest.raises(ClusterError):
+            dead.put_file(victim)
+        pending = list(backend.keys(WAL_NAMESPACE))
+        assert pending
+
+        # Two cold restarts die mid-replay: the segment's container is
+        # durable, its manifest is not.
+        for _ in range(2):
+            doomed = ClusterRouter(
+                backend, config=fragile, view_factory=dying_views(DiskModel.MANIFEST)
+            )
+            with pytest.raises((ClusterError, CrashPoint)):
+                doomed.replay_wal()
+            assert list(backend.keys(WAL_NAMESPACE)) == pending
+
+        reborn = ClusterRouter(backend, config=ClusterConfig(dedup=CFG))
+        assert reborn.replay_wal() == len(pending)
+        assert list(backend.keys(WAL_NAMESPACE)) == []
+        assert all(r.ok for r in reborn.fsck().values())
+
+        # The file whose push died is pushed again: its segments are
+        # found where the replay landed them and it restores intact.
+        reborn.put_file(victim)
+        with victim.open() as r:
+            assert reborn.restore_file(victim.file_id) == r.read()
+        assert reborn.metrics.counter("cluster.worker.crashes").value == 0
+        assert all(r.ok for r in reborn.fsck().values())

@@ -50,10 +50,6 @@ class TestRouting:
         for k in keys(200):
             assert a.route(k) == b.route(k)
 
-    def test_route_label_matches_bytes(self):
-        ring = HashRing(["w0", "w1"])
-        assert ring.route_label("tenant|alice") == ring.route(b"tenant|alice")
-
     def test_single_node_owns_everything(self):
         ring = HashRing(["only"])
         assert all(ring.route(k) == "only" for k in keys(50))

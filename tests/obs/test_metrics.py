@@ -1,7 +1,5 @@
 """Tests for the metrics primitives: counters, gauges, histograms, registry."""
 
-import pickle
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -126,17 +124,6 @@ class TestRegistry:
         assert d["c"] == 3
         assert d["g"] == 1.5
         assert d["h"] == {"bounds": [1.0], "counts": [1, 0], "count": 1, "sum": 0.5}
-
-    def test_pickle_round_trip(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc(7)
-        reg.gauge("g").set(2.0)
-        reg.histogram("h", [1.0, 2.0]).observe_many([0.5, 5.0])
-        clone = pickle.loads(pickle.dumps(reg))
-        assert clone.as_dict() == reg.as_dict()
-        # The clone is independent: updating it leaves the original alone.
-        clone.counter("c").inc()
-        assert reg.counter("c").value == 7
 
 
 # ---- merge algebra ---------------------------------------------------------

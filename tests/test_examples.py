@@ -72,7 +72,8 @@ def test_retention_lifecycle():
 
 
 def test_distributed_fleet():
-    r = run_example("distributed_fleet.py", "--workers", "2")
+    r = run_example("distributed_fleet.py")
     assert r.returncode == 0, r.stderr[-500:]
     assert "speedup" in r.stdout
     assert "cross-machine duplicates" in r.stdout
+    assert ": OK, fsck clean" in r.stdout

@@ -34,7 +34,7 @@ def test_resolve_unknown_name_lists_alternatives():
 
 
 def test_consumers_share_the_registry():
-    """cli and parallel no longer keep private copies."""
+    """The CLI keeps no private copy of the table."""
     from repro import cli
 
     assert not hasattr(cli, "ALGORITHMS")

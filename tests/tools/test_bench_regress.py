@@ -166,7 +166,7 @@ class TestValidate:
         )
         assert main(["--validate", "--results", str(tmp_path / "res")]) == 1
         out = capsys.readouterr().out
-        assert "der_loss" in out and "rebalance" in out
+        assert "der_loss" in out and "rebalance" in out and "by_machine" in out
 
     def test_registered_bench_full_payload_passes(self, tmp_path, capsys):
         extra = {
@@ -180,6 +180,7 @@ class TestValidate:
                 "seconds": 0.5,
                 "residual_hot_bytes": 50,
             },
+            "by_machine": {"data_only_der": 2.9, "der_loss": 0.1},
         }
         write(
             tmp_path / "res",

@@ -107,6 +107,7 @@ REQUIRED_EXTRA: dict[str, tuple[str, ...]] = {
         "der_loss",
         "clusters",
         "rebalance",
+        "by_machine",
     ),
 }
 

@@ -1,7 +1,7 @@
 """The DDC1xx concurrency rule pack.
 
 PR 6 turned the reproduction into a concurrent system — an asyncio
-JSON-lines server over a :class:`~repro.parallel.FleetExecutor` thread
+JSON-lines server over a :class:`~repro.service.lanes.FleetExecutor` thread
 fleet — and its first review found a pool-starvation deadlock: a fleet
 thread blocking on a tenant lock while the lane tasks that would
 release it starved.  The fix established invariants that, until this
@@ -351,8 +351,8 @@ class TenantMetricsDiscipline:
     """DDC104 — tenant metrics move only through the locked helpers.
 
     The per-tenant :class:`~repro.obs.metrics.MetricsRegistry` is
-    lock-free by design (it is the same picklable registry the dedup
-    core uses process-locally), so *shared* access must serialise on
+    lock-free by design (it is the same registry the dedup core uses
+    process-locally), so *shared* access must serialise on
     ``Tenant.metrics_lock`` — which is exactly what the
     ``inc_metric`` / ``merge_metrics`` / ``metrics_snapshot`` helpers
     do.  Reaching through another object's ``.metrics`` attribute
