@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from ..chunking import Chunk, VectorizedChunker
 from ..core.base import Deduplicator
 from ..core.config import DedupConfig
-from ..hashing import Digest, Hasher, sha1, sha1_many
+from ..hashing import Digest, Hasher, sha1
 from ..storage import FileManifest, StorageBackend, file_object_ids
 from ..storage.multi_manifest import MultiEntry, MultiManifest, MultiManifestStore
 from ..workloads.machine import BackupFile
@@ -83,11 +83,11 @@ class ExtremeBinningDeduplicator(Deduplicator):
         self._digests: list[Digest] = []
         self._whole = Hasher()
 
-    def _ingest_chunks(self, batch: list[Chunk]) -> None:
-        self._digests.extend(sha1_many(chunk.data for chunk in batch))
+    def _ingest_chunks(self, batch: list[Chunk], digests: list[Digest]) -> None:
+        self._digests.extend(digests)
         for chunk in batch:
-            self._whole.update(chunk.data)
-            self.cpu.hashed += 2 * chunk.size
+            self._whole.update(chunk.data)  # the second hash of each byte
+            self.cpu.hashed += chunk.size
         self._chunks.extend(batch)
 
     def _end_file(self) -> None:

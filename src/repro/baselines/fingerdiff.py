@@ -25,11 +25,10 @@ the ablation bench plots it against MHD's bloom+cache budget.
 from __future__ import annotations
 
 from ..chunking import VectorizedChunker
-from ..hashing import Digest, sha1_many, sha1_spans
-from ..storage import FileManifest, Manifest, file_object_ids
+from ..hashing import Digest, sha1_spans
 from ..storage.manifest import ENTRY_SIZE, ManifestEntry
 from ..workloads.machine import BackupFile
-from ..core.base import Deduplicator
+from ..core.base import Deduplicator, _FileObjects
 from ..core.manifest_cache import ManifestCache
 
 __all__ = ["FingerdiffDeduplicator"]
@@ -49,11 +48,7 @@ class FingerdiffDeduplicator(Deduplicator):
         self.max_subchunks = max_subchunks if max_subchunks is not None else self.config.sd
         # The in-RAM subchunk database: digest -> (container, offset, size).
         self._db: dict[Digest, tuple[Digest, int, int]] = {}
-        # Per-file state (reset by _begin_file).
-        self._container_id: Digest | None = None
-        self._manifest: Manifest | None = None
-        self._fm: FileManifest | None = None
-        self._writer = None
+        # (digest, data, size) of the open coalesce run (reset by _begin_file).
         self._pending: list[tuple[Digest, memoryview, int]] = []
 
     def database_bytes(self) -> int:
@@ -61,43 +56,36 @@ class FingerdiffDeduplicator(Deduplicator):
         return len(self._db) * (20 + 36 + 16)
 
     def _begin_file(self, file: BackupFile) -> None:
-        self._container_id, manifest_id = file_object_ids(file.file_id)
-        self._manifest = Manifest(manifest_id, self._container_id, entry_size=ENTRY_SIZE)
-        self.cache.add(self._manifest, pin=True)
-        self._fm = FileManifest(file.file_id)
-        self._writer = None
-        self._pending = []  # (digest, data, size) of the open coalesce run
+        self._ctx = _FileObjects(self, self.cache, file.file_id, ENTRY_SIZE)
+        self._pending = []
 
     def _flush_pending(self) -> None:
         pending = self._pending
         if not pending:
             return
-        if self._writer is None:
-            self._writer = self.chunks.open_container(self._container_id)
-        writer = self._writer
+        ctx = self._ctx
+        writer = ctx.container()
         base = writer.size
         total = 0
         for digest, data, size in pending:
             offset = writer.append(data)
-            self._db[digest] = (self._container_id, offset, size)
-            self._fm.append(self._container_id, offset, size)
+            self._db[digest] = (ctx.container_id, offset, size)
+            ctx.fm.append(ctx.container_id, offset, size)
             total += size
         # One coalesced manifest entry for the whole run; the spans
         # are hashed incrementally without a join copy.
         coalesced = sha1_spans(d for _, d, _ in pending)
         self.cpu.hashed += total
-        self._manifest.append(ManifestEntry(coalesced, base, total, is_hook=True))
+        ctx.manifest.append(ManifestEntry(coalesced, base, total, is_hook=True))
         pending.clear()
 
-    def _ingest_chunks(self, batch) -> None:
-        digests = sha1_many(chunk.data for chunk in batch)
+    def _ingest_chunks(self, batch, digests) -> None:
         for chunk, digest in zip(batch, digests, strict=True):
-            self.cpu.hashed += chunk.size
             extent = self._db.get(digest)
             if extent is not None:
                 self._flush_pending()
                 self._count_duplicate(chunk.size)
-                self._fm.append(*extent)
+                self._ctx.fm.append(*extent)
                 continue
             self._count_unique(chunk.size)
             self._pending.append((digest, chunk.data, chunk.size))
@@ -106,19 +94,20 @@ class FingerdiffDeduplicator(Deduplicator):
 
     def _end_file(self) -> None:
         self._flush_pending()
-        manifest = self._manifest
-        if self._writer is not None:
-            self._writer.close()
-        if manifest.entries:
-            self.manifests.put(manifest)
-            self.hooks.put(manifest.entries[0].digest, manifest.manifest_id)
-        self.cache.reindex(manifest)
-        self.cache.unpin(manifest.manifest_id)
-        self.file_manifests.put(self._fm)
+        ctx = self._ctx
+        entries = ctx.manifest.entries
+        self.cache.reindex(ctx.manifest)
+        ctx.close(hook=entries[0].digest if entries else None)
         self._observe_ram(self.cache.ram_bytes() + self.database_bytes())
-        self._manifest = None
-        self._fm = None
-        self._writer = None
+
+    def _abort_file(self) -> None:
+        ctx = self._ctx
+        if ctx is not None:
+            # Extents of the failed file's container were never written.
+            self._db = {
+                d: e for d, e in self._db.items() if e[0] != ctx.container_id
+            }
+        super()._abort_file()
 
     def _flush(self) -> None:
         self.cache.flush()

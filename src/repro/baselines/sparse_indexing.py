@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 
 from ..chunking import VectorizedChunker
-from ..hashing import Digest, sha1, sha1_many
+from ..hashing import Digest, sha1
 from ..storage import FileManifest
 from ..storage.disk_model import DiskModel
 from ..storage.multi_manifest import MultiEntry, MultiManifest, MultiManifestStore
@@ -99,10 +99,8 @@ class SparseIndexingDeduplicator(Deduplicator):
         self._fm = FileManifest(file.file_id)
         self._segment, self._seg_bytes = [], 0
 
-    def _ingest_chunks(self, batch) -> None:
-        digests = sha1_many(chunk.data for chunk in batch)
+    def _ingest_chunks(self, batch, digests) -> None:
         for chunk, digest in zip(batch, digests, strict=True):
-            self.cpu.hashed += chunk.size
             self._segment.append((digest, chunk))
             self._seg_bytes += chunk.size
             if self._seg_bytes >= self.config.segment_bytes:

@@ -61,15 +61,14 @@ class SubChunkDeduplicator(Deduplicator):
 
     def _begin_file(self, file: BackupFile) -> None:
         _, manifest_id = file_object_ids(file.file_id)
-        self._manifest = MultiManifest(manifest_id)
-        self.cache.add(self._manifest, pin=True)
+        manifest = MultiManifest(manifest_id)
+        self.cache.add(manifest, pin=True)
+        self._manifest = manifest
         self._fm = FileManifest(file.file_id)
 
-    def _ingest_chunks(self, batch) -> None:
+    def _ingest_chunks(self, batch, big_digests) -> None:
         manifest, fm = self._manifest, self._fm
-        big_digests = sha1_many(big.data for big in batch)
         for big, big_digest in zip(batch, big_digests, strict=True):
-            self.cpu.hashed += big.size
             # Big-chunk duplication query (one metered disk query).
             self.meter.record(DiskModel.HOOK, "query", 0)
             extents = self._big_index.get(big_digest)
@@ -92,6 +91,12 @@ class SubChunkDeduplicator(Deduplicator):
         self._observe_ram(self.cache.ram_bytes() + self.extra_index_bytes())
         self._manifest = None
         self._fm = None
+
+    def _abort_file(self) -> None:
+        super()._abort_file()
+        if self._manifest is not None:
+            self.cache.discard(self._manifest.manifest_id)
+            self._manifest = None
 
     def _ingest_small(
         self,
@@ -146,21 +151,13 @@ class SubChunkDeduplicator(Deduplicator):
     ) -> tuple[Digest, int, int] | None:
         idx = current.find(digest)
         if idx is None:
-            manifest = self.cache.search(digest)
-            if manifest is None:
-                if self.bloom is not None and digest not in self.bloom:
-                    return None
-                # Only one hook per manifest exists, so most on-disk
-                # probes miss and the duplicate is missed with them —
-                # the locality loss the paper attributes to SubChunk.
-                manifest_id = self.hooks.lookup(digest)
-                if manifest_id is None:
-                    return None
-                manifest = self.cache.load(manifest_id)
-            idx = manifest.find(digest)
-            if idx is None:
+            # Only one hook per manifest exists, so most on-disk
+            # probes miss and the duplicate is missed with them —
+            # the locality loss the paper attributes to SubChunk.
+            hit = self.cache.locate(digest, self._hook_manifest)
+            if hit is None:
                 return None
-            current = manifest
+            current, idx = hit
         e = current.entries[idx]
         return (e.container_id, e.offset, e.size)
 

@@ -11,10 +11,13 @@ Ingest is a bounded-memory streaming pipeline with explicit stages::
     source -> chunker -> hasher -> dedup core -> store
 
 :meth:`Deduplicator.ingest` opens the file's source, drives the
-subclass's chunker incrementally (:meth:`Chunker.chunk_stream`) and
-hands each batch of chunks to the algorithm through three hooks:
-:meth:`_begin_file`, :meth:`_ingest_chunks` (per batch) and
-:meth:`_end_file`.  Peak memory is the chunker's carry window plus the
+subclass's chunker incrementally (:meth:`Chunker.chunk_stream`),
+digests each batch once and hands chunks and digests to the algorithm
+through three hooks: :meth:`_begin_file`, :meth:`_ingest_chunks` (per
+batch) and :meth:`_end_file`.  The per-file algorithms keep the store
+objects a file creates in one :class:`_FileObjects` and find duplicates
+through :meth:`ManifestCache.locate`, so a deduplicator implements only
+its match decision.  Peak memory is the chunker's carry window plus the
 algorithm's own buffer (MHD's ``2·SD`` token buffer, a bimodal big
 chunk, a sparse-indexing segment) — independent of file size.  Files
 constructed with in-memory ``data`` take the same code path as one big
@@ -41,22 +44,27 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from ..chunking.base import Chunk, Chunker, DEFAULT_STREAM_WINDOW, StreamStats
-from ..hashing import BloomFilter, Digest
+from ..hashing import BloomFilter, Digest, sha1_many
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from ..storage import (
     INODE_SIZE,
+    ContainerWriter,
     DiskChunkStore,
     DiskModel,
+    FileManifest,
     FileManifestStore,
     HookStore,
     IOSnapshot,
+    Manifest,
     ManifestStore,
     MemoryBackend,
     StorageBackend,
+    file_object_ids,
 )
 from ..storage.verify import IntegrityReport
 from ..workloads.machine import BackupFile
 from .config import DedupConfig
+from .manifest_cache import ManifestCache
 
 if TYPE_CHECKING:
     from .protocols import IngestObserver
@@ -224,6 +232,68 @@ class DedupStats:
         }
 
 
+class _FileObjects:
+    """The store objects ingesting one file creates, opened and closed once.
+
+    A per-file deduplicator (MHD, CDC, the Bimodal family, Fingerdiff)
+    writes, for each file, one DiskChunk container, one Manifest over
+    it and one FileManifest.  Constructing this opens them — ids from
+    :func:`file_object_ids`, the manifest pinned in the cache so it is
+    not evicted mid-build — and :meth:`close` writes them in the one
+    order the crash matrix is built on: container, manifest, un-pin,
+    file manifest.  Algorithms subclass it to add their own per-file
+    buffers; :meth:`Deduplicator.ingest` drops it if the file fails.
+    """
+
+    def __init__(
+        self,
+        dedup: Deduplicator,
+        cache: ManifestCache[Manifest],
+        file_id: str,
+        entry_size: int,
+    ) -> None:
+        self._dedup = dedup
+        self._cache = cache
+        self.container_id, manifest_id = file_object_ids(file_id)
+        self.manifest = Manifest(manifest_id, self.container_id, entry_size=entry_size)
+        self.fm = FileManifest(file_id)
+        self.writer: ContainerWriter | None = None
+        cache.add(self.manifest, pin=True)
+
+    def container(self) -> ContainerWriter:
+        """The file's container writer, opened on first use."""
+        writer = self.writer
+        if writer is None:
+            writer = self.writer = self._dedup.chunks.open_container(self.container_id)
+        return writer
+
+    def find(self, digest: Digest) -> tuple[Manifest, int] | None:
+        """:meth:`ManifestCache.locate`, asking this file's own manifest
+        first — for algorithms whose in-progress digests enter the
+        cache-wide index only at file end."""
+        idx = self.manifest.find(digest)
+        if idx is not None:
+            return self.manifest, idx
+        return self._cache.locate(digest, self._dedup._hook_manifest)
+
+    def close(self, hook: Digest | None = None) -> None:
+        """Write the file's objects; ``hook`` registers the manifest's
+        one Hook right after it (Fingerdiff's one-hook-per-manifest)."""
+        dedup = self._dedup
+        if self.writer is not None:
+            self.writer.close()
+        if self.manifest.entries:
+            dedup.manifests.put(self.manifest)
+            if hook is not None:
+                dedup.hooks.put(hook, self.manifest.manifest_id)
+        self._cache.unpin(self.manifest.manifest_id)
+        dedup.file_manifests.put(self.fm)
+
+    def abort(self) -> None:
+        """Forget the in-progress manifest: un-pinned, never written back."""
+        self._cache.discard(self.manifest.manifest_id)
+
+
 class Deduplicator(ABC):
     """Common harness: storage, metering, slice tracking, restore."""
 
@@ -262,6 +332,9 @@ class Deduplicator(ABC):
         self._in_dup_run = False
         self._peak_ram = 0
         self._finalized = False
+        #: Store objects of the file being ingested: set by the per-file
+        #: algorithms' ``_begin_file``, cleared by :meth:`ingest`.
+        self._ctx: _FileObjects | None = None
         self._telemetry: Telemetry = NULL_TELEMETRY
         #: Optional session-level control hooks wrapped around the
         #: per-file ingest hooks (see
@@ -308,16 +381,24 @@ class Deduplicator(ABC):
         """Deduplicate one file into the store.
 
         Drives the streaming pipeline: chunks are pulled from the
-        file's source a window at a time and handed to the algorithm in
-        batches, so peak memory is bounded by the chunker carry window
-        plus the algorithm's own buffering.  With :attr:`verify_writes`
-        enabled the file is restored and byte-compared immediately; a
-        mismatch raises ``RuntimeError`` before any further data is
-        accepted.
+        file's source a window at a time, digested, and handed to the
+        algorithm in batches, so peak memory is bounded by the chunker
+        carry window plus the algorithm's own buffering.  With
+        :attr:`verify_writes` enabled the file is restored and
+        byte-compared immediately; a mismatch raises ``RuntimeError``
+        before any further data is accepted.
+
+        If anything raises mid-file (an :class:`IngestObserver` veto, a
+        backend out of retries) the file's in-RAM state is dropped —
+        its manifest leaves the cache unwritten, its open container is
+        forgotten, the file is not counted — and the exception
+        propagates; the same file id can then be ingested again.  The
+        store side is untouched: hooks the failed attempt already wrote
+        are :func:`repro.storage.recover.recover`'s job, as for a crash
+        at the same point.
         """
         if self._finalized:
             raise RuntimeError("deduplicator already finalized")
-        self._input_files += 1
         self._in_dup_run = False  # duplicate slices do not span files
         logger.debug("%s ingesting %s (%d bytes)", self.name, file.file_id, file.size)
         tel = self._telemetry
@@ -327,43 +408,55 @@ class Deduplicator(ABC):
         nbytes = 0
         batches = 0
         observer = self.ingest_observer
-        with tel.span("file", file_id=file.file_id, size=file.size):
-            if observer is not None:
-                observer.begin_file(file)
-            self._begin_file(file)
-            # Manual iteration so the time spent *producing* a batch
-            # (the chunk stage) and the time *consuming* it (the dedup
-            # core) land in separate spans.
-            feed = self._file_batches(file, stream)
-            while True:
-                with tel.span("chunk"):
-                    batch = next(feed, None)
-                if batch is None:
-                    break
-                if not batch:
-                    continue
-                batch_bytes = sum(c.size for c in batch)
+        try:
+            with tel.span("file", file_id=file.file_id, size=file.size):
                 if observer is not None:
-                    # Before the dedup core sees the batch: a raising
-                    # observer (quota hit) aborts mid-file with none of
-                    # this batch's bytes stored.
-                    observer.observe_batch(batch_bytes, len(batch))
-                nbytes += batch_bytes
-                batches += 1
-                self.pipeline.batches += 1
-                with tel.span("dedup", chunks=len(batch)):
-                    self._ingest_chunks(batch)
-            self._input_bytes += nbytes
-            self.cpu.chunked += nbytes
-            self.pipeline.windows += stream.windows
-            self.pipeline.stalls += stream.stalls
-            if stream.peak_buffer_bytes > self.pipeline.peak_buffer_bytes:
-                self.pipeline.peak_buffer_bytes = stream.peak_buffer_bytes
-            self._observe_ram(stream.peak_buffer_bytes)
-            with tel.span("end_file"):
-                self._end_file()
-            if observer is not None:
-                observer.end_file(file)
+                    observer.begin_file(file)
+                self._begin_file(file)
+                # Manual iteration so the time spent *producing* a batch
+                # (the chunk stage) and the time *consuming* it (the dedup
+                # core) land in separate spans.
+                feed = self._file_batches(file, stream)
+                while True:
+                    with tel.span("chunk"):
+                        batch = next(feed, None)
+                    if batch is None:
+                        break
+                    if not batch:
+                        continue
+                    batch_bytes = sum(c.size for c in batch)
+                    if observer is not None:
+                        # Before the dedup core sees the batch: a raising
+                        # observer (quota hit) aborts mid-file with none of
+                        # this batch's bytes stored.
+                        observer.observe_batch(batch_bytes, len(batch))
+                    nbytes += batch_bytes
+                    batches += 1
+                    self.pipeline.batches += 1
+                    with tel.span("dedup", chunks=len(batch)):
+                        with tel.span("hash", chunks=len(batch)):
+                            # One batched digest call over zero-copy views
+                            # into the stream buffer: no per-chunk bytes
+                            # objects are materialised.
+                            digests = sha1_many(c.data for c in batch)
+                            self.cpu.hashed += batch_bytes
+                        self._ingest_chunks(batch, digests)
+                self._input_bytes += nbytes
+                self.cpu.chunked += nbytes
+                self.pipeline.windows += stream.windows
+                self.pipeline.stalls += stream.stalls
+                if stream.peak_buffer_bytes > self.pipeline.peak_buffer_bytes:
+                    self.pipeline.peak_buffer_bytes = stream.peak_buffer_bytes
+                self._observe_ram(stream.peak_buffer_bytes)
+                with tel.span("end_file"):
+                    self._end_file()
+                self._ctx = None
+                self._input_files += 1
+                if observer is not None:
+                    observer.end_file(file)
+        except BaseException:
+            self._abort_file()
+            raise
         if tel.enabled:
             reg = tel.registry
             reg.counter("ingest.files").inc()
@@ -436,8 +529,9 @@ class Deduplicator(ABC):
         """Open per-file state (manifest, container writer, ...)."""
 
     @abstractmethod
-    def _ingest_chunks(self, batch: list[Chunk]) -> None:
-        """Process one batch of stream chunks (absolute offsets).
+    def _ingest_chunks(self, batch: list[Chunk], digests: list[Digest]) -> None:
+        """Process one batch of stream chunks (absolute offsets) and
+        their SHA-1 digests, already charged to ``cpu.hashed``.
 
         Implementations must be batch-boundary invariant: splitting the
         same chunk sequence into different batches must not change any
@@ -446,6 +540,23 @@ class Deduplicator(ABC):
 
     def _end_file(self) -> None:
         """Flush per-file state; the file's chunk stream is complete."""
+
+    def _abort_file(self) -> None:
+        """Drop the in-RAM state of a file whose ingest raised."""
+        self.chunks.discard_open()
+        ctx, self._ctx = self._ctx, None
+        if ctx is not None:
+            ctx.abort()
+
+    def _hook_manifest(self, digest: Digest) -> Digest | None:
+        """Manifest address of ``digest``'s on-disk Hook, Bloom-gated.
+
+        The hook source :meth:`ManifestCache.locate` consults on a cache
+        miss; SI-MHD answers from its RAM index instead.
+        """
+        if self.bloom is not None and digest not in self.bloom:
+            return None
+        return self.hooks.lookup(digest)  # None: Bloom false positive
 
     def process(self, files: Iterable[BackupFile]) -> DedupStats:
         """Ingest a whole corpus and finalize."""

@@ -24,6 +24,7 @@ The cache is generic over the manifest kind: any
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Callable
 from typing import Generic
 
 from ..hashing.digest import Digest
@@ -126,6 +127,31 @@ class ManifestCache(Generic[M]):
         self.hits += 1
         return manifest
 
+    def locate(
+        self, digest: Digest, hook_manifest: Callable[[Digest], Digest | None]
+    ) -> tuple[M, int] | None:
+        """The paper's Fig. 4 lookup chain: ``(manifest, entry index)`` or ``None``.
+
+        Cached manifests first (RAM); on a miss ``hook_manifest`` — the
+        one variation point: the Bloom-gated on-disk Hook query
+        (:meth:`Deduplicator._hook_manifest`) or SI-MHD's RAM index —
+        names the Manifest to load (the metered disk access), which may
+        since have lost the hash.
+        """
+        manifest = self.search(digest)
+        if manifest is not None:
+            idx = manifest.find(digest)
+            if idx is not None:
+                return manifest, idx
+        manifest_id = hook_manifest(digest)
+        if manifest_id is None:
+            return None
+        manifest = self.load(manifest_id)
+        idx = manifest.find(digest)
+        if idx is None:
+            return None  # hook points at a manifest that lost the hash
+        return manifest, idx
+
     def get(self, manifest_id: Digest) -> M | None:
         """RAM-only fetch by id (no disk fallback)."""
         m = self._cache.get(manifest_id)
@@ -166,6 +192,13 @@ class ManifestCache(Generic[M]):
         self._pinned.discard(manifest_id)
         if len(self._cache) > self._capacity:
             self._evict_to(self._capacity)
+
+    def discard(self, manifest_id: Digest) -> None:
+        """Forget a cached manifest without write-back, pinned or dirty
+        as it may be (the in-progress manifest of a failed ingest)."""
+        if self._cache.pop(manifest_id, None) is not None:
+            self._pinned.discard(manifest_id)
+            self._index_remove(manifest_id)
 
     def _evict_to(self, target: int) -> None:
         while len(self._cache) > target:

@@ -2,10 +2,12 @@
 
 The deduplication loop (paper Fig. 4) per incoming chunk:
 
-1. SHA-1 the chunk; search the manifest cache (hash tables in RAM).
+1. SHA-1 the chunk (:meth:`Deduplicator.ingest` digests each batch);
+   search the manifest cache (hash tables in RAM).
 2. On a cache miss, consult the Bloom filter; only if it says
    "probably seen" query the on-disk Hook store, and on a hook hit
-   load the pointed-to Manifest into the LRU cache.
+   load the pointed-to Manifest into the LRU cache.  Steps 1–2 are
+   :meth:`ManifestCache.locate`.
 3. A *non-duplicate* chunk is buffered (capacity ``2·SD`` chunks); when
    the buffer fills, the first ``SD`` chunks are flushed to the
    per-file DiskChunk and represented by two hashes via SHM
@@ -25,22 +27,14 @@ write-once, exactly as the paper requires.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
 
 from ..chunking import Chunk, Chunker, ChunkerConfig, VectorizedChunker
-from ..hashing import Digest, sha1_many, sha1_spans
+from ..hashing import Digest, sha1_spans
 from ..obs.metrics import COUNT_BUCKETS
-from ..storage import (
-    ContainerWriter,
-    FileManifest,
-    Manifest,
-    ManifestEntry,
-    StorageBackend,
-    file_object_ids,
-)
+from ..storage import Manifest, ManifestEntry, StorageBackend
 from ..storage.manifest import MHD_ENTRY_SIZE
 from ..workloads.machine import BackupFile
-from .base import Deduplicator
+from .base import Deduplicator, _FileObjects
 from .config import DedupConfig
 from .hhr import (
     Span,
@@ -66,7 +60,7 @@ class _Token:
     whole file, is MHD's memory footprint.
     """
 
-    __slots__ = ("digest", "data", "size", "container_id", "offset", "is_dup")
+    __slots__ = ("digest", "data", "size", "container_id", "offset")
 
     def __init__(self, digest: Digest, data: memoryview, size: int) -> None:
         self.digest = digest
@@ -74,7 +68,6 @@ class _Token:
         self.size = size
         self.container_id: Digest | None = None
         self.offset = -1
-        self.is_dup = False
 
     def view(self) -> memoryview:
         """The pending chunk bytes; only valid before :meth:`resolve`."""
@@ -83,36 +76,31 @@ class _Token:
             raise RuntimeError("token already resolved")
         return data
 
-    def resolve(self, container_id: Digest, offset: int, is_dup: bool) -> None:
+    def resolve(self, container_id: Digest, offset: int) -> None:
         if self.container_id is not None:
             raise RuntimeError("token resolved twice")
         self.container_id = container_id
         self.offset = offset
-        self.is_dup = is_dup
         self.data = None  # free the stream bytes
 
 
-@dataclass
-class _FileContext:
-    """Per-file ingest state."""
+class _FileContext(_FileObjects):
+    """Per-file ingest state: the file's store objects plus MHD's buffers."""
 
-    file_id: str
-    container_id: Digest
-    manifest: Manifest
-    fm: FileManifest
-    tokens: list[_Token] = field(default_factory=list)
-    buffer: list[_Token] = field(default_factory=list)  # unresolved tail
-    writer: ContainerWriter | None = None
-    # Stream chunks not yet consumed by the dedup loop (FME may need
-    # forward lookahead that crosses a batch boundary).
-    pending_chunks: list[Chunk] = field(default_factory=list)
-    pending_digests: list[Digest] = field(default_factory=list)
-    # Paused Forward Match Extension: (manifest, entry index) waiting
-    # for more stream data before its next decision is final.
-    fme: tuple[Manifest, int] | None = None
-    # Entries matched by the paused FME so far, so the telemetry
-    # histogram observes one figure per extension, not per resume.
-    fme_entries: int = 0
+    def __init__(self, dedup: MHDDeduplicator, file_id: str) -> None:
+        super().__init__(dedup, dedup.cache, file_id, MHD_ENTRY_SIZE)
+        self.tokens: list[_Token] = []
+        self.buffer: list[_Token] = []  # unresolved tail
+        # Stream chunks not yet consumed by the dedup loop (FME may need
+        # forward lookahead that crosses a batch boundary).
+        self.pending_chunks: list[Chunk] = []
+        self.pending_digests: list[Digest] = []
+        # Paused Forward Match Extension: (manifest, entry index) waiting
+        # for more stream data before its next decision is final.
+        self.fme: tuple[Manifest, int] | None = None
+        # Entries matched by the paused FME so far, so the telemetry
+        # histogram observes one figure per extension, not per resume.
+        self.fme_entries = 0
 
 
 class MHDDeduplicator(Deduplicator):
@@ -164,7 +152,6 @@ class MHDDeduplicator(Deduplicator):
         self.hhr_splits = 0
         self.hhr_reads = 0
         self._buffer_peak_bytes = 0
-        self._ctx: _FileContext | None = None
         # Digests of HHR-created edge entries; a later duplicate match
         # landing on one proves the EdgeHash prevented a re-read.
         self._edge_digests: set[Digest] = set()
@@ -174,33 +161,20 @@ class MHDDeduplicator(Deduplicator):
     # ------------------------------------------------------------------
 
     def _begin_file(self, file: BackupFile) -> None:
-        container_id, manifest_id = file_object_ids(file.file_id)
-        self._ctx = _FileContext(
-            file_id=file.file_id,
-            container_id=container_id,
-            manifest=Manifest(manifest_id, container_id, entry_size=MHD_ENTRY_SIZE),
-            fm=FileManifest(file.file_id),
-        )
-        self.cache.add(self._ctx.manifest, pin=True)
+        self._ctx = _FileContext(self, file.file_id)
 
     def _context(self) -> _FileContext:
         """The per-file context; only valid between the file hooks."""
         ctx = self._ctx
-        if ctx is None:
+        if not isinstance(ctx, _FileContext):
             raise RuntimeError("no file is being ingested")
         return ctx
 
-    def _ingest_chunks(self, batch: list[Chunk]) -> None:
+    def _ingest_chunks(self, batch: list[Chunk], digests: list[Digest]) -> None:
         ctx = self._context()
-        tel = self._telemetry
         ctx.pending_chunks.extend(batch)
-        with tel.span("hash", chunks=len(batch)):
-            # Batched digest call: the chunk views are zero-copy spans
-            # into the stream buffer, hashed without materialising any
-            # per-chunk bytes objects.
-            ctx.pending_digests.extend(sha1_many(c.data for c in batch))
-            self.cpu.hashed += sum(c.size for c in batch)
-        with tel.span("index"):
+        ctx.pending_digests.extend(digests)
+        with self._telemetry.span("index"):
             self._drain(ctx, eof=False)
 
     def _end_file(self) -> None:
@@ -208,17 +182,11 @@ class MHDDeduplicator(Deduplicator):
         self._drain(ctx, eof=True)
         while ctx.buffer:
             self._flush_group(ctx, min(self.config.sd, len(ctx.buffer)))
-        if ctx.writer is not None:
-            ctx.writer.close()
-        if ctx.manifest.entries:
-            self.manifests.put(ctx.manifest)
-        self.cache.unpin(ctx.manifest.manifest_id)
         self._emit_resolved(ctx)
         if ctx.tokens:
             raise AssertionError("unresolved token at end of file")
-        self.file_manifests.put(ctx.fm)
+        ctx.close()
         self._observe_ram(self.cache.ram_bytes() + self._buffer_peak_bytes)
-        self._ctx = None
 
     def _drain(self, ctx: _FileContext, eof: bool) -> None:
         """Run the dedup loop over the pending chunks.
@@ -228,6 +196,7 @@ class MHDDeduplicator(Deduplicator):
         decision is final and the pending list is fully consumed.
         """
         chunks, digests = ctx.pending_chunks, ctx.pending_digests
+        locate, hook_manifest = self.cache.locate, self._hook_manifest
         i = 0
         if ctx.fme is not None:
             manifest, j = ctx.fme
@@ -235,7 +204,7 @@ class MHDDeduplicator(Deduplicator):
             i = self._fme(manifest, j, chunks, digests, i, ctx, eof)
         while ctx.fme is None and i < len(chunks):
             chunk, digest = chunks[i], digests[i]
-            hit = self._lookup(digest)
+            hit = locate(digest, hook_manifest)
             if hit is None:
                 token = _Token(digest, chunk.data, chunk.size)
                 ctx.tokens.append(token)
@@ -257,7 +226,7 @@ class MHDDeduplicator(Deduplicator):
                 while ctx.buffer:
                     self._flush_group(ctx, min(self.config.sd, len(ctx.buffer)))
             hit_token = _Token(digest, chunk.data, chunk.size)
-            hit_token.resolve(manifest.chunk_id, entry.offset, is_dup=True)
+            hit_token.resolve(manifest.chunk_id, entry.offset)
             ctx.tokens.append(hit_token)
             i += 1
             i = self._fme(manifest, idx + 1, chunks, digests, i, ctx, eof)
@@ -284,28 +253,6 @@ class MHDDeduplicator(Deduplicator):
         del tokens[:k]
 
     # ------------------------------------------------------------------
-    # duplicate detection (Fig. 4 front half)
-    # ------------------------------------------------------------------
-
-    def _lookup(self, digest: Digest) -> tuple[Manifest, int] | None:
-        """Cache → Bloom → on-disk Hook → Manifest load."""
-        manifest = self.cache.search(digest)
-        if manifest is not None:
-            idx = manifest.find(digest)
-            if idx is not None:
-                return manifest, idx
-        if self.bloom is not None and digest not in self.bloom:
-            return None
-        manifest_id = self.hooks.lookup(digest)
-        if manifest_id is None:
-            return None  # Bloom false positive
-        manifest = self.cache.load(manifest_id)
-        idx = manifest.find(digest)
-        if idx is None:
-            return None  # hook points at a manifest that lost the hash
-        return manifest, idx
-
-    # ------------------------------------------------------------------
     # SHM flush
     # ------------------------------------------------------------------
 
@@ -313,14 +260,12 @@ class MHDDeduplicator(Deduplicator):
         group = ctx.buffer[:count]
         del ctx.buffer[:count]
         datas = [t.view() for t in group]  # resolve() drops t.data
-        writer = ctx.writer
-        if writer is None:
-            writer = ctx.writer = self.chunks.open_container(ctx.container_id)
+        writer = ctx.container()
         base = writer.size
         with self._telemetry.span("store", chunks=len(group)):
             for t, data in zip(group, datas, strict=True):
                 off = writer.append(data)
-                t.resolve(ctx.container_id, off, is_dup=False)
+                t.resolve(ctx.container_id, off)
         self.cpu.hashed += append_group(
             ctx.manifest,
             [t.digest for t in group],
@@ -367,7 +312,7 @@ class MHDDeduplicator(Deduplicator):
             if entry.digest == tail.digest:
                 self._note_edge_reuse(entry.digest)
                 ctx.buffer.pop()
-                tail.resolve(manifest.chunk_id, entry.offset, is_dup=True)
+                tail.resolve(manifest.chunk_id, entry.offset)
                 self._count_duplicate(tail.size, run_continues=True)
                 j -= 1
                 extended += 1
@@ -382,7 +327,7 @@ class MHDDeduplicator(Deduplicator):
                     del ctx.buffer[-k:]
                     pos = entry.offset
                     for t in span:
-                        t.resolve(manifest.chunk_id, pos, is_dup=True)
+                        t.resolve(manifest.chunk_id, pos)
                         pos += t.size
                         self._count_duplicate(t.size, run_continues=True)
                     j -= 1
@@ -435,7 +380,7 @@ class MHDDeduplicator(Deduplicator):
             if entry.digest == digests[i]:
                 self._note_edge_reuse(entry.digest)
                 token = _Token(digests[i], chunks[i].data, chunks[i].size)
-                token.resolve(manifest.chunk_id, entry.offset, is_dup=True)
+                token.resolve(manifest.chunk_id, entry.offset)
                 ctx.tokens.append(token)
                 self._count_duplicate(chunks[i].size, run_continues=True)
                 avail -= chunks[i].size
@@ -453,7 +398,7 @@ class MHDDeduplicator(Deduplicator):
                     pos = entry.offset
                     for m_k, c in enumerate(span):
                         token = _Token(digests[i + m_k], c.data, c.size)
-                        token.resolve(manifest.chunk_id, pos, is_dup=True)
+                        token.resolve(manifest.chunk_id, pos)
                         ctx.tokens.append(token)
                         pos += c.size
                         self._count_duplicate(c.size, run_continues=True)
@@ -499,7 +444,7 @@ class MHDDeduplicator(Deduplicator):
         for _ in range(matched):
             t = ctx.buffer.pop()
             pos -= t.size
-            t.resolve(manifest.chunk_id, pos, is_dup=True)
+            t.resolve(manifest.chunk_id, pos)
             self._count_duplicate(t.size, run_continues=True)
         return shift
 
@@ -539,7 +484,7 @@ class MHDDeduplicator(Deduplicator):
         pos = entry.offset
         for k in range(matched):
             token = _Token(digests[i + k], chunks[i + k].data, chunks[i + k].size)
-            token.resolve(manifest.chunk_id, pos, is_dup=True)
+            token.resolve(manifest.chunk_id, pos)
             ctx.tokens.append(token)
             pos += chunks[i + k].size
             self._count_duplicate(chunks[i + k].size, run_continues=True)

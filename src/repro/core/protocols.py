@@ -44,7 +44,7 @@ class IngestObserver(Protocol):
 
         begin_file(file)
         _begin_file(file)
-        [observe_batch(nbytes, nchunks); _ingest_chunks(batch)]*
+        [observe_batch(nbytes, nchunks); _ingest_chunks(batch, digests)]*
         _end_file()
         end_file(file)
 
@@ -94,6 +94,10 @@ class CacheableManifest(Protocol):
     @property
     def index(self) -> Mapping[Digest, Any]:
         """Digest -> position(s); the cache aggregates the key sets."""
+        ...
+
+    def find(self, digest: Digest) -> int | None:
+        """Index of an entry with ``digest``, or ``None``."""
         ...
 
     def ram_size(self) -> int:

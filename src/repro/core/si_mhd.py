@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Any
 
 from ..hashing import Digest
-from ..storage import DiskModel, Manifest, StorageBackend
+from ..storage import DiskModel, StorageBackend
 from .base import DedupStats
 from .config import DedupConfig
 from .mhd import MHDDeduplicator, _FileContext
@@ -67,20 +67,8 @@ class SIMHDDeduplicator(MHDDeduplicator):
             self._hook_index.setdefault(digest, self.hooks.get(digest))
         return len(hooks)
 
-    def _lookup(self, digest: Digest) -> tuple[Manifest, int] | None:
-        manifest = self.cache.search(digest)
-        if manifest is not None:
-            idx = manifest.find(digest)
-            if idx is not None:
-                return manifest, idx
-        manifest_id = self._hook_index.get(digest)
-        if manifest_id is None:
-            return None  # exact answer: no disk access at all
-        manifest = self.cache.load(manifest_id)
-        idx = manifest.find(digest)
-        if idx is None:
-            return None
-        return manifest, idx
+    def _hook_manifest(self, digest: Digest) -> Digest | None:
+        return self._hook_index.get(digest)  # exact answer: no disk access
 
     def _flush_group(self, ctx: _FileContext, count: int) -> None:
         # Reuse the BF-MHD flush (which persists the group-leader hook

@@ -84,6 +84,12 @@ class DiskChunkStore:
         self._open[container_id] = writer
         return writer
 
+    def discard_open(self) -> None:
+        """Forget every open container unwritten (a failed ingest's)."""
+        for writer in self._open.values():
+            writer._closed = True
+        self._open.clear()
+
     def _finalize(self, writer: ContainerWriter) -> None:
         data = bytes(writer._buf)
         if data:  # empty containers (fully-duplicate files) occupy nothing

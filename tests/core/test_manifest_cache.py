@@ -263,3 +263,79 @@ class TestUnpinShrinkBack:
         cache.add(make_manifest("b", ("q",)))
         cache.unpin(a.manifest_id)
         assert len(cache) == 2
+
+
+class TestLocate:
+    """``locate`` is the paper's Fig. 4 chain; its three outcomes."""
+
+    @staticmethod
+    def _dedup(**kw):
+        from repro.core import DedupConfig, MHDDeduplicator
+
+        return MHDDeduplicator(DedupConfig(ecs=512, sd=4, cache_manifests=2, **kw))
+
+    def test_cache_hit_never_asks_the_hook_source(self, cache):
+        m = make_manifest("a", digests=("p", "q"))
+        cache.add(m)
+
+        def hook_source(digest):
+            raise AssertionError("hook source consulted on a cache hit")
+
+        assert cache.locate(sha1(b"q"), hook_source) == (m, 1)
+        assert (cache.hits, cache.loads) == (1, 0)
+
+    def test_bloom_negative_costs_no_hook_io(self):
+        d = self._dedup(bloom_bytes=1 << 16)
+        d.hooks.put(sha1(b"on disk"), sha1(b"m"))  # never added to the Bloom
+        assert d.cache.locate(sha1(b"on disk"), d._hook_manifest) is None
+        assert d.meter.count(DiskModel.HOOK, "query") == 0
+        assert d.meter.count(DiskModel.HOOK, "read") == 0
+        assert d.cache.loads == 0
+
+    def test_bloom_false_positive_pays_one_query(self):
+        d = self._dedup(bloom_bytes=1 << 16)
+        d.bloom.add(sha1(b"ghost"))
+        assert d.cache.locate(sha1(b"ghost"), d._hook_manifest) is None
+        assert d.meter.count(DiskModel.HOOK, "query") == 1
+        assert d.meter.count(DiskModel.HOOK, "read") == 0
+
+    def test_hook_hit_loads_the_manifest(self):
+        d = self._dedup(bloom_bytes=1 << 16)
+        m = make_manifest("a", digests=("p", "q"))
+        d.manifests.put(m)
+        d.hooks.put(sha1(b"q"), m.manifest_id)
+        d.bloom.add(sha1(b"q"))
+        found, idx = d.cache.locate(sha1(b"q"), d._hook_manifest)
+        assert (found.manifest_id, idx) == (m.manifest_id, 1)
+        assert (d.cache.hits, d.cache.loads) == (0, 1)
+        # second time round it is a RAM hit
+        assert d.cache.locate(sha1(b"q"), d._hook_manifest) == (found, 1)
+        assert (d.cache.hits, d.cache.loads) == (1, 1)
+
+    def test_hook_hit_on_a_manifest_that_lost_the_hash(self):
+        d = self._dedup(bloom_bytes=1 << 16)
+        m = make_manifest("a", digests=("p",))  # HHR split "q" away
+        d.manifests.put(m)
+        d.hooks.put(sha1(b"q"), m.manifest_id)
+        d.bloom.add(sha1(b"q"))
+        assert d.cache.locate(sha1(b"q"), d._hook_manifest) is None
+        assert d.cache.loads == 1  # the load was paid for
+        assert m.manifest_id in d.cache
+
+
+class TestDiscard:
+    def test_discard_forgets_a_pinned_dirty_manifest_unwritten(self, cache, store):
+        a = make_manifest("a", ("p",))
+        a.dirty = True
+        cache.add(a, pin=True)
+        cache.discard(a.manifest_id)
+        assert a.manifest_id not in cache
+        assert not cache._pinned
+        assert cache.search(sha1(b"p")) is None
+        assert not store.exists(a.manifest_id)
+        assert cache.writebacks == 0
+        cache.add(make_manifest("a", ("p",)))  # the id is free again
+
+    def test_discard_of_an_absent_manifest_is_a_noop(self, cache):
+        cache.discard(sha1(b"never cached"))
+        assert len(cache) == 0

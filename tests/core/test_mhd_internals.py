@@ -19,14 +19,14 @@ def rand(n, seed):
 class TestToken:
     def test_resolve_once(self):
         t = _Token(sha1(b"x"), memoryview(b"abcd"), 4)
-        t.resolve(sha1(b"c"), 10, is_dup=True)
-        assert (t.container_id, t.offset, t.is_dup) == (sha1(b"c"), 10, True)
+        t.resolve(sha1(b"c"), 10)
+        assert (t.container_id, t.offset) == (sha1(b"c"), 10)
 
     def test_double_resolve_rejected(self):
         t = _Token(sha1(b"x"), memoryview(b"abcd"), 4)
-        t.resolve(sha1(b"c"), 10, is_dup=False)
+        t.resolve(sha1(b"c"), 10)
         with pytest.raises(RuntimeError):
-            t.resolve(sha1(b"c"), 20, is_dup=True)
+            t.resolve(sha1(b"c"), 20)
 
 
 class TestBloomFalsePositives:

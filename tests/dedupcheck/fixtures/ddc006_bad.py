@@ -2,7 +2,7 @@
 
 
 class Dedup:
-    def _ingest_chunks(self, batch):
+    def _ingest_chunks(self, batch, digests):
         for chunk in batch:
             self._duplicate_chunks += 1
             self._duplicate_bytes += chunk.size

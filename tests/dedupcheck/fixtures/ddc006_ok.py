@@ -2,6 +2,6 @@
 
 
 class Dedup:
-    def _ingest_chunks(self, batch):
+    def _ingest_chunks(self, batch, digests):
         for chunk in batch:
             self._count_duplicate(chunk.size, run_continues=True)

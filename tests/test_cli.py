@@ -281,9 +281,12 @@ class TestTelemetry:
 
         spans, metrics = load_trace(trace)
         summary = summarize(spans)
-        assert {"run", "file", "chunk", "hash", "index", "store"} <= {
-            r.name for r in summary.rows
-        }
+        assert {
+            "run", "file", "chunk", "dedup", "hash", "index", "store", "end_file"
+        } <= {r.name for r in summary.rows}
+        # The hash stage belongs to Deduplicator.ingest, inside `dedup`.
+        names = {ev.span_id: ev.name for ev in spans}
+        assert {names[ev.parent] for ev in spans if ev.name == "hash"} == {"dedup"}
         # Per-stage self-times account for the whole run within 5%.
         assert summary.coverage == pytest.approx(1.0, abs=0.05)
         assert metrics["ingest.files"] > 0
