@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import ManifestCache
+from repro.core import DedupConfig, ManifestCache, MHDDeduplicator
 from repro.hashing import sha1
 from repro.storage import DiskModel, Manifest, ManifestEntry, ManifestStore, MemoryBackend
 
@@ -270,8 +270,6 @@ class TestLocate:
 
     @staticmethod
     def _dedup(**kw):
-        from repro.core import DedupConfig, MHDDeduplicator
-
         return MHDDeduplicator(DedupConfig(ecs=512, sd=4, cache_manifests=2, **kw))
 
     def test_cache_hit_never_asks_the_hook_source(self, cache):
