@@ -79,3 +79,81 @@ class TestSelection:
         # every chunk except possibly the final one obeys max_size
         assert np.all(sizes[:-1] <= max_size)
         assert sizes[-1] <= max_size
+
+
+def _oracle_select(candidates, n, min_size, max_size):
+    """The ``searchsorted``-per-chunk selector this module shipped with,
+    kept as the executable spec for any faster walk over the candidates."""
+    if n == 0:
+        return []
+    out = []
+    start = 0
+    num = len(candidates)
+    while n - start > max_size:
+        k = int(np.searchsorted(candidates, start + min_size, side="left"))
+        hi = start + max_size
+        cut = int(candidates[k]) if k < num and candidates[k] <= hi else hi
+        out.append(cut)
+        start = cut
+    while n - start > min_size:
+        k = int(np.searchsorted(candidates, start + min_size, side="left"))
+        if k < num and candidates[k] < n:
+            start = int(candidates[k])
+            out.append(start)
+        else:
+            break
+    out.append(n)
+    return out
+
+
+class TestSelectionMatchesSearchsortedOracle:
+    @given(
+        cands=st.lists(st.integers(1, 3000), max_size=200, unique=True).map(sorted),
+        n=st.integers(0, 3000),
+        min_size=st.integers(1, 64),
+        extra=st.integers(0, 200),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_sorted_candidates(self, cands, n, min_size, extra):
+        arr = np.asarray([c for c in cands if c <= n], dtype=np.int64)
+        max_size = min_size + extra
+        got = select_cut_points(arr, n, min_size, max_size)
+        assert got.dtype == np.int64
+        assert list(got) == _oracle_select(arr, n, min_size, max_size)
+
+    @given(
+        n=st.integers(1, 400),
+        min_size=st.integers(1, 20),
+        extra=st.integers(0, 20),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_every_position_a_candidate(self, n, min_size, extra):
+        arr = np.arange(1, n + 1, dtype=np.int64)
+        max_size = min_size + extra
+        assert list(select_cut_points(arr, n, min_size, max_size)) == _oracle_select(
+            arr, n, min_size, max_size
+        )
+
+    def test_min_equals_max(self):
+        arr = np.asarray([3, 10, 11, 20, 29], dtype=np.int64)
+        assert list(select_cut_points(arr, 35, 10, 10)) == _oracle_select(arr, 35, 10, 10)
+
+    def test_edges_and_tail_rule(self):
+        # candidates exactly at start+min, start+max, n-1 and n; tails of
+        # exactly min_size and min_size+1; input shorter than min_size.
+        cases = [
+            ([10, 60, 110], 120, 10, 50),
+            ([50, 100, 119, 120], 120, 10, 50),
+            ([50, 59], 60, 10, 50),
+            ([50, 60], 61, 10, 50),
+            ([5], 9, 10, 50),
+            ([], 10, 10, 50),
+            ([], 11, 10, 50),
+            ([11], 11, 10, 50),
+            ([10], 11, 10, 50),
+        ]
+        for cands, n, lo, hi in cases:
+            arr = np.asarray(cands, dtype=np.int64)
+            assert list(select_cut_points(arr, n, lo, hi)) == _oracle_select(
+                arr, n, lo, hi
+            ), (cands, n, lo, hi)

@@ -1,5 +1,6 @@
 """Unit and property tests for the Bloom filter."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,3 +109,112 @@ def test_for_expected_items_zero_items():
     bf = BloomFilter.for_expected_items(0)
     assert bf.size_bytes >= 8
     assert sha1(b"x") not in bf
+
+
+# ---- uint64 oracle -------------------------------------------------------
+# The NumPy ``uint64`` double-hashing formula the filter shipped with,
+# kept here as the executable spec for the probe positions: false-positive
+# patterns, and with them every metered Hook lookup in the paper-figure
+# benches, depend on these exact positions.
+
+
+def _oracle_positions(digest, k, num_bits):
+    h1 = int.from_bytes(digest[0:8], "little")
+    h2 = int.from_bytes(digest[8:16], "little") | 1
+    with np.errstate(over="ignore"):
+        idx = np.uint64(h1) + np.arange(k, dtype=np.uint64) * np.uint64(h2)
+    return (idx % np.uint64(num_bits)).astype(np.int64)
+
+
+class _OracleBloom:
+    """Bit array + counters driven by :func:`_oracle_positions`."""
+
+    def __init__(self, size_bytes, k):
+        self.bits = np.zeros(size_bytes, dtype=np.uint8)
+        self.k = k
+        self.queries = self.positives = 0
+
+    def _split(self, digest):
+        pos = _oracle_positions(digest, self.k, self.bits.size * 8)
+        return pos >> 3, np.left_shift(np.uint8(1), (pos & 7).astype(np.uint8))
+
+    def add(self, digest):
+        byte, mask = self._split(digest)
+        np.bitwise_or.at(self.bits, byte, mask)
+
+    def __contains__(self, digest):
+        byte, mask = self._split(digest)
+        hit = bool(np.all(self.bits[byte] & mask))
+        self.queries += 1
+        self.positives += hit
+        return hit
+
+
+def _filter_bytes(bf):
+    # Whatever holds the bits (ndarray or bytearray), compare as bytes.
+    return bytes(bf._bits)
+
+
+#: Digests whose ``h1 + i*h2`` wraps past 2**64 within the first few
+#: probes, next to plain random ones.
+_digests = st.one_of(
+    st.binary(min_size=20, max_size=20),
+    st.builds(
+        lambda lo, tail: b"\xff" * 7 + bytes([0xF0 | lo]) + b"\xff" * 8 + tail,
+        st.integers(0, 15),
+        st.binary(min_size=4, max_size=4),
+    ),
+)
+#: 8·size_bytes is a power of two only when size_bytes is; most of these are not.
+_sizes = st.sampled_from([1, 3, 8, 13, 64, 100, 257, 1024, 4099])
+
+
+@given(digest=_digests, size_bytes=_sizes, k=st.integers(1, 16))
+@settings(max_examples=200, deadline=None)
+def test_positions_match_uint64_oracle(digest, size_bytes, k):
+    bf = BloomFilter(size_bytes, num_hashes=k)
+    assert list(bf._positions(digest)) == list(
+        _oracle_positions(digest, k, size_bytes * 8)
+    )
+
+
+def test_positions_overflow_case_really_overflows():
+    digest = b"\xff" * 16 + b"\0\0\0\0"
+    h1 = int.from_bytes(digest[:8], "little")
+    h2 = int.from_bytes(digest[8:16], "little") | 1
+    assert h1 + h2 >= 1 << 64  # unbounded ints would diverge from uint64 here
+    bf = BloomFilter(13, num_hashes=7)
+    assert list(bf._positions(digest)) == list(_oracle_positions(digest, 7, 104))
+
+
+@given(
+    digests=st.lists(_digests, min_size=1, max_size=60),
+    size_bytes=_sizes,
+    k=st.integers(1, 16),
+)
+@settings(max_examples=100, deadline=None)
+def test_bit_array_after_adds_matches_oracle(digests, size_bytes, k):
+    bf, oracle = BloomFilter(size_bytes, num_hashes=k), _OracleBloom(size_bytes, k)
+    for d in digests:
+        bf.add(d)
+        oracle.add(d)
+    assert _filter_bytes(bf) == oracle.bits.tobytes()
+    assert bf.stats.adds == len(digests)
+
+
+@given(
+    ops=st.lists(st.tuples(st.booleans(), _digests), min_size=1, max_size=80),
+    size_bytes=_sizes,
+    k=st.integers(1, 16),
+)
+@settings(max_examples=100, deadline=None)
+def test_mixed_add_probe_sequence_matches_oracle(ops, size_bytes, k):
+    bf, oracle = BloomFilter(size_bytes, num_hashes=k), _OracleBloom(size_bytes, k)
+    for is_add, d in ops:
+        if is_add:
+            bf.add(d)
+            oracle.add(d)
+        else:
+            assert (d in bf) == (d in oracle)
+    assert (bf.stats.queries, bf.stats.positives) == (oracle.queries, oracle.positives)
+    assert _filter_bytes(bf) == oracle.bits.tobytes()
