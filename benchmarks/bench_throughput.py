@@ -12,14 +12,19 @@ plus the digest primitives feeding the ingest hooks:
 * **hashing** — per-chunk ``sha1`` loop, batched ``sha1_many``,
   ``blake2b20_many`` and the duplicate-memoising ``StagedHasher``
   (which machine wins sha1-vs-blake2 depends on SHA-NI; the numbers
-  record the truth for this host rather than assuming either way).
+  record the truth for this host rather than assuming either way),
+* **bloom** — ``BloomFilter.add`` and the membership probe on digests
+  that are absent (the answer for new data: stops at the first clear
+  bit) and present (all k positions), at the e2e benchmark's setting
+  (1 MiB, k=7), in µs per op and ops/s.
 
 Scalar throughput is measured on a smaller slice of the same buffer
 (byte-at-a-time Python over many MiB would dominate the suite) — the
 reported MB/s is still a genuine measurement, just over fewer bytes.
 
-Emits ``BENCH_throughput.json`` whose ``throughput_mb_s`` leaves are
-picked up by ``tools/bench_regress.py`` against the committed baseline.
+Emits ``BENCH_throughput.json`` whose ``throughput_mb_s`` and ``ops_s``
+leaves are picked up by ``tools/bench_regress.py`` against the
+committed baseline.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from repro.chunking import (
     ReferenceChunker,
     VectorizedChunker,
 )
-from repro.hashing import StagedHasher, blake2b20_many, sha1, sha1_many
+from repro.hashing import BloomFilter, StagedHasher, blake2b20_many, sha1, sha1_many
 
 #: Buffer sizes per scale: (batched bytes, scalar slice bytes).
 _SIZES = {
@@ -50,6 +55,11 @@ BATCHED_BYTES, SCALAR_BYTES = _SIZES.get(SCALE, _SIZES["small"])
 
 WINDOWS = [16, 48]
 
+#: The e2e benchmark's filter (``DEDUP_CONFIG`` in benchmarks/e2e).
+BLOOM_BYTES, BLOOM_HASHES = 1 << 20, 7
+#: Digests per bloom pass (as many again are probed as absent).
+BLOOM_OPS = 20_000
+
 _MB = 1 << 20
 
 
@@ -60,14 +70,53 @@ def _buffer(n: int, seed: int = 42) -> bytes:
     return (span + span[: n // 8] + span + span[: n // 8])[:n] or b"\0" * n
 
 
-def _mb_s(nbytes: int, fn, *, min_repeats: int = 1) -> float:
-    """Wall-clock megabytes per second of ``fn()`` over ``nbytes``."""
+def _best_seconds(fn, min_repeats: int = 1) -> float:
+    """Fastest wall-clock run of ``fn()`` over ``min_repeats`` tries."""
     best = float("inf")
     for _ in range(min_repeats):
         t0 = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - t0)
-    return nbytes / _MB / max(best, 1e-9)
+    return max(best, 1e-9)
+
+
+def _mb_s(nbytes: int, fn, *, min_repeats: int = 1) -> float:
+    """Wall-clock megabytes per second of ``fn()`` over ``nbytes``."""
+    return nbytes / _MB / _best_seconds(fn, min_repeats)
+
+
+def _bloom_section() -> dict:
+    """``add`` / absent probe / present probe cost of one filter."""
+    digests = [sha1(i.to_bytes(4, "little")) for i in range(2 * BLOOM_OPS)]
+    present, absent = digests[:BLOOM_OPS], digests[BLOOM_OPS:]
+    bloom = BloomFilter(BLOOM_BYTES, BLOOM_HASHES)
+
+    def add_all() -> None:
+        for d in present:
+            bloom.add(d)
+
+    def probe(batch) -> int:
+        return sum(1 for d in batch if d in bloom)
+
+    # ``add`` runs first so the probes see a loaded filter; its repeats
+    # set bits that are already set, which costs the same.
+    timed = {
+        "add": add_all,
+        "contains_negative": lambda: probe(absent),
+        "contains_positive": lambda: probe(present),
+    }
+    section: dict = {"size_bytes": BLOOM_BYTES, "num_hashes": BLOOM_HASHES}
+    for name, fn in timed.items():
+        seconds = _best_seconds(fn, min_repeats=3)
+        section[name] = {
+            "ops": BLOOM_OPS,
+            "us_per_op": round(seconds / BLOOM_OPS * 1e6, 3),
+            "ops_s": round(BLOOM_OPS / seconds),
+        }
+    assert probe(present) == BLOOM_OPS, "bloom filter lost a digest it was given"
+    # k=7 at under 2 % load: a false positive among the absent is ~1e-12 each.
+    assert probe(absent) == 0, "absent digests must take the early exit"
+    return section
 
 
 def _chunker_pairs(window: int):
@@ -134,6 +183,7 @@ def measurements():
             mode: {"bytes": nbytes, "throughput_mb_s": round(v, 3)}
             for mode, v in hashing.items()
         },
+        "bloom": _bloom_section(),
         "staged_probe_hits": staged.probe_hits,
         "staged_unique": staged.unique_seen,
         "chunk_count": len(views),
@@ -171,6 +221,15 @@ def test_throughput_report(benchmark, measurements):
                     f"({measurements['chunk_count']} chunks, staged memo hits: "
                     f"{measurements['staged_probe_hits']})"
                 ),
+            ),
+            format_table(
+                ["op", "us/op", "ops/s"],
+                [
+                    [op, f"{rec['us_per_op']:.2f}", f"{rec['ops_s']:.0f}"]
+                    for op, rec in measurements["bloom"].items()
+                    if isinstance(rec, dict)
+                ],
+                title=f"bloom filter ({BLOOM_BYTES >> 10} KiB, k={BLOOM_HASHES})",
             ),
         ]
         return "\n\n".join(parts)

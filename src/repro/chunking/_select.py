@@ -63,29 +63,29 @@ def select_cut_points(
     """
     if n == 0:
         return np.empty(0, dtype=np.int64)
+    # One forward walk over plain ints: chunk starts only move right,
+    # so the first candidate >= start + min_size is never behind ``k``.
+    cands: list[int] = candidates.tolist()
+    num = len(cands)
     cuts: list[int] = []
     start = 0
-    k = 0  # index into candidates
-    num = len(candidates)
+    k = 0  # index of the first candidate not yet ruled out
     while n - start > max_size:
         lo = start + min_size
         hi = start + max_size
-        k = int(np.searchsorted(candidates, lo, side="left"))
-        if k < num and candidates[k] <= hi:
-            cut = int(candidates[k])
-        else:
-            cut = hi
-        cuts.append(cut)
-        start = cut
+        while k < num and cands[k] < lo:
+            k += 1
+        start = cands[k] if k < num and cands[k] <= hi else hi
+        cuts.append(start)
     # Tail: shorter than max_size.  A candidate may still split it,
     # provided both resulting pieces respect min_size where possible.
     while n - start > min_size:
         lo = start + min_size
-        k = int(np.searchsorted(candidates, lo, side="left"))
-        if k < num and candidates[k] < n:
-            cut = int(candidates[k])
-            cuts.append(cut)
-            start = cut
+        while k < num and cands[k] < lo:
+            k += 1
+        if k < num and cands[k] < n:
+            start = cands[k]
+            cuts.append(start)
         else:
             break
     cuts.append(n)

@@ -169,8 +169,7 @@ def chunks_from_cut_points(data: Buffer, cuts: npt.NDArray[np.int64]) -> list[Ch
     view = memoryview(data)
     out: list[Chunk] = []
     start = 0
-    for raw_end in cuts:
-        end = int(raw_end)
+    for end in cuts.tolist():
         out.append(Chunk(offset=start, size=end - start, data=view[start:end]))
         start = end
     return out
@@ -300,7 +299,7 @@ class Chunker(ABC):
                     # the append-time sample below ever seeing it.
                     if stats is not None and len(buf) > stats.peak_buffer_bytes:
                         stats.peak_buffer_bytes = len(buf)
-                    cuts = [int(c) for c in self._cut_points_ctx(buf, hist)]
+                    cuts: list[int] = self._cut_points_ctx(buf, hist).tolist()
                     tail = _emit_batch(buf, hist, cuts, pos)
                     if stats is not None and stats.size_hist is not None:
                         stats.size_hist.observe_many(c.size for c in tail)
@@ -321,8 +320,7 @@ class Chunker(ABC):
                 continue
             emit: list[int] = []
             last = hist
-            for raw_cut in self._cut_points_ctx(buf, hist):
-                cut = int(raw_cut)
+            for cut in self._cut_points_ctx(buf, hist).tolist():
                 if last + holdback > len(buf):
                     break
                 emit.append(cut)

@@ -21,13 +21,21 @@ arrays wrap modulo ``2^64`` exactly as the maths requires.  Then
 
 .. math:: H(p) = M^p\\,(Q(p) - Q(p-w))
 
-which is four vectorised passes: two ``cumprod`` (powers of ``M`` and
-``M^{-1}``), one ``cumsum``, one elementwise combine.
+The two power sequences depend only on ``M`` and are cached, so a
+block costs five elementwise ``uint64`` passes: widen-and-multiply,
+``cumsum``, window difference, multiply by ``M^p``, compare.  The cut
+test is ``H(p) * C < 2^64 / ECS`` for the odd finaliser ``C``; since
+``(M^p d) C = (M^p C) d`` modulo ``2^64`` the cached table holds
+``M^p C`` and the finaliser costs no pass of its own.
 
-Inputs are processed in overlapping blocks (default 2 MiB) so peak
-memory stays bounded at roughly ``5 × 8 ×`` block size regardless of
-input length; the hash only depends on window *content*, so per-block
-candidate positions are globally exact.
+Inputs are processed in overlapping blocks (default 128 Ki positions)
+whose work arrays stay cache-resident — the same reason
+:mod:`repro.chunking.gear` blocks its kernel — so the passes run at
+cache speed instead of streaming five 8–16 MiB temporaries through
+DRAM.  Peak memory is ``4 × 8 ×`` block size (two scratch arrays per
+call, two shared tables; ~4 MiB) regardless of input length; the hash
+only depends on window *content*, so per-block candidate positions are
+globally exact.
 """
 
 from __future__ import annotations
@@ -63,33 +71,35 @@ def _modinv_pow2(a: int) -> int:
     return x
 
 
-#: Process-wide power-table cache keyed by the rolling-hash multiplier.
-#: The tables depend only on ``M`` (``Minv`` is derived from it), so
-#: the key is complete: chunkers sharing a multiplier — FastCDC's
-#: strict/loose pair, every default-seed chunker of a fleet — share one
-#: pair of tables, while differently-seeded configs get distinct
-#: entries and can never poison each other's hashes.  Entries only ever
-#: grow and cached arrays are never mutated in place, so concurrent
-#: readers (service fleet threads) always observe a consistent table;
-#: the worst race is two threads computing the same entry and one
-#: overwriting the other with identical values.
-_POWER_TABLES: dict[int, tuple[npt.NDArray[np.uint64], npt.NDArray[np.uint64]]] = {}
+#: Process-wide power-table cache keyed by the rolling-hash constants
+#: ``(M, C)``: ``(Minv^(j+1))_j`` and ``(M^p C)_p`` (``Minv`` is derived
+#: from ``M``), so the key is complete: chunkers sharing a seed —
+#: FastCDC's strict/loose pair, every default-seed chunker of a fleet —
+#: share one pair of tables, while differently-seeded configs get
+#: distinct entries and can never poison each other's hashes.  Entries
+#: only ever grow and cached arrays are never mutated in place, so
+#: concurrent readers (service fleet threads) always observe a
+#: consistent table; the worst race is two threads computing the same
+#: entry and one overwriting the other with identical values.
+_POWER_TABLES: dict[
+    tuple[int, int], tuple[npt.NDArray[np.uint64], npt.NDArray[np.uint64]]
+] = {}
 
 
 def _shared_power_tables(
-    mult: np.uint64, minv: np.uint64, m: int
+    mult: int, final: int, m: int
 ) -> tuple[npt.NDArray[np.uint64], npt.NDArray[np.uint64]]:
-    """``(Minv^(j+1))_{j<m}`` and ``(M^p)_{p<=m}``, cached per multiplier."""
-    cached = _POWER_TABLES.get(int(mult))
+    """``(Minv^(j+1))_{j<m}`` and ``(M^p C)_{p<=m}``, cached per ``(M, C)``."""
+    cached = _POWER_TABLES.get((mult, final))
     if cached is None or len(cached[0]) < m:
         with np.errstate(over="ignore"):
-            pow_minv = np.full(m, minv, dtype=np.uint64)
+            pow_minv = np.full(m, _modinv_pow2(mult), dtype=np.uint64)
             np.cumprod(pow_minv, out=pow_minv)
-            pow_m = np.full(m + 1, mult, dtype=np.uint64)
-            pow_m[0] = 1
-            np.cumprod(pow_m, out=pow_m)
-        cached = (pow_minv, pow_m)
-        _POWER_TABLES[int(mult)] = cached
+            pow_mf = np.full(m + 1, mult, dtype=np.uint64)
+            pow_mf[0] = final
+            np.cumprod(pow_mf, out=pow_mf)
+        cached = (pow_minv, pow_mf)
+        _POWER_TABLES[(mult, final)] = cached
     return cached
 
 
@@ -99,35 +109,32 @@ class VectorizedChunker(Chunker):
     def __init__(
         self,
         config: ChunkerConfig | None = None,
-        block_size: int = 2 << 20,
+        block_size: int = 1 << 17,
     ) -> None:
         self.config = config or ChunkerConfig()
         if block_size <= self.config.window:
             raise ValueError("block_size must exceed the hash window")
         self._block = block_size
-        mult, final = hash_params(self.config.seed)
-        self._mult = np.uint64(mult)
-        self._minv = np.uint64(_modinv_pow2(mult))
-        self._final = np.uint64(final)
+        self._mult, self._final = hash_params(self.config.seed)
         self._threshold = np.uint64(min(self.config.hash_threshold, (1 << 64) - 1))
         # Power tables are identical for every block of the same length
-        # and depend only on the multiplier, so they live in the
-        # process-wide ``_POWER_TABLES`` cache keyed by ``M`` (saves two
-        # cumprod passes per block — the profiled hot spots — and shares
-        # work across same-seed chunkers).  Instance mirrors keep the
-        # arrays alive and let tests observe reuse.
+        # and depend only on the hash constants, so they live in the
+        # process-wide ``_POWER_TABLES`` cache (saves two cumprod passes
+        # per block and shares work across same-seed chunkers).
+        # Instance mirrors keep the arrays alive and let tests observe
+        # reuse.
         self._pow_minv: npt.NDArray[np.uint64] | None = None
-        self._pow_m: npt.NDArray[np.uint64] | None = None
+        self._pow_mf: npt.NDArray[np.uint64] | None = None
 
     def _power_tables(
         self, m: int
     ) -> tuple[npt.NDArray[np.uint64], npt.NDArray[np.uint64]]:
-        """Cached ``(Minv^(j+1))_{j<m}`` and ``(M^p)_{p<=m}`` tables."""
-        pow_minv, pow_m = self._pow_minv, self._pow_m
-        if pow_minv is None or pow_m is None or len(pow_minv) < m:
-            pow_minv, pow_m = _shared_power_tables(self._mult, self._minv, m)
-            self._pow_minv, self._pow_m = pow_minv, pow_m
-        return pow_minv[:m], pow_m[: m + 1]
+        """Cached ``(Minv^(j+1))_{j<m}`` and ``(M^p C)_{p<=m}`` tables."""
+        pow_minv, pow_mf = self._pow_minv, self._pow_mf
+        if pow_minv is None or pow_mf is None or len(pow_minv) < m:
+            pow_minv, pow_mf = _shared_power_tables(self._mult, self._final, m)
+            self._pow_minv, self._pow_mf = pow_minv, pow_mf
+        return pow_minv, pow_mf
 
     def candidates(self, data: Buffer) -> npt.NDArray[np.int64]:
         """Sorted positions satisfying the cut condition (global indices)."""
@@ -136,8 +143,17 @@ class VectorizedChunker(Chunker):
         if n < w:
             return np.empty(0, dtype=np.int64)
         raw = np.frombuffer(data, dtype=np.uint8)
+        # A block covering positions (lo, hi] needs bytes [lo-w, hi), so
+        # no block is longer than this; tables and scratch are sized
+        # once and every block works in slices of them.
+        span = min(n, self._block + w - 1)
+        pow_minv, pow_mf = self._power_tables(span)
+        q = np.empty(span + 1, dtype=np.uint64)
+        q[0] = 0  # Q(0); blocks only ever write q[1:]
+        h = np.empty(span + 1 - w, dtype=np.uint64)
+        cond = np.empty(span + 1 - w, dtype=np.bool_)
+        threshold = self._threshold
         pieces: list[npt.NDArray[np.int64]] = []
-        # Block covering positions (p) in (lo, hi]; needs bytes [lo-w, hi).
         lo = 0
         with np.errstate(over="ignore"):
             while lo < n:
@@ -147,40 +163,24 @@ class VectorizedChunker(Chunker):
                 if p_first > hi:
                     break
                 byte_start = p_first - w
-                # The uint8 view is passed through as-is: widening to
-                # uint64 happens fused into the first multiply inside
-                # ``_candidates_block``, so the 8× ``astype`` copy that
-                # used to dominate block setup never materialises.
-                local = self._candidates_block(raw[byte_start:hi])
+                m = hi - byte_start
+                k = m + 1 - w  # positions in this block
+                # Q(i) = sum_{j<i} b_j * minv^(j+1).  The multiply widens
+                # the zero-copy uint8 view to uint64 in the ufunc's
+                # casting buffers, so no 8x copy of the input exists.
+                np.multiply(raw[byte_start:hi], pow_minv[:m], out=q[1 : m + 1])
+                np.cumsum(q[1 : m + 1], out=q[1 : m + 1])
+                # H(p) * C = (M^p C) * (Q(p) - Q(p-w)), local p in [w, m]
+                np.subtract(q[w : m + 1], q[:k], out=h[:k])
+                np.multiply(h[:k], pow_mf[w : m + 1], out=h[:k])
+                np.less(h[:k], threshold, out=cond[:k])
+                local = np.flatnonzero(cond[:k])
                 if local.size:
-                    pieces.append(local + byte_start)
+                    pieces.append(local.astype(np.int64) + p_first)
                 lo = hi
         if not pieces:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(pieces)
-
-    def _candidates_block(self, b: npt.NDArray[np.uint8]) -> npt.NDArray[np.int64]:
-        """Candidate positions within one block (local indices).
-
-        ``b`` is the block's raw ``uint8`` byte view (zero-copy slice of
-        the caller's buffer); returns local positions ``p``
-        (``w <= p <= len(b)``) where the window hash of ``b[p-w:p]``
-        satisfies the cut condition.
-        """
-        m = len(b)
-        w = self.config.window
-        final, threshold = self._final, self._threshold
-        pow_minv, pow_m = self._power_tables(m)
-        # Q(i) = sum_{j<i} b_j * minv^(j+1); Q[0] = 0.  The multiply
-        # widens uint8 → uint64 in chunked casting buffers (dtype=...),
-        # so no 8× copy of the input block is ever allocated.
-        q = np.empty(m + 1, dtype=np.uint64)
-        q[0] = 0
-        np.cumsum(np.multiply(b, pow_minv, dtype=np.uint64), out=q[1:])
-        # H(p) = M^p * (Q(p) - Q(p-w)), p in [w, m]
-        h = pow_m[w:] * (q[w:] - q[:-w])
-        cond = (h * final) < threshold
-        return np.nonzero(cond)[0].astype(np.int64) + w
 
     def cut_points(self, data: Buffer) -> npt.NDArray[np.int64]:
         n = len(data)

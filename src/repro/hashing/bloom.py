@@ -9,23 +9,30 @@ be a false positive, in which case the (wasted) Hook lookup still
 happens — exactly the behaviour the paper's Table II "with Bloom
 Filter" rows assume.
 
-The implementation is a flat NumPy ``uint8`` bit array with ``k``
-probe positions derived from a digest by double hashing (Kirsch &
+The implementation is a flat ``bytearray`` bit array with ``k`` probe
+positions derived from a digest by double hashing (Kirsch &
 Mitzenmacher), which lets us split one SHA-1 into two 64-bit values
-instead of computing ``k`` independent hashes.
+instead of computing ``k`` independent hashes.  ``add`` and the
+membership probe run on Python ints only — on k ≈ 7 positions a NumPy
+call costs ten times the arithmetic it performs — and a probe returns
+at the first clear bit, so a negative (the common answer for new data)
+touches one or two positions.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
-
-import numpy as np
-import numpy.typing as npt
 
 from .digest import Digest
 
 __all__ = ["BloomFilter", "optimal_num_hashes", "optimal_bits"]
+
+_U64 = (1 << 64) - 1
+
+#: Bytes popcounted per step by :meth:`BloomFilter.fill_ratio`.
+_POPCOUNT_SLICE = 1 << 16
 
 
 def optimal_num_hashes(bits: int, expected_items: int) -> int:
@@ -78,7 +85,7 @@ class BloomFilter:
     def __init__(self, size_bytes: int, num_hashes: int | None = None) -> None:
         if size_bytes <= 0:
             raise ValueError(f"size_bytes must be positive, got {size_bytes}")
-        self._bits = np.zeros(size_bytes, dtype=np.uint8)
+        self._bits = bytearray(size_bytes)
         self._num_bits = size_bytes * 8
         # Heuristic: assume the operator sized the array for its load.
         self._k = num_hashes if num_hashes is not None else 7
@@ -98,50 +105,55 @@ class BloomFilter:
     @property
     def size_bytes(self) -> int:
         """RAM occupied by the bit array (the paper's 100 MB budget)."""
-        return self._bits.nbytes
+        return len(self._bits)
 
     @property
     def num_hashes(self) -> int:
         """Probe positions tested per membership operation."""
         return self._k
 
-    def _positions(self, digest: Digest) -> npt.NDArray[np.int64]:
+    def _positions(self, digest: Digest) -> Iterator[int]:
         # Double hashing: derive k positions from two 64-bit halves of
         # the digest.  SHA-1 is 20 bytes; use bytes [0:8] and [8:16].
-        h1 = int.from_bytes(digest[0:8], "little")
+        # ``h1 + i*h2`` wraps at 64 bits *before* the modulo (uint64
+        # arithmetic), which is what fixes the positions when the
+        # filter size is not a power of two.  Lazy, so a probe that
+        # stops at its first clear bit computes nothing further.
+        idx = int.from_bytes(digest[0:8], "little")
         h2 = int.from_bytes(digest[8:16], "little") | 1  # force odd
-        ks = np.arange(self._k, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            idx = np.uint64(h1 & (2**64 - 1)) + ks * np.uint64(h2 & (2**64 - 1))
-        out: npt.NDArray[np.int64] = (idx % np.uint64(self._num_bits)).astype(
-            np.int64
-        )
-        return out
+        num_bits = self._num_bits
+        for _ in range(self._k):
+            yield (idx & _U64) % num_bits
+            idx += h2
 
     def add(self, digest: Digest) -> None:
         """Insert a digest (sets its k probe bits)."""
-        pos = self._positions(digest)
-        # bitwise_or.at handles duplicate byte indices (plain fancy
-        # |= silently drops all but one update per repeated index).
-        np.bitwise_or.at(
-            self._bits, pos >> 3, np.left_shift(np.uint8(1), (pos & 7).astype(np.uint8))
-        )
+        bits = self._bits
+        for pos in self._positions(digest):
+            bits[pos >> 3] |= 1 << (pos & 7)
         self.stats.adds += 1
 
     def __contains__(self, digest: Digest) -> bool:
         """Membership query; ``False`` is definitive, ``True`` may be a FP."""
-        pos = self._positions(digest)
-        hit = bool(
-            np.all(self._bits[pos >> 3] & np.left_shift(np.uint8(1), (pos & 7).astype(np.uint8)))
-        )
-        self.stats.queries += 1
-        if hit:
-            self.stats.positives += 1
-        return hit
+        stats = self.stats
+        stats.queries += 1
+        bits = self._bits
+        for pos in self._positions(digest):
+            if not bits[pos >> 3] >> (pos & 7) & 1:
+                return False
+        stats.positives += 1
+        return True
 
     def fill_ratio(self) -> float:
         """Fraction of bits set — diagnostic for over-full filters."""
-        return float(np.unpackbits(self._bits).mean())
+        # Popcount in bounded slices: a paper-sized 100 MB filter must
+        # not need a multiple of its own size to report its load.
+        bits = self._bits
+        ones = sum(
+            int.from_bytes(bits[i : i + _POPCOUNT_SLICE], "little").bit_count()
+            for i in range(0, len(bits), _POPCOUNT_SLICE)
+        )
+        return ones / self._num_bits
 
     def theoretical_fp_rate(self, items: int) -> float:
         """Expected false-positive probability after ``items`` inserts."""

@@ -1,5 +1,7 @@
 """Unit and property tests for the Bloom filter."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +111,24 @@ def test_for_expected_items_zero_items():
     bf = BloomFilter.for_expected_items(0)
     assert bf.size_bytes >= 8
     assert sha1(b"x") not in bf
+
+
+def test_fill_ratio_does_not_expand_the_bit_array():
+    """Reporting the load of a filter must not cost a multiple of it
+    (the paper's filter is 100 MB; one byte per bit would be 800 MB)."""
+    size = 1 << 20
+    tracemalloc.start()
+    try:
+        bf = BloomFilter(size)
+        for i in range(64):
+            bf.add(sha1(str(i).encode()))
+        tracemalloc.reset_peak()
+        ratio = bf.fill_ratio()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < ratio <= 64 * bf.num_hashes / (size * 8)
+    assert peak < 2 * size, f"fill_ratio peaked at {peak} B for a {size} B filter"
 
 
 # ---- uint64 oracle -------------------------------------------------------

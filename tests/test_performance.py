@@ -6,6 +6,8 @@ flaky on slow CI machines.
 """
 
 import time
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 
@@ -15,7 +17,7 @@ from repro.workloads import tiny_corpus
 
 
 def test_vectorized_chunker_throughput_floor():
-    """≥ 5 MB/s (typically 40-80); the reference runs at ~1 MB/s, so
+    """≥ 5 MB/s (typically 100-150); the reference runs at ~1 MB/s, so
     this also guards against silently falling back to scalar code."""
     data = np.random.default_rng(0).integers(0, 256, size=16 << 20, dtype=np.uint8).tobytes()
     chunker = VectorizedChunker(ChunkerConfig(expected_size=4096))
@@ -24,6 +26,29 @@ def test_vectorized_chunker_throughput_floor():
     elapsed = time.perf_counter() - start
     mbps = 16 / elapsed
     assert mbps > 5, f"chunker at {mbps:.1f} MB/s"
+
+
+def test_vectorized_chunker_memory_ceiling():
+    """Chunking 8 MiB allocates < 16 MiB beyond the input: the kernel's
+    scratch is two block-sized arrays, not five input-sized ones (which
+    traced ≈ 50 MiB), and the shared cache holds two power tables per
+    multiplier — the finaliser is folded into one, not kept beside it."""
+    from repro.chunking import vectorized
+
+    data = np.random.default_rng(2).integers(0, 256, size=8 << 20, dtype=np.uint8).tobytes()
+    chunker = VectorizedChunker(ChunkerConfig(expected_size=2048))
+    tracemalloc.start()
+    try:
+        chunks = chunker.chunk(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(c.size for c in chunks) == len(data)
+    assert peak < 16 << 20, f"chunk(8 MiB) peaked at {peak / 2**20:.1f} MiB"
+    per_multiplier: Counter[int] = Counter()
+    for (mult, _final), tables in vectorized._POWER_TABLES.items():
+        per_multiplier[mult] += len(tables)
+    assert per_multiplier and max(per_multiplier.values()) <= 2, per_multiplier
 
 
 def test_mhd_pipeline_throughput_floor():

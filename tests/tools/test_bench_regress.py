@@ -35,6 +35,10 @@ class TestCollectMetrics:
             "extra.levels[1].throughput_mb_s": 10.0,
         }
 
+    def test_ops_per_second_is_a_gated_metric(self):
+        payload = {"extra": {"bloom": {"add": {"ops": 10, "us_per_op": 2.0, "ops_s": 5e5}}}}
+        assert collect_metrics(payload) == {"extra.bloom.add.ops_s": 5e5}
+
     def test_non_numeric_values_ignored(self):
         assert collect_metrics({"throughput_ratio": "fast"}) == {}
 
@@ -203,6 +207,20 @@ class TestValidate:
         )
         assert main(["--validate", "--results", str(tmp_path / "res")]) == 1
         assert "bytes_moved" in capsys.readouterr().out
+
+    def test_throughput_bench_requires_bloom_section(self, tmp_path, capsys):
+        bloom = {"add": {"ops_s": 1.0}, "contains_negative": {"ops_s": 1.0}}
+        extra = {"chunkers": {}, "hashing": {}}
+        write(tmp_path / "res", "BENCH_throughput.json", envelope("throughput", extra=extra))
+        assert main(["--validate", "--results", str(tmp_path / "res")]) == 1
+        assert "'bloom'" in capsys.readouterr().out
+        extra["bloom"] = bloom
+        write(tmp_path / "res", "BENCH_throughput.json", envelope("throughput", extra=extra))
+        assert main(["--validate", "--results", str(tmp_path / "res")]) == 1
+        assert "bloom missing key 'contains_positive'" in capsys.readouterr().out
+        bloom["contains_positive"] = {"ops_s": 1.0}
+        write(tmp_path / "res", "BENCH_throughput.json", envelope("throughput", extra=extra))
+        assert main(["--validate", "--results", str(tmp_path / "res")]) == 0
 
     def test_empty_results_dir_fails(self, tmp_path):
         (tmp_path / "res").mkdir()

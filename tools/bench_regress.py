@@ -10,7 +10,8 @@ Throughput metrics are higher-is-better numbers found anywhere in the
 payload under these keys:
 
 * ``throughput_ratio``  — device-model ingest throughput vs raw disk,
-* ``throughput_mb_s``   — measured service ingest throughput.
+* ``throughput_mb_s``   — measured service / hot-path kernel throughput,
+* ``ops_s``             — measured operations per second (Bloom filter).
 
 Comparisons are only made between runs at the same corpus ``scale``
 (a tiny-scale run against a small-scale baseline says nothing), and a
@@ -46,7 +47,7 @@ import sys
 from pathlib import Path
 
 #: Higher-is-better metric keys collected from anywhere in a payload.
-THROUGHPUT_KEYS = ("throughput_ratio", "throughput_mb_s")
+THROUGHPUT_KEYS = ("throughput_ratio", "throughput_mb_s", "ops_s")
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_RESULTS = REPO_ROOT / "benchmarks" / "results"
@@ -109,17 +110,22 @@ REQUIRED_EXTRA: dict[str, tuple[str, ...]] = {
         "rebalance",
         "by_machine",
     ),
+    "throughput": ("chunkers", "hashing", "bloom"),
 }
 
-#: Keys every ``rebalance`` record must report (the measured cost the
-#: cluster bench exists to publish).
-REQUIRED_REBALANCE = (
-    "segments_moved",
-    "bytes_moved",
-    "recipes_updated",
-    "seconds",
-    "residual_hot_bytes",
-)
+#: (bench, ``extra`` key) -> keys that record must report: the measured
+#: cost the cluster bench exists to publish, and the three Bloom-filter
+#: operations of the hot-path bench.
+REQUIRED_RECORD: dict[tuple[str, str], tuple[str, ...]] = {
+    ("cluster_scaling", "rebalance"): (
+        "segments_moved",
+        "bytes_moved",
+        "recipes_updated",
+        "seconds",
+        "residual_hot_bytes",
+    ),
+    ("throughput", "bloom"): ("add", "contains_negative", "contains_positive"),
+}
 
 
 def validate_file(path: Path) -> list[str]:
@@ -139,13 +145,14 @@ def validate_file(path: Path) -> list[str]:
             problems += [
                 f"extra missing key {key!r}" for key in required if key not in extra
             ]
-            rebalance = extra.get("rebalance")
-            if bench == "cluster_scaling" and isinstance(rebalance, dict):
-                problems += [
-                    f"rebalance missing key {key!r}"
-                    for key in REQUIRED_REBALANCE
-                    if key not in rebalance
-                ]
+            for (name, section), fields in REQUIRED_RECORD.items():
+                record = extra.get(section)
+                if name == bench and isinstance(record, dict):
+                    problems += [
+                        f"{section} missing key {key!r}"
+                        for key in fields
+                        if key not in record
+                    ]
     return problems
 
 
