@@ -29,12 +29,12 @@ test is ``H(p) * C < 2^64 / ECS`` for the odd finaliser ``C``; since
 ``M^p C`` and the finaliser costs no pass of its own.
 
 Inputs are processed in overlapping blocks (default 128 Ki positions)
-whose work arrays stay cache-resident — the same reason
-:mod:`repro.chunking.gear` blocks its kernel — so the passes run at
-cache speed instead of streaming five 8–16 MiB temporaries through
-DRAM.  Peak memory is ``4 × 8 ×`` block size (two scratch arrays per
-call, two shared tables; ~4 MiB) regardless of input length; the hash
-only depends on window *content*, so per-block candidate positions are
+whose work arrays are allocated once per call and stay cache-resident
+— the same reason :mod:`repro.chunking.gear` blocks its kernel — so
+the passes run at cache speed and no input-sized temporary exists.
+Peak memory is ``4 × 8 ×`` block size (two scratch arrays per call,
+two shared tables; ~4 MiB) regardless of input length; the hash only
+depends on window *content*, so per-block candidate positions are
 globally exact.
 """
 
@@ -143,7 +143,7 @@ class VectorizedChunker(Chunker):
         if n < w:
             return np.empty(0, dtype=np.int64)
         raw = np.frombuffer(data, dtype=np.uint8)
-        # A block covering positions (lo, hi] needs bytes [lo-w, hi), so
+        # A block covering positions [p0, p1] needs bytes [p0-w, p1), so
         # no block is longer than this; tables and scratch are sized
         # once and every block works in slices of them.
         span = min(n, self._block + w - 1)
@@ -154,21 +154,15 @@ class VectorizedChunker(Chunker):
         cond = np.empty(span + 1 - w, dtype=np.bool_)
         threshold = self._threshold
         pieces: list[npt.NDArray[np.int64]] = []
-        lo = 0
         with np.errstate(over="ignore"):
-            while lo < n:
-                hi = min(n, lo + self._block)
-                # positions p in [max(w, lo+1), hi] need bytes [p-w, p)
-                p_first = max(w, lo + 1)
-                if p_first > hi:
-                    break
-                byte_start = p_first - w
-                m = hi - byte_start
-                k = m + 1 - w  # positions in this block
+            for p0 in range(w, n + 1, self._block):
+                p1 = min(n, p0 + self._block - 1)
+                m = p1 - p0 + w  # bytes in the block
+                k = m + 1 - w  # positions in the block
                 # Q(i) = sum_{j<i} b_j * minv^(j+1).  The multiply widens
                 # the zero-copy uint8 view to uint64 in the ufunc's
                 # casting buffers, so no 8x copy of the input exists.
-                np.multiply(raw[byte_start:hi], pow_minv[:m], out=q[1 : m + 1])
+                np.multiply(raw[p0 - w : p1], pow_minv[:m], out=q[1 : m + 1])
                 np.cumsum(q[1 : m + 1], out=q[1 : m + 1])
                 # H(p) * C = (M^p C) * (Q(p) - Q(p-w)), local p in [w, m]
                 np.subtract(q[w : m + 1], q[:k], out=h[:k])
@@ -176,8 +170,7 @@ class VectorizedChunker(Chunker):
                 np.less(h[:k], threshold, out=cond[:k])
                 local = np.flatnonzero(cond[:k])
                 if local.size:
-                    pieces.append(local.astype(np.int64) + p_first)
-                lo = hi
+                    pieces.append(local.astype(np.int64) + p0)
         if not pieces:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(pieces)
