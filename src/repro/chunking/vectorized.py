@@ -157,8 +157,8 @@ class VectorizedChunker(Chunker):
         with np.errstate(over="ignore"):
             for p0 in range(w, n + 1, self._block):
                 p1 = min(n, p0 + self._block - 1)
-                m = p1 - p0 + w  # bytes in the block
-                k = m + 1 - w  # positions in the block
+                k = p1 - p0 + 1  # positions in the block
+                m = k + w - 1  # bytes they need
                 # Q(i) = sum_{j<i} b_j * minv^(j+1).  The multiply widens
                 # the zero-copy uint8 view to uint64 in the ufunc's
                 # casting buffers, so no 8x copy of the input exists.
