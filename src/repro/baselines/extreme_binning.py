@@ -31,7 +31,7 @@ from ..chunking import Chunk, VectorizedChunker
 from ..core.base import Deduplicator
 from ..core.config import DedupConfig
 from ..hashing import Digest, Hasher, sha1
-from ..storage import FileManifest, StorageBackend, file_object_ids
+from ..storage import DiskModel, FileManifest, StorageBackend, allocate_id, file_object_ids
 from ..storage.multi_manifest import MultiEntry, MultiManifest, MultiManifestStore
 from ..workloads.machine import BackupFile
 
@@ -113,11 +113,11 @@ class ExtremeBinningDeduplicator(Deduplicator):
             bin_manifest = self.bin_store.get(primary.bin_id)  # the 1 disk access
         else:
             self._bin_serial += 1
-            bin_manifest = MultiManifest(
-                sha1(b"bin|%d" % self._bin_serial + representative)
-            )
+            first = sha1(b"bin|%d" % self._bin_serial + representative)
+            bin_manifest = MultiManifest(allocate_id(self.backend, first, DiskModel.MANIFEST))
 
-        container_id, _ = file_object_ids(self._file_id)
+        first, _ = file_object_ids(self._file_id)
+        container_id = allocate_id(self.backend, first, DiskModel.CHUNK)
         writer = None
         for chunk, digest in zip(chunks, digests, strict=True):
             idx = bin_manifest.find(digest)

@@ -29,7 +29,7 @@ from collections import Counter
 
 from ..chunking import VectorizedChunker
 from ..hashing import Digest, sha1
-from ..storage import FileManifest
+from ..storage import FileManifest, allocate_id
 from ..storage.disk_model import DiskModel
 from ..storage.multi_manifest import MultiEntry, MultiManifest, MultiManifestStore
 from ..workloads.machine import BackupFile
@@ -117,7 +117,9 @@ class SparseIndexingDeduplicator(Deduplicator):
         self._fm = None
 
     def _dedup_segment(self, file_id: str, segment: list[tuple], fm: FileManifest) -> None:
-        seg_id = sha1(f"{file_id}|seg{self._segment_serial}".encode())
+        # One id names the segment's container and its manifest.
+        first = sha1(f"{file_id}|seg{self._segment_serial}".encode())
+        seg_id = allocate_id(self.backend, first, DiskModel.CHUNK, DiskModel.MANIFEST)
         self._segment_serial += 1
         hooks = [d for d, _ in segment if self._is_hook(d)]
 

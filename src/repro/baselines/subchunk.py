@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from ..chunking import VectorizedChunker
 from ..hashing import Digest, sha1, sha1_many
-from ..storage import DiskModel, FileManifest, file_object_ids
+from ..storage import DiskModel, FileManifest, allocate_id, file_object_ids
 from ..storage.multi_manifest import MultiEntry, MultiManifest, MultiManifestStore
 from ..workloads.machine import BackupFile
 from ..core.base import Deduplicator
@@ -60,8 +60,9 @@ class SubChunkDeduplicator(Deduplicator):
         return self.big_chunker
 
     def _begin_file(self, file: BackupFile) -> None:
-        _, manifest_id = file_object_ids(file.file_id)
-        manifest = MultiManifest(manifest_id)
+        _, first = file_object_ids(file.file_id)
+        manifest = MultiManifest(allocate_id(self.backend, first, DiskModel.MANIFEST))
+        self.cache.discard(manifest.manifest_id)  # an earlier ingest's, empty and unwritten
         self.cache.add(manifest, pin=True)
         self._manifest = manifest
         self._fm = FileManifest(file.file_id)
@@ -108,7 +109,8 @@ class SubChunkDeduplicator(Deduplicator):
         """Re-chunk a non-duplicate big chunk; coalesce its new smalls."""
         small_chunks = self.small_chunker.chunk(big.data)
         self.cpu.chunked += big.size
-        container_id = sha1(big_digest + self._container_serial.to_bytes(8, "little"))
+        first = sha1(big_digest + self._container_serial.to_bytes(8, "little"))
+        container_id = allocate_id(self.backend, first, DiskModel.CHUNK)
         self._container_serial += 1
         writer = None
         extents: list[tuple[Digest, int, int]] = []

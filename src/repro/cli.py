@@ -232,6 +232,8 @@ def _run_backend(args) -> StorageBackend | None:
 def cmd_run(args) -> int:
     backend = _run_backend(args)
     dedup = resolve(args.algo)(_config(args), backend)
+    if args.store_dir:
+        dedup.warm_start()  # dedup against what the store holds; same names get replaced
     tel = _run_telemetry(args)
     if tel is None:
         stats = dedup.process(_corpus(args))

@@ -161,18 +161,13 @@ class ClusterRecipe:
 
 @dataclass
 class _PendingSegment:
-    """A routed segment waiting in its worker's dispatch batch.
-
-    ``final_id`` is the id the segment actually landed under — the one
-    the recipe records (see :meth:`ShardWorker.attempt_id`).
-    """
+    """A routed segment waiting in its worker's dispatch batch."""
 
     segment_id: str
     data: bytes
     fingerprint: Digest
     wal_key: Digest
     node: str
-    final_id: str | None = None
 
 
 def _encode_wal(node: str, segment_id: str, data: bytes) -> bytes:
@@ -307,15 +302,12 @@ class ClusterRouter:
                         cut_segment()
         if seg_parts:
             cut_segment()
-        self.flush()
-        placements: list[SegmentPlacement] = []
-        for seg in segments:
-            if seg.final_id is None:  # flush() acks every queued segment
-                raise ClusterError(f"segment {seg.segment_id!r} was never dispatched")
-            placements.append(
-                SegmentPlacement(seg.node, seg.final_id, len(seg.data), seg.fingerprint)
-            )
-        recipe = ClusterRecipe(file_id=file.file_id, segments=tuple(placements))
+        self.flush()  # acknowledges every queued segment
+        placements = tuple(
+            SegmentPlacement(seg.node, seg.segment_id, len(seg.data), seg.fingerprint)
+            for seg in segments
+        )
+        recipe = ClusterRecipe(file_id=file.file_id, segments=placements)
         self.backend.put(RECIPE_NAMESPACE, recipe.key_for(file.file_id), recipe.to_bytes())
         self.metrics.counter("cluster.files").inc()
         return recipe
@@ -345,33 +337,27 @@ class ClusterRouter:
 
     def _dispatch(self, node: str) -> None:
         for seg in self._pending.pop(node, []):
-            seg.final_id = self._ingest_acked(node, seg.segment_id, seg.data, seg.wal_key)
+            self._ingest_acked(node, seg.segment_id, seg.data, seg.wal_key)
 
-    def _ingest_acked(self, node: str, segment_id: str, data: bytes, wal_key: Digest) -> str:
-        """Ingest one journalled segment; returns the id it landed under.
+    def _ingest_acked(self, node: str, segment_id: str, data: bytes, wal_key: Digest) -> None:
+        """Ingest one journalled segment under its own id until it succeeds.
 
         The one path by which a segment becomes durable, for live
-        dispatch and journal replay alike.  The worker names the
-        attempt (:meth:`ShardWorker.attempt_id`): a segment that
-        already landed — the worker died between its last durable
-        write and the ack, or an interrupted replay got that far — is
-        acknowledged rather than re-ingested, and an id burnt by a
-        crashed attempt is skipped.  A crash respawns the worker over
-        its quarantine-repaired shard and asks again.  The journal
-        entry is deleted only on acknowledgment.
+        dispatch and journal replay alike.  A crash respawns the worker
+        over its quarantine-repaired shard and ingests again: the store
+        names the new container, the segment's FileManifest is replaced,
+        and a segment that had landed (the worker died between its last
+        durable write and the ack) deduplicates against itself.  The
+        journal entry is deleted only on acknowledgment.
         """
         while True:
-            worker = self.workers[node]
-            tried, landed = worker.attempt_id(segment_id)
-            if not landed:
-                try:
-                    worker.ingest_segment(tried, data)
-                except Exception as exc:  # noqa: BLE001 - worker failure isolation: any death must not sink the cluster
-                    self._on_worker_crash(node, exc)
-                    continue
-            self.backend.delete(WAL_NAMESPACE, wal_key)
-            self.metrics.counter("cluster.segments.acked").inc()
-            return tried
+            try:
+                self.workers[node].ingest_segment(segment_id, data)
+                break
+            except Exception as exc:  # noqa: BLE001 - worker failure isolation: any death must not sink the cluster
+                self._on_worker_crash(node, exc)
+        self.backend.delete(WAL_NAMESPACE, wal_key)
+        self.metrics.counter("cluster.segments.acked").inc()
 
     def _on_worker_crash(self, node: str, exc: BaseException) -> None:
         crashes = self._crashes.get(node, 0) + 1

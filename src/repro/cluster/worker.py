@@ -25,7 +25,7 @@ from ..obs import MetricsRegistry, Telemetry
 from ..registry import resolve
 from ..storage import DiskModel, StorageBackend
 from ..storage.backend import PrefixedBackend
-from ..storage.file_manifest import FileManifestStore, file_object_ids
+from ..storage.file_manifest import FileManifestStore
 from ..storage.recover import RecoveryReport, recover
 from ..storage.verify import IntegrityReport, verify_store
 from ..workloads.machine import BackupFile
@@ -103,27 +103,6 @@ class ShardWorker:
         """Whether the shard holds a durable manifest for the segment."""
         key = FileManifestStore.key_for(segment_id)
         return self.view.exists(DiskModel.FILE_MANIFEST, key)
-
-    def attempt_id(self, segment_id: str) -> tuple[str, bool]:
-        """The id to ingest a segment under, and whether it already landed.
-
-        The one retry-id rule of the cluster.  Container ids derive
-        from the id a segment is ingested under and are never
-        reopenable, so an ingest that died after its container became
-        durable has burnt that id.  Walking ``<id>``, ``<id>~r1``,
-        ``<id>~r2``, … this returns the first attempt that either
-        landed (its file manifest is durable — ``(id, True)``, nothing
-        left to do) or whose container is absent (``(id, False)``, free
-        to ingest under).
-        """
-        attempt = 0
-        while True:
-            tried = f"{segment_id}~r{attempt}" if attempt else segment_id
-            if self.has_segment(tried):
-                return tried, True
-            if not self.view.exists(DiskModel.CHUNK, file_object_ids(tried)[0]):
-                return tried, False
-            attempt += 1
 
     def forget_segment(self, segment_id: str) -> None:
         """Drop a migrated segment's file manifest (rebalance bookkeeping).

@@ -59,6 +59,7 @@ from ..storage import (
     ManifestStore,
     MemoryBackend,
     StorageBackend,
+    allocate_id,
     file_object_ids,
 )
 from ..storage.verify import IntegrityReport
@@ -237,12 +238,14 @@ class _FileObjects:
 
     A per-file deduplicator (MHD, CDC, the Bimodal family, Fingerdiff)
     writes, for each file, one DiskChunk container, one Manifest over
-    it and one FileManifest.  Constructing this opens them — ids from
-    :func:`file_object_ids`, the manifest pinned in the cache so it is
-    not evicted mid-build — and :meth:`close` writes them in the one
-    order the crash matrix is built on: container, manifest, un-pin,
-    file manifest.  Algorithms subclass it to add their own per-file
-    buffers; :meth:`Deduplicator.ingest` drops it if the file fails.
+    it and one FileManifest.  Constructing this opens them — container
+    and manifest under ids from :func:`allocate_id` (a name the store
+    has seen gets new ones and its FileManifest is replaced), the
+    manifest pinned in the cache so it is not evicted mid-build — and
+    :meth:`close` writes them in the one order the crash matrix is built
+    on: container, manifest, un-pin, file manifest.  Algorithms subclass
+    it for their per-file buffers; :meth:`Deduplicator.ingest` drops it
+    if the file fails.
     """
 
     def __init__(
@@ -254,10 +257,15 @@ class _FileObjects:
     ) -> None:
         self._dedup = dedup
         self._cache = cache
-        self.container_id, manifest_id = file_object_ids(file_id)
+        first_container, first_manifest = file_object_ids(file_id)
+        self.container_id = allocate_id(dedup.backend, first_container, DiskModel.CHUNK)
+        manifest_id = allocate_id(dedup.backend, first_manifest, DiskModel.MANIFEST)
         self.manifest = Manifest(manifest_id, self.container_id, entry_size=entry_size)
         self.fm = FileManifest(file_id)
         self.writer: ContainerWriter | None = None
+        # Free in the store yet cached: the manifest of an all-duplicate
+        # earlier ingest of this name, empty and so never written.
+        cache.discard(manifest_id)
         cache.add(self.manifest, pin=True)
 
     def container(self) -> ContainerWriter:

@@ -32,10 +32,10 @@ quarantined rather than left to corrupt later restores.  A session
 abort is deliberately indistinguishable from a process crash at the
 same point: both lean on the same recovery semantics.
 
-**Generations.**  MHD derives a container id from the file id, so
-re-pushing a changed file under the same id would collide with the
-previous generation's container.  Sessions therefore namespace file ids
-by push generation: client path ``disk0.img`` is stored as
+**Generations.**  Ingesting a file id again replaces its recipe, and a
+push that aborts after a file finished must not cost that file's
+committed version.  Sessions therefore namespace file ids by push
+generation, the version axis: client path ``disk0.img`` is stored as
 ``g000001/disk0.img`` by the second push.  :func:`latest_files` and
 :func:`restore_file` resolve a bare path to its newest generation.
 """
@@ -180,6 +180,7 @@ class DedupSession:
         self._telemetry: Telemetry | None = None
         self._root_span: Span | None = None
         self._pending_waits: list[tuple[str, float]] = []
+        self._written: dict[str, str] = {}  # client path -> store id, for commit
         self.stats: DedupStats | None = None
         self.recovery: RecoveryReport | None = None
 
@@ -216,7 +217,6 @@ class DedupSession:
         if not locked and not self.tenant.lock.acquire(timeout=self.open_wait):
             raise TenantBusy(self.tenant.tenant_id, self.open_wait)
         try:
-            self.tenant.files.drop()
             self.tenant.sessions_opened += 1
             self.session_id = (
                 f"{self.tenant.tenant_id}-{self.tenant.sessions_opened:04d}"
@@ -234,9 +234,9 @@ class DedupSession:
             )
             dedup.telemetry = tel
             dedup.ingest_observer = _QuotaObserver(self)
-            gens = [
-                split_store_id(i)[0] for i in dedup.file_manifests.list_ids()
-            ]
+            # Some path's newest store id carries the newest generation:
+            # only the first open (or first after an abort) reads the store.
+            gens = [split_store_id(i)[0] for i in self.tenant.files.latest().values()]
             self.generation = max(gens, default=-1) + 1
             self._dedup = dedup
             self._telemetry = tel
@@ -345,10 +345,8 @@ class DedupSession:
         ``preadmitted=True`` skips the admission step: the caller
         already ran :meth:`admit` and slept the returned delay itself.
         """
-        store_id = self.store_id_for(path)
-        return self._ingest(
-            len(data), BackupFile(file_id=store_id, data=data), preadmitted
-        )
+        file = BackupFile(file_id=self.store_id_for(path), data=data)
+        return self._ingest(path, len(data), file, preadmitted)
 
     def write_stream(
         self,
@@ -364,15 +362,11 @@ class DedupSession:
         and cuts the ingest off mid-file (session aborted, store
         repaired) the moment the quota is actually crossed.
         """
-        store_id = self.store_id_for(path)
-        return self._ingest(
-            size_hint,
-            BackupFile(file_id=store_id, source=source, size_hint=size_hint),
-            preadmitted,
-        )
+        file = BackupFile(file_id=self.store_id_for(path), source=source, size_hint=size_hint)
+        return self._ingest(path, size_hint, file, preadmitted)
 
     def _ingest(
-        self, declared_bytes: int, file: BackupFile, preadmitted: bool = False
+        self, path: str, declared_bytes: int, file: BackupFile, preadmitted: bool
     ) -> str:
         dedup = self._require_open()
         if not preadmitted:
@@ -384,6 +378,7 @@ class DedupSession:
         except BaseException:
             self.abort()
             raise
+        self._written[path] = file.file_id
         return file.file_id
 
     def commit(self) -> DedupStats:
@@ -407,7 +402,7 @@ class DedupSession:
         self.tenant.inc_metric("service_sessions_committed")
         self._state = "committed"
         self._dedup = None
-        self.tenant.files.drop()
+        self.tenant.files.add(self._written)
         self.tenant.lock.release()
         return stats
 

@@ -111,18 +111,16 @@ def latest_files(backend: StorageBackend) -> dict[str, str]:
 class TenantFiles:
     """One tenant view's client path → newest store id, listed once.
 
-    :func:`latest_files` reads every FileManifest of the tenant, so the
-    sessionless read path (``list``, ``get``) keeps its result: the
-    first :meth:`latest` lists, later ones answer from memory.  Every
-    session of the tenant calls :meth:`drop` when it opens and when it
-    commits or aborts, so no listing outlives the push that changes
-    the tenant's files (one made while a push is open may already show
-    that push's finished files, as an unkept listing would).  Nothing
-    is persisted.
+    :func:`latest_files` reads every FileManifest of the tenant, so its
+    result is kept: the first :meth:`latest` lists, later ones answer
+    from memory — ``list``, ``get`` and every session's ``open``, which
+    numbers its generation from it.  A commit :meth:`add`\\ s the files
+    it wrote, an abort :meth:`drop`\\ s the listing (recovery may have
+    removed recipes): reads see committed pushes.  Nothing is persisted.
 
     Thread-safe.  The listing runs under the lock, so a :meth:`drop`
-    that races it waits and then clears its result; a stale listing is
-    never kept.
+    or :meth:`add` that races it waits and then clears or amends its
+    result; a stale listing is never kept.
     """
 
     def __init__(self, view: StorageBackend) -> None:
@@ -141,6 +139,13 @@ class TenantFiles:
         """Forget the listing; the next :meth:`latest` reads the store."""
         with self._lock:
             self._latest = None
+
+    def add(self, written: dict[str, str]) -> None:
+        """Fold a committed push's ``path → store id`` into a kept listing
+        (a new dict: readers may be iterating the one handed out)."""
+        with self._lock:
+            if self._latest is not None:
+                self._latest = dict(sorted((self._latest | written).items()))
 
     def restore(self, path: str) -> bytes:
         """The newest generation of ``path``; ``KeyError`` if unknown.
@@ -172,7 +177,7 @@ class Tenant:
     view: StorageBackend
     ledger: QuotaLedger
     bucket: TokenBucket
-    #: Path index of the sessionless read path; sessions drop it.
+    #: Kept path index: read by ``list``/``get`` and by every ``open``.
     files: TenantFiles
     #: Live service-side metrics for this tenant (ingest counters,
     #: session counts) plus every committed session's dedup registry

@@ -30,6 +30,7 @@ from .file_manifest import (
     FileExtent,
     FileManifest,
     FileManifestStore,
+    allocate_id,
     file_object_ids,
 )
 from .hooks import HookStore
@@ -81,6 +82,7 @@ __all__ = [
     "FileExtent",
     "FileManifest",
     "FileManifestStore",
+    "allocate_id",
     "file_object_ids",
     "HookStore",
     "ENTRY_SIZE",

@@ -30,6 +30,7 @@ __all__ = [
     "FileManifestStore",
     "FILE_ENTRY_SIZE",
     "RESTORE_PIECE_SIZE",
+    "allocate_id",
     "file_object_ids",
 ]
 
@@ -128,15 +129,28 @@ class FileManifest:
 
 
 def file_object_ids(file_id: str) -> tuple[Digest, Digest]:
-    """``(container id, manifest id)`` of the objects ingesting a file creates.
-
-    Every per-file deduplicator addresses the file's DiskChunk container
-    and its Manifest by the caller's name for the file — which is why
-    the same name cannot be stored twice; an identity that does not
-    depend on the name changes here and nowhere else.
-    """
+    """``(container id, manifest id)`` of the first ingest of ``file_id``;
+    :func:`allocate_id` names the objects of a later ingest of the name."""
     fid = file_id.encode()
     return sha1(fid), sha1(fid + b"|manifest")
+
+
+def allocate_id(backend: StorageBackend, first: Digest, *namespaces: str) -> Digest:
+    """The id a new store object gets: ``first``, or its first free successor.
+
+    DiskChunks are write-once and a Manifest belongs to its DiskChunk,
+    so an id the store holds is spent.  ``first`` is what the caller
+    derives from the object's name (:func:`file_object_ids`, a segment
+    or bin label) and, on a store that has not seen the name, the
+    answer.  Otherwise it is the first of ``sha1(first + b"~1")``,
+    ``sha1(first + b"~2")``, … naming nothing in any of ``namespaces``:
+    a function of store state alone, learnt with ``exists`` probes only.
+    """
+    tried, attempt = first, 0
+    while any(backend.exists(ns, tried) for ns in namespaces):
+        attempt += 1
+        tried = sha1(first + b"~%d" % attempt)
+    return tried
 
 
 class FileManifestStore:

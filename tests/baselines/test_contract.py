@@ -18,6 +18,7 @@ from repro.baselines import (
     SubChunkDeduplicator,
 )
 from repro.core import DedupConfig, MHDDeduplicator, SIMHDDeduplicator
+from repro.storage import DiskModel, MemoryBackend, sweep, verify_store
 from repro.workloads import BackupFile, tiny_corpus
 
 ALL = [
@@ -138,6 +139,66 @@ class TestAccounting:
         d.process([BackupFile("a", rand(1000, 1))])
         with pytest.raises(RuntimeError):
             d.ingest(BackupFile("b", b"zz"))
+
+
+#: Their duplicate index lives in RAM only (Fingerdiff's database,
+#: Extreme Binning's primary index): a restarted process finds no
+#: duplicates of what an earlier one stored, under any file id.
+INDEX_NOT_PERSISTED = (FingerdiffDeduplicator, ExtremeBinningDeduplicator)
+
+
+@pytest.mark.parametrize("restart", [False, True], ids=["same-process", "restart"])
+class TestReingest:
+    """Ingesting a file id again replaces its recipe; the store names
+    the new container and manifest, the old ones are garbage."""
+
+    @staticmethod
+    def _ingest_twice(dedup_cls, restart, first, second, second_id="x"):
+        backend = MemoryBackend()
+        d = dedup_cls(cfg(), backend=backend)
+        d.ingest(BackupFile("x", first))
+        if restart:
+            d.finalize()
+            d = dedup_cls(cfg(), backend=backend)
+            d.warm_start()
+        d.ingest(BackupFile(second_id, second))
+        d.finalize()
+        assert d.restore(second_id) == second
+        report = d.verify_integrity(check_entry_hashes=True)
+        assert report.ok, report.errors
+        return backend
+
+    @staticmethod
+    def _sweep(dedup_cls, backend, expect):
+        sweep(backend)
+        report = verify_store(backend, check_entry_hashes=True)
+        assert report.ok, report.errors
+        assert dedup_cls(cfg(), backend=backend).restore("x") == expect
+
+    def test_second_version_sharing_a_prefix(self, dedup_cls, restart):
+        a = rand(200_000, 1)
+        b = a[:100_000] + rand(100_000, 2)
+        backend = self._ingest_twice(dedup_cls, restart, a, b)
+        self._sweep(dedup_cls, backend, b)  # keeps what b references of a
+
+    def test_second_version_sharing_nothing(self, dedup_cls, restart):
+        a, b = rand(200_000, 1), rand(200_000, 2)
+        backend = self._ingest_twice(dedup_cls, restart, a, b)
+        assert backend.bytes_stored(DiskModel.CHUNK) == 400_000
+        self._sweep(dedup_cls, backend, b)
+        assert backend.bytes_stored(DiskModel.CHUNK) == 200_000  # a is reclaimed
+
+    def test_same_version_twice_stores_one_copy(self, dedup_cls, restart):
+        a = rand(300_000, 3)
+        backend = self._ingest_twice(dedup_cls, restart, a, a)
+        stored = backend.bytes_stored(DiskModel.CHUNK)
+        # What the algorithm finds of a repeat does not depend on its name ...
+        other_name = self._ingest_twice(dedup_cls, restart, a, a, second_id="y")
+        assert stored == other_name.bytes_stored(DiskModel.CHUNK)
+        # ... and is all of it, bar what Sparse Indexing's sampling misses.
+        if not (restart and dedup_cls in INDEX_NOT_PERSISTED):
+            assert 300_000 <= stored < 300_000 * 1.02
+        self._sweep(dedup_cls, backend, a)
 
 
 class TestVerifyWrites:

@@ -13,7 +13,7 @@ from repro.cluster import (
 from repro.core import DedupConfig, MHDDeduplicator
 from repro.hashing import sha1
 from repro.storage import MemoryBackend
-from repro.workloads import tiny_corpus
+from repro.workloads import BackupFile, tiny_corpus
 
 CFG = DedupConfig(ecs=1024, sd=8, bloom_bytes=1 << 18)
 
@@ -98,6 +98,33 @@ class TestIngestRestore:
         reports = router.fsck()
         assert set(reports) == set(router.workers)
         assert all(r.ok for r in reports.values())
+
+
+class TestPutAgain:
+    def test_second_put_of_a_file_id_replaces_the_first(self, files):
+        """A file id is a name, not an idempotency key: pushing other
+        bytes under it must ingest them, not acknowledge the old ones."""
+        with files[0].open() as r:
+            first = r.read()
+        second = first[: len(first) // 2] + bytes(reversed(first[len(first) // 2 :]))
+        router = build(MemoryBackend(), workers=2)
+        router.put_file(BackupFile("doc", first))
+        assert router.restore_file("doc") == first
+        router.put_file(BackupFile("doc", second))
+        assert router.restore_file("doc") == second
+        assert router.get_recipe("doc").size == len(second)
+        assert all(r.ok for r in router.fsck(check_entry_hashes=True).values())
+
+    def test_recipes_naming_retry_suffixed_segments_still_restore(self):
+        """Recipes written before the store named retries carry segment
+        ids like ``…#seg00000~r1``; a segment id is an opaque string."""
+        router = build(MemoryBackend(), workers=["solo"])
+        old_id = "doc#seg00000~r1"
+        router.workers["solo"].ingest_segment(old_id, b"landed on a retry" * 100)
+        router.put_recipe(
+            ClusterRecipe("doc", (SegmentPlacement("solo", old_id, 1700, sha1(b"fp")),))
+        )
+        assert router.restore_file("doc") == b"landed on a retry" * 100
 
 
 class TestCrossShardDerLoss:

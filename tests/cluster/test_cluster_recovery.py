@@ -124,6 +124,34 @@ class TestMidSegmentKill:
         # ...and the repaired shards pass a full integrity walk.
         assert all(r.ok for r in router.fsck().values())
 
+    def test_lost_ack_reingests_without_new_chunk_bytes(self, files):
+        """The worker dies right after a segment's FileManifest landed:
+        the unacknowledged segment is ingested again under its own id
+        and finds every chunk already stored."""
+
+        def stored_after_put(view_factory=None):
+            router = ClusterRouter(
+                MemoryBackend(),
+                workers=["solo"],
+                config=ClusterConfig(dedup=CFG),
+                view_factory=view_factory,
+            )
+            router.put_file(files[0])
+            assert list(router.backend.keys(WAL_NAMESPACE)) == []
+            with files[0].open() as r:
+                assert router.restore_file(files[0].file_id) == r.read()
+            assert all(r.ok for r in router.fsck(check_entry_hashes=True).values())
+            crashes = router.metrics.counter("cluster.worker.crashes").value
+            return router.workers["solo"].stored_chunk_bytes(), crashes
+
+        lost_ack = [
+            FaultSpec("crash_after", op="put", namespace=DiskModel.FILE_MANIFEST, at=0)
+        ]
+        assert stored_after_put(faulted_views("solo", lost_ack)) == (
+            stored_after_put()[0],
+            1,
+        )
+
     def test_crash_loop_gives_up_loudly(self, files):
         """A worker that dies on every attempt must raise ClusterError
         after max_respawns, not spin forever."""
@@ -182,9 +210,9 @@ class TestColdRestartReplay:
 
     def test_interrupted_replay_does_not_brick_the_next_one(self, files):
         """A coordinator that dies *inside* replay leaves a durable
-        container behind; the next replay must step past it (one
-        retry-id rule for live dispatch and replay), not collide with
-        it forever."""
+        container behind; the next replay must step past it (the store
+        names each attempt's container, for live dispatch and replay
+        alike), not collide with it forever."""
         backend = MemoryBackend()
         fragile = ClusterConfig(dedup=CFG, max_respawns=0)
         victim = files[0]
@@ -212,8 +240,11 @@ class TestColdRestartReplay:
         assert all(r.ok for r in reborn.fsck().values())
 
         # The file whose push died is pushed again: its segments are
-        # found where the replay landed them and it restores intact.
+        # re-ingested over what the replay landed, deduplicate against
+        # it (no new chunk bytes) and the file restores intact.
+        landed = {w.name: w.stored_chunk_bytes() for w in reborn.workers.values()}
         reborn.put_file(victim)
+        assert {w.name: w.stored_chunk_bytes() for w in reborn.workers.values()} == landed
         with victim.open() as r:
             assert reborn.restore_file(victim.file_id) == r.read()
         assert reborn.metrics.counter("cluster.worker.crashes").value == 0

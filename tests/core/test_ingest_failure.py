@@ -4,6 +4,10 @@ An exception mid-file (a raising ``IngestObserver``, a backend out of
 retries) used to leave the in-progress manifest pinned in the cache,
 the container open and the file counted; retrying the same file id
 then raised ``ValueError: manifest … already cached``.
+
+The store side: a failed ingest can leave its container (and manifest)
+durable, and DiskChunks are never reopened — the retry's objects get
+new ids from ``repro.storage.allocate_id`` instead of colliding.
 """
 
 import io
@@ -13,6 +17,15 @@ import pytest
 
 from repro.core import DedupConfig
 from repro.registry import available, resolve
+from repro.storage import (
+    BackendError,
+    DiskModel,
+    FaultInjectingBackend,
+    FaultSpec,
+    MemoryBackend,
+    recover,
+    verify_store,
+)
 from repro.workloads import BackupFile
 
 
@@ -70,3 +83,40 @@ def test_retry_after_failed_ingest(algo):
     assert not d.chunks._open
     if hasattr(d, "cache"):
         assert not d.cache._pinned
+
+
+CONFIG = dict(ecs=512, sd=4, bloom_bytes=1 << 16, cache_manifests=4, window=16)
+
+
+@pytest.mark.parametrize(
+    "namespace", [DiskModel.CHUNK, DiskModel.MANIFEST, DiskModel.FILE_MANIFEST]
+)
+@pytest.mark.parametrize("algo", available())
+def test_retry_after_failed_put_recover_and_restart(algo, namespace):
+    """The first put to ``namespace`` fails for good; the store is
+    recovered; a new process retries the same file id."""
+    base = rand(60_000, 1)
+    probe = rand(20_000, 2) + base[10_000:40_000] + rand(30_000, 3)
+    store = MemoryBackend()
+    resolve(algo)(DedupConfig(**CONFIG), backend=store).process(
+        [BackupFile("base", base)]
+    )
+
+    weather = FaultInjectingBackend(
+        store, [FaultSpec(kind="io_error", op="put", namespace=namespace, at=0)]
+    )
+    d = resolve(algo)(DedupConfig(**CONFIG), backend=weather)
+    d.warm_start()
+    with pytest.raises(BackendError):
+        d.ingest(BackupFile("probe", probe))
+    assert weather.faults_injected["io_error"] == 1
+    recover(store)
+
+    d = resolve(algo)(DedupConfig(**CONFIG), backend=store)
+    d.warm_start()
+    d.ingest(BackupFile("probe", probe))  # the same id again
+    d.finalize()
+    assert d.restore("probe") == probe
+    assert d.restore("base") == base
+    report = verify_store(store, check_entry_hashes=True)
+    assert report.ok, report.errors

@@ -232,8 +232,8 @@ class ListingCounter(DirectoryBackend):
 
 
 class TestGetResolvesFromAKeptListing:
-    """``get``/``list`` list a tenant's FileManifests once per push, not
-    once per call."""
+    """``get``/``list``/``open`` share one listing of a tenant's
+    FileManifests; commits amend it, so it is made once."""
 
     @pytest.fixture
     def counting(self, tmp_path):
@@ -250,8 +250,7 @@ class TestGetResolvesFromAKeptListing:
 
     def test_fifty_gets_list_the_tenant_once(self, counting):
         files = [(f"f{i}.img", rand(8_000, 30 + i)) for i in range(5)]
-        self.push(counting, "alice", files)
-        counting.backend.listings.clear()
+        self.push(counting, "alice", files)  # its open lists; its commit amends
         with counting.client() as client:
             for i in range(50):
                 path, blob = files[i % 5]
@@ -283,10 +282,11 @@ class TestGetResolvesFromAKeptListing:
                 for path, blob in files * 3:
                     assert client.get("alice", path) == blob
             assert restarted.backend.listings == {"tenant.alice.file_manifest": 1}
-            # A later session of the tenant drops that same listing.
+            # A later session of the tenant amends that same listing.
             self.push(restarted, "alice", [("f0.img", files[1][1])])
             with restarted.client() as client:
                 assert client.get("alice", "f0.img") == files[1][1]
+            assert restarted.backend.listings == {"tenant.alice.file_manifest": 1}
         finally:
             restarted.stop()
 

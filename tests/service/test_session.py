@@ -26,7 +26,13 @@ from repro.service import (
     restore_file,
 )
 from repro.service.session import split_store_id
-from repro.storage import DirectoryBackend, DiskModel
+from repro.storage import (
+    BackendError,
+    DirectoryBackend,
+    DiskModel,
+    FaultInjectingBackend,
+    FaultSpec,
+)
 from repro.storage.file_manifest import file_object_ids
 
 CFG = DedupConfig(ecs=1024, sd=8, bloom_bytes=1 << 18)
@@ -148,6 +154,58 @@ class TestGenerations:
         assert restore_file(view, "disk.img") == edited
 
 
+    def test_a_failed_manifest_put_does_not_brick_the_path(self, tmp_path):
+        """The aborted push left its container but no recipe, so the
+        next push numbers itself the same generation and writes the
+        same store id — under a container id the store has spent."""
+        weather = FaultInjectingBackend(
+            DirectoryBackend(tmp_path / "store"),
+            [FaultSpec("io_error", op="put", namespace="tenant.alice.manifest", at=0)],
+        )
+        tenant = TenantRegistry(weather).register("alice")
+        data = rand(60_000, 8)
+        session = DedupSession(tenant, config=CFG).open()
+        with pytest.raises(BackendError):
+            session.write("disk.img", data)
+        assert session.state == "aborted" and session.generation == 0
+
+        with DedupSession(tenant, config=CFG) as retry:
+            assert retry.generation == 0
+            retry.write("disk.img", data)
+        assert tenant.files.restore("disk.img") == data
+        assert restore_file(tenant.view, "disk.img") == data
+        assert fsck_ok(tenant.view)
+
+    def test_later_opens_read_no_file_manifest(self, tmp_path):
+        """Numbering a generation takes the kept listing, which commits
+        amend: only the tenant's first open reads its FileManifests."""
+
+        class CountingReads(DirectoryBackend):
+            reads = 0
+
+            def get(self, namespace, key):
+                if namespace.endswith(DiskModel.FILE_MANIFEST):
+                    self.reads += 1
+                return super().get(namespace, key)
+
+        backend = CountingReads(tmp_path / "store")
+        with DedupSession(TenantRegistry(backend).register("alice"), config=CFG) as s:
+            for i in range(4):
+                s.write(f"f{i}.img", rand(10_000, 70 + i))
+
+        tenant = TenantRegistry(backend).register("alice")  # a restarted service
+        uncounted = TenantRegistry(DirectoryBackend(tmp_path / "store")).view("alice")
+        backend.reads = 0
+        for gen in (1, 2, 3):
+            with DedupSession(tenant, config=CFG) as s:
+                assert s.generation == gen
+                s.write("f0.img", rand(10_000, 80 + gen))
+                s.write(f"new{gen}.img", rand(10_000, 90 + gen))
+            assert backend.reads == 4  # the first open's listing, nothing since
+            assert tenant.files.latest() == latest_files(uncounted)
+        assert restore_file(uncounted, "f0.img") == rand(10_000, 83)
+
+
 class TestKeptListing:
     """``Tenant.files`` keeps the path listing between pushes and every
     session drops it on open, commit and abort."""
@@ -158,7 +216,7 @@ class TestKeptListing:
         assert registry.files("alice") is files
         assert registry.files("bob") is not files
 
-    def test_commit_drops_the_listing(self, registry):
+    def test_commit_amends_the_listing(self, registry):
         tenant = registry.register("alice")
         old, new = rand(20_000, 60), rand(20_000, 61)
         with DedupSession(tenant, config=CFG) as s:
@@ -167,16 +225,21 @@ class TestKeptListing:
         assert tenant.files.latest() is tenant.files.latest()  # kept
         with DedupSession(tenant, config=CFG) as s:
             s.write("disk.img", new)
-        assert tenant.files.latest() == {"disk.img": "g000001/disk.img"}
+            s.write("extra.img", old)
+        assert tenant.files.latest() == {
+            "disk.img": "g000001/disk.img",
+            "extra.img": "g000001/extra.img",
+        }
+        assert tenant.files.latest() == latest_files(tenant.view)
         assert tenant.files.restore("disk.img") == new
         with pytest.raises(KeyError):
             tenant.files.restore("ghost.img")
 
     def test_abort_drops_a_listing_made_during_the_push(self, registry):
-        """A read during an open push may already resolve to one of its
-        finished files.  If the abort's recovery then removes that file
-        (here: its container is lost first), the next read must fall
-        back to the committed generation, not to the removed recipe."""
+        """A read during an open push answers from the listing its
+        ``open`` made: the committed files.  The abort's recovery may
+        remove recipes (here: one whose container is lost first), so the
+        next read lists the store again."""
         tenant = registry.register("alice")
         committed, doomed = rand(20_000, 62), rand(20_000, 63)
         with DedupSession(tenant, config=CFG) as s:
@@ -184,15 +247,16 @@ class TestKeptListing:
 
         session = DedupSession(tenant, config=CFG).open()
         store_id = session.write("disk.img", doomed)
-        assert tenant.files.latest() == {"disk.img": store_id}
+        during = tenant.files.latest()
+        assert during == {"disk.img": "g000000/disk.img"}
         container_id, _ = file_object_ids(store_id)
         assert tenant.view.delete(DiskModel.CHUNK, container_id)
         report = session.abort()
         assert report.file_manifests_quarantined == 1
 
+        assert tenant.files.latest() is not during
         assert tenant.files.latest() == {"disk.img": "g000000/disk.img"}
         assert tenant.files.restore("disk.img") == committed
-
 
     def test_racing_reads_never_keep_a_stale_listing(self, registry):
         """Readers list while pushes commit; once a commit has returned,

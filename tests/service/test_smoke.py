@@ -1,0 +1,88 @@
+"""The service smoke run, as CI's ``service-smoke`` job drives it.
+
+A real ``repro-dedup serve`` process, two ``client push`` processes
+for two tenants at the same time, an HTTP scrape of ``/metrics`` — then
+the exposition format is validated line by line and every tenant the
+store holds is fsck'd through a cold-opened view.
+"""
+
+import os
+import re
+import subprocess
+import sys
+import urllib.request
+from pathlib import Path
+
+import numpy as np
+
+from repro.core import DedupConfig
+from repro.registry import resolve
+from repro.service import TenantRegistry
+from repro.storage import DirectoryBackend
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+_SAMPLE = re.compile(
+    r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? -?[0-9.e+-]+$"
+    r"|^# TYPE \S+ (counter|gauge|histogram)$"
+)
+
+
+#: Straight to the loopback port, whatever proxy the environment names.
+_OPEN = urllib.request.build_opener(urllib.request.ProxyHandler({})).open
+
+
+def cli(*args, **kwargs):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", *args], env=env, text=True, **kwargs
+    )
+
+
+def test_serve_two_tenants_then_metrics_and_fsck(tmp_path):
+    store = tmp_path / "store"
+    for name, seed in [("alice.img", 1), ("bob.img", 2)]:
+        blob = np.random.default_rng(seed).integers(0, 256, 200_000, dtype=np.uint8)
+        (tmp_path / name).write_bytes(blob.tobytes())
+
+    server = cli(
+        "serve", "--store-dir", str(store), "--ecs", "1024", "--sd", "8",
+        stdout=subprocess.PIPE,
+    )
+    try:
+        ready = server.stdout.readline()
+        assert ready.startswith("serving on 127.0.0.1:"), ready
+        port = ready.rsplit(":", 1)[1].strip()
+        pushes = [
+            cli("client", "push", "--tenant", tid, "--port", port, str(tmp_path / f"{tid}.img"),
+                stdout=subprocess.DEVNULL)
+            for tid in ("alice", "bob")
+        ]
+        assert [p.wait(timeout=120) for p in pushes] == [0, 0]
+        with _OPEN(f"http://127.0.0.1:{port}/healthz", timeout=10) as r:
+            assert r.read() == b"ok\n"
+        with _OPEN(f"http://127.0.0.1:{port}/metrics", timeout=10) as r:
+            body = r.read().decode()
+    finally:
+        server.terminate()
+        server.wait(timeout=30)
+
+    typed = set()
+    for line in body.splitlines():
+        assert _SAMPLE.match(line), f"invalid exposition line: {line!r}"
+        if line.startswith("# TYPE"):
+            name = line.split()[2]
+            assert name not in typed, f"duplicate TYPE for {name}"
+            typed.add(name)
+    assert 'tenant="alice"' in body, "missing alice label"
+    assert 'tenant="bob"' in body, "missing bob label"
+
+    registry = TenantRegistry(DirectoryBackend(store))
+    assert registry.discover() == ["alice", "bob"]
+    for tid in registry.discover():
+        dedup = resolve("bf-mhd")(
+            DedupConfig(ecs=1024, sd=8, bloom_bytes=1 << 18), backend=registry.view(tid)
+        )
+        dedup.warm_start()
+        dedup.process([])
+        assert dedup.verify_integrity(check_entry_hashes=True).ok, tid
