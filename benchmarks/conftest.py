@@ -19,16 +19,13 @@ Reports are printed and written to ``benchmarks/results/<name>.txt``.
 
 from __future__ import annotations
 
-import math
 import os
-import time
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import AlgorithmRun, DeviceModel, evaluate
 from repro.core import DedupConfig
-from repro.obs import InMemorySink, Telemetry, summarize
 from repro.registry import available, resolve
 from repro.workloads import BackupCorpus, CorpusConfig, small_corpus, tiny_corpus
 
@@ -36,31 +33,6 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "small")
 
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--bench-profile",
-        metavar="PATH",
-        default=os.environ.get("REPRO_BENCH_PROFILE", ""),
-        help="sample all bench threads; write collapsed stacks to PATH "
-        "after the session (env: REPRO_BENCH_PROFILE)",
-    )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def bench_profiler(request):
-    """Continuous profiling of the whole bench session (opt-in)."""
-    out = request.config.getoption("--bench-profile", default="")
-    if not out:
-        yield None
-        return
-    from repro.obs.profile import StackSampler
-
-    sampler = StackSampler()
-    with sampler:
-        yield sampler
-    stacks = sampler.write(out)
-    print(f"\n[bench profile: {stacks} stacks ({sampler.samples} samples) -> {out}]")
 
 #: ECS sweep used throughout the paper's evaluation.
 ECS_VALUES = [512, 1024, 2048, 4096, 8192]
@@ -109,28 +81,9 @@ def run_cache():
     return {}
 
 
-#: id(AlgorithmRun) -> wall-clock / trace statistics captured by the
-#: grid runner.  Keyed by identity because AlgorithmRun is frozen and
-#: the session cache keeps every run object alive.
-_WALL_STATS: dict[int, dict] = {}
-
-
-def _percentile(sorted_vals: list[float], q: float) -> float:
-    """Nearest-rank percentile of an already-sorted sample."""
-    if not sorted_vals:
-        return 0.0
-    rank = math.ceil(q * len(sorted_vals))
-    return sorted_vals[min(len(sorted_vals), max(1, rank)) - 1]
-
-
 @pytest.fixture(scope="session")
 def run_grid(corpus_files, run_cache):
-    """Memoized (algorithm, ecs, sd) -> AlgorithmRun.
-
-    Every grid point runs under a traced ``Telemetry``, so BENCH
-    records carry measured wall-clock per-file p50/p99 latencies and
-    the trace's span coverage alongside the device-model seconds.
-    """
+    """Memoized (algorithm, ecs, sd) -> AlgorithmRun."""
 
     def run(algo: str, ecs: int, sd: int, **kw) -> AlgorithmRun:
         """Keyword args prefixed ``cfg_`` override DedupConfig fields;
@@ -143,32 +96,10 @@ def run_grid(corpus_files, run_cache):
             cfg_kw.setdefault("cache_manifests", 64)
             config = DedupConfig(ecs=ecs, sd=sd, **cfg_kw)
             dedup = ALGORITHMS[algo](config, **ctor_kw)
-            sink = InMemorySink()
-            tel = Telemetry(sinks=[sink], origin="bench")
-            dedup.telemetry = tel
-            t0 = time.perf_counter()
-            with tel.span("run", algo=algo):
-                result = evaluate(dedup, corpus_files, DEVICE)
-            wall_s = time.perf_counter() - t0
-            tel.close()
-            _WALL_STATS[id(result)] = _wall_record(sink, wall_s)
-            run_cache[key] = result
+            run_cache[key] = evaluate(dedup, corpus_files, DEVICE)
         return run_cache[key]
 
     return run
-
-
-def _wall_record(sink: InMemorySink, wall_s: float) -> dict:
-    """Measured-time twin of the device-model numbers."""
-    file_durs = sorted(ev.duration for ev in sink.spans if ev.name == "file")
-    summary = summarize(sink.spans)
-    return {
-        "wall_seconds": wall_s,
-        "file_p50_seconds": _percentile(file_durs, 0.50),
-        "file_p99_seconds": _percentile(file_durs, 0.99),
-        "span_coverage": summary.coverage,
-        "span_count": summary.span_count,
-    }
 
 
 _GIT_SHA: str | None = None
@@ -195,19 +126,12 @@ def git_sha() -> str:
 
 
 def run_record(run: AlgorithmRun) -> dict:
-    """One run's machine-readable record: stats + device-model seconds.
-
-    Grid runs additionally carry measured wall-clock numbers
-    (``wall_seconds``, per-file ``file_p50_seconds`` /
-    ``file_p99_seconds``) and the run trace's ``span_coverage``.
-    """
-    record = {
+    """One run's machine-readable record: stats + device-model seconds."""
+    return {
         "stats": run.stats.as_dict(),
         "dedup_seconds": run.dedup_seconds,
         "throughput_ratio": run.throughput_ratio,
     }
-    record.update(_WALL_STATS.get(id(run), {}))
-    return record
 
 
 def write_report(name: str, text: str, runs=None, extra=None) -> None:

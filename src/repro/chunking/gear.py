@@ -42,8 +42,7 @@ class GearChunker(Chunker):
     ``batched=True`` (the default) runs the NumPy kernel;
     ``batched=False`` the scalar byte-at-a-time rolling loop, which is
     the executable specification the batched kernel must match
-    bit-for-bit (``tests/chunking/test_batched_equivalence.py``) and
-    the measured "pre" side of ``benchmarks/bench_throughput.py``.
+    bit-for-bit (``tests/chunking/test_batched_equivalence.py``).
     """
 
     def __init__(

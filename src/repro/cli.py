@@ -458,17 +458,18 @@ def cmd_stats(args) -> int:
     backend = DirectoryBackend(args.store_dir)
     from .storage import INODE_SIZE
 
+    namespaces = [DiskModel.CHUNK, DiskModel.MANIFEST, DiskModel.HOOK, DiskModel.FILE_MANIFEST]
     rows = []
-    total_payload = 0
-    for ns in (DiskModel.CHUNK, DiskModel.MANIFEST, DiskModel.HOOK, DiskModel.FILE_MANIFEST):
+    for ns in namespaces:
         count = backend.object_count(ns)
         payload = backend.bytes_stored(ns)
-        total_payload += payload
         rows.append([ns, f"{count:,}", f"{payload:,} B", f"{count * INODE_SIZE:,} B"])
     print(format_table(["namespace", "objects", "payload", "inode bytes"], rows,
                        title=f"store {args.store_dir}"))
+    # The table's namespaces only: quarantined objects and other
+    # prefixes (a service store's tenants) are not this store's metadata.
     data = backend.bytes_stored(DiskModel.CHUNK)
-    meta = total_payload - data + backend.total_stored() - total_payload
+    meta = backend.total_stored(namespaces) - data
     print(f"chunk data {data:,} B; metadata (incl. inodes) {meta:,} B")
     if args.fsck:
         report = verify_store(backend, check_entry_hashes=True)

@@ -5,9 +5,6 @@ from .digest import (
     HASH_SIZE,
     Digest,
     Hasher,
-    StagedHasher,
-    blake2b20,
-    blake2b20_many,
     hex_short,
     sha1,
     sha1_many,
@@ -22,9 +19,6 @@ __all__ = [
     "HASH_SIZE",
     "Digest",
     "Hasher",
-    "StagedHasher",
-    "blake2b20",
-    "blake2b20_many",
     "hex_short",
     "sha1",
     "sha1_many",

@@ -31,12 +31,9 @@ __all__ = [
     "HASH_SIZE",
     "Digest",
     "Hasher",
-    "StagedHasher",
     "sha1",
     "sha1_many",
     "sha1_spans",
-    "blake2b20",
-    "blake2b20_many",
     "hex_short",
 ]
 
@@ -109,80 +106,6 @@ class Hasher:
     def digest(self) -> Digest:
         """The 20-byte digest of everything fed so far."""
         return Digest(self._h.digest())
-
-
-def blake2b20(data: bytes | bytearray | memoryview) -> bytes:
-    """160-bit BLAKE2b digest of ``data`` (*not* a :data:`Digest`).
-
-    The optional fast first pass of the staged hashing scheme: same
-    20-byte width as SHA-1 so collision budgets match, but it is an
-    *identity probe*, not a content address — the return type is plain
-    ``bytes`` so the checker stops it from leaking into manifest or
-    store positions, which are SHA-1 by the paper's definition.
-
-    Honesty note on speed: BLAKE2b wins on machines whose SHA-1 runs in
-    pure software; on CPUs with SHA-NI extensions (most post-2017 x86),
-    hardware SHA-1 is *faster* than software BLAKE2b and staging only
-    pays via :class:`StagedHasher`'s dedup memoisation, not via the
-    primitive itself.  ``benchmarks/bench_throughput.py`` measures both
-    so the trade-off is recorded per machine rather than assumed.
-    """
-    return hashlib.blake2b(data, digest_size=HASH_SIZE).digest()
-
-
-def blake2b20_many(parts: Iterable[bytes | bytearray | memoryview]) -> list[bytes]:
-    """Batch form of :func:`blake2b20` (see :func:`sha1_many`)."""
-    ctor = hashlib.blake2b
-    return [ctor(p, digest_size=HASH_SIZE).digest() for p in parts]
-
-
-class StagedHasher:
-    """Two-stage chunk hashing: BLAKE2b probe, SHA-1 confirmed once.
-
-    Every chunk is probed with :func:`blake2b20`; the canonical SHA-1
-    is computed only the *first* time a probe value is seen and memoised
-    for every later duplicate.  On duplicate-heavy corpora (the entire
-    premise of this repository) the SHA-1 cost therefore scales with
-    *unique* bytes while the cheap probe scales with total bytes.
-
-    This is an estimation/catalog-path tool — e.g.
-    :func:`repro.workloads.traces.trace_corpus` — **not** a store-path
-    replacement: content addresses written to a store must be the SHA-1
-    of every unique chunk regardless, so staging saves nothing there.
-    Correctness rests on the probe being collision-resistant at the
-    same 160-bit width as SHA-1 itself; a probe collision between
-    distinct contents would alias their digests, with the same (2^-80)
-    birthday budget the paper already accepts for SHA-1.
-    """
-
-    __slots__ = ("_by_probe", "probe_hits")
-
-    def __init__(self) -> None:
-        self._by_probe: dict[bytes, Digest] = {}
-        #: Chunks whose SHA-1 was served from the memo (duplicates).
-        self.probe_hits = 0
-
-    def digest(self, data: bytes | bytearray | memoryview) -> Digest:
-        """The SHA-1 of ``data``, via the staged probe-then-confirm path."""
-        probe = hashlib.blake2b(data, digest_size=HASH_SIZE).digest()
-        cached = self._by_probe.get(probe)
-        if cached is not None:
-            self.probe_hits += 1
-            return cached
-        d = Digest(hashlib.sha1(data).digest())
-        self._by_probe[probe] = d
-        return d
-
-    def digest_many(
-        self, parts: Iterable[bytes | bytearray | memoryview]
-    ) -> list[Digest]:
-        """Batch form of :meth:`digest`."""
-        return [self.digest(p) for p in parts]
-
-    @property
-    def unique_seen(self) -> int:
-        """Distinct contents confirmed with a real SHA-1 so far."""
-        return len(self._by_probe)
 
 
 def hex_short(digest: Digest, length: int = 10) -> str:

@@ -186,24 +186,7 @@ def prom_text(registry: MetricsRegistry) -> str:
     into cumulative ``_bucket{le="..."}`` series plus ``_sum`` and
     ``_count``.
     """
-    lines: list[str] = []
-    for name, metric in registry.items():
-        pname = _prom_name(name)
-        if isinstance(metric, Counter):
-            lines.append(f"# TYPE {pname}_total counter")
-            lines.append(f"{pname}_total {_fmt(metric.value)}")
-        elif isinstance(metric, Gauge):
-            lines.append(f"# TYPE {pname} gauge")
-            lines.append(f"{pname} {_fmt(metric.value)}")
-        elif isinstance(metric, Histogram):
-            lines.append(f"# TYPE {pname} histogram")
-            cumulative = metric.cumulative()
-            for bound, count in zip(metric.bounds, cumulative):
-                lines.append(f'{pname}_bucket{{le="{_fmt(bound)}"}} {count}')
-            lines.append(f'{pname}_bucket{{le="+Inf"}} {cumulative[-1]}')
-            lines.append(f"{pname}_sum {_fmt(metric.sum)}")
-            lines.append(f"{pname}_count {metric.total}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return prom_text_multi([({}, registry)])
 
 
 def _prom_label_value(v: str) -> str:

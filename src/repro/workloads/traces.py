@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from collections.abc import Iterable
 
 from ..chunking import Chunker
-from ..hashing import StagedHasher, sha1
+from ..hashing import sha1
 from .machine import BackupFile
 
 __all__ = ["TraceStats", "trace_corpus"]
@@ -80,24 +80,8 @@ class TraceStats:
         return self.duplicate_bytes / max(1, self.duplicate_slices)
 
 
-def trace_corpus(
-    files: Iterable[BackupFile],
-    chunker: Chunker,
-    *,
-    staged: bool = False,
-) -> TraceStats:
-    """Exact-dedup oracle over a corpus at ``chunker``'s granularity.
-
-    ``staged=True`` routes chunk identity through
-    :class:`repro.hashing.StagedHasher` — the BLAKE2b probe with
-    memoised SHA-1 confirm — so the oracle's SHA-1 cost scales with the
-    corpus's *unique* bytes instead of its total bytes.  The resulting
-    statistics are identical either way (the staged path returns the
-    canonical SHA-1 for every chunk); this knob exists because the
-    estimation oracle is exactly the duplicate-heavy, no-store-involved
-    flow the staged scheme is designed for.
-    """
-    hasher = StagedHasher() if staged else None
+def trace_corpus(files: Iterable[BackupFile], chunker: Chunker) -> TraceStats:
+    """Exact-dedup oracle over a corpus at ``chunker``'s granularity."""
     seen: set[bytes] = set()
     total_bytes = total_chunks = 0
     unique_chunks = duplicate_chunks = 0
@@ -113,11 +97,7 @@ def trace_corpus(
                 for chunk in batch:
                     total_chunks += 1
                     total_bytes += chunk.size
-                    digest = (
-                        hasher.digest(chunk.data)
-                        if hasher is not None
-                        else sha1(chunk.data)
-                    )
+                    digest = sha1(chunk.data)
                     if digest in seen:
                         duplicate_chunks += 1
                         duplicate_bytes += chunk.size

@@ -7,9 +7,6 @@ from hypothesis import strategies as st
 
 from repro.hashing import (
     HASH_SIZE,
-    StagedHasher,
-    blake2b20,
-    blake2b20_many,
     hex_short,
     sha1,
     sha1_many,
@@ -73,36 +70,3 @@ def test_sha1_many_accepts_generator_of_views():
     spans = (buf[i : i + 2] for i in range(0, 10, 2))
     assert sha1_many(spans) == [sha1(buf[i : i + 2]) for i in range(0, 10, 2)]
 
-
-def test_blake2b20_width_and_value():
-    assert len(blake2b20(b"x")) == HASH_SIZE
-    assert blake2b20(b"x") == hashlib.blake2b(b"x", digest_size=20).digest()
-    assert blake2b20(b"x") != sha1(b"x")  # distinct family, never aliased
-
-
-def test_blake2b20_many_matches_scalar():
-    parts = [b"", b"a", memoryview(b"bb")]
-    assert blake2b20_many(parts) == [blake2b20(p) for p in parts]
-
-
-def test_staged_hasher_returns_canonical_sha1():
-    h = StagedHasher()
-    for data in (b"", b"alpha", memoryview(b"beta"), b"alpha"):
-        assert h.digest(data) == sha1(data)
-
-
-def test_staged_hasher_memoises_duplicates():
-    h = StagedHasher()
-    chunks = [b"one", b"two", b"one", b"one", b"three", b"two"]
-    digests = h.digest_many(chunks)
-    assert digests == [sha1(c) for c in chunks]
-    assert h.unique_seen == 3
-    assert h.probe_hits == 3  # the three repeats never re-ran SHA-1
-
-
-def test_staged_hasher_distinct_instances_independent():
-    a, b = StagedHasher(), StagedHasher()
-    a.digest(b"shared")
-    assert b.probe_hits == 0
-    assert b.digest(b"shared") == sha1(b"shared")
-    assert b.probe_hits == 0  # first sight in *this* instance

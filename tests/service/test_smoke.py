@@ -1,11 +1,15 @@
-"""The service smoke run, as CI's ``service-smoke`` job drives it.
+"""The service smoke runs, as CI's ``service-smoke`` and
+``telemetry-smoke`` jobs drive them.
 
 A real ``repro-dedup serve`` process, two ``client push`` processes
 for two tenants at the same time, an HTTP scrape of ``/metrics`` — then
 the exposition format is validated line by line and every tenant the
-store holds is fsck'd through a cold-opened view.
+store holds is fsck'd through a cold-opened view.  A traced server and
+a traced ``client push`` must stitch into one cross-process trace, and
+``/slo`` must report the tenant's objectives.
 """
 
+import json
 import os
 import re
 import subprocess
@@ -16,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import DedupConfig
+from repro.obs import load_trace, merge_traces, summarize
 from repro.registry import resolve
 from repro.service import TenantRegistry
 from repro.storage import DirectoryBackend
@@ -39,20 +44,31 @@ def cli(*args, **kwargs):
     )
 
 
+def serve(store, *args):
+    """A ``serve`` process and its port, read from the ready line."""
+    server = cli(
+        "serve", "--store-dir", str(store), "--ecs", "1024", "--sd", "8", *args,
+        stdout=subprocess.PIPE,
+    )
+    ready = server.stdout.readline()
+    if not ready.startswith("serving on 127.0.0.1:"):
+        server.kill()
+        raise AssertionError(ready)
+    return server, ready.rsplit(":", 1)[1].strip()
+
+
+def write_image(path, seed):
+    blob = np.random.default_rng(seed).integers(0, 256, 200_000, dtype=np.uint8)
+    path.write_bytes(blob.tobytes())
+
+
 def test_serve_two_tenants_then_metrics_and_fsck(tmp_path):
     store = tmp_path / "store"
     for name, seed in [("alice.img", 1), ("bob.img", 2)]:
-        blob = np.random.default_rng(seed).integers(0, 256, 200_000, dtype=np.uint8)
-        (tmp_path / name).write_bytes(blob.tobytes())
+        write_image(tmp_path / name, seed)
 
-    server = cli(
-        "serve", "--store-dir", str(store), "--ecs", "1024", "--sd", "8",
-        stdout=subprocess.PIPE,
-    )
+    server, port = serve(store)
     try:
-        ready = server.stdout.readline()
-        assert ready.startswith("serving on 127.0.0.1:"), ready
-        port = ready.rsplit(":", 1)[1].strip()
         pushes = [
             cli("client", "push", "--tenant", tid, "--port", port, str(tmp_path / f"{tid}.img"),
                 stdout=subprocess.DEVNULL)
@@ -86,3 +102,39 @@ def test_serve_two_tenants_then_metrics_and_fsck(tmp_path):
         dedup.warm_start()
         dedup.process([])
         assert dedup.verify_integrity(check_entry_hashes=True).ok, tid
+
+
+def test_traced_push_stitches_one_trace_and_slo(tmp_path):
+    write_image(tmp_path / "carol.img", 3)
+    traces = tmp_path / "traces"
+    server, port = serve(tmp_path / "store", "--trace-dir", str(traces))
+    try:
+        push = cli(
+            "client", "push", "--tenant", "carol", "--port", port,
+            "--trace", str(tmp_path / "push.jsonl"), str(tmp_path / "carol.img"),
+            stdout=subprocess.DEVNULL,
+        )
+        assert push.wait(timeout=120) == 0
+        with _OPEN(f"http://127.0.0.1:{port}/slo", timeout=10) as r:
+            slo = json.load(r)
+    finally:
+        server.terminate()
+        server.wait(timeout=30)
+
+    session_traces = sorted(traces.glob("*.jsonl"))
+    assert len(session_traces) == 1, session_traces
+    merged = merge_traces(
+        [load_trace(str(p))[0] for p in [tmp_path / "push.jsonl", *session_traces]]
+    )
+    assert len({ev.trace_id for ev in merged if ev.trace_id}) == 1, "trace ids not stitched"
+    span_ids = {ev.span_id for ev in merged}
+    roots = [ev.name for ev in merged if ev.parent not in span_ids]
+    assert roots == ["client.push"], roots
+    assert {"session", "file", "chunk", "dedup", "commit"} <= {ev.name for ev in merged}
+    assert summarize(merged).coverage >= 0.95
+
+    assert slo["specs"], "no SLO specs configured"
+    carol = slo["tenants"]["carol"]
+    assert carol["latency"]["count"] >= 1
+    for name, state in carol["slos"].items():
+        assert {"burn_long", "burn_short", "alerting"} <= state.keys(), name

@@ -203,6 +203,29 @@ class TestStats:
         assert main(["stats", "--store-dir", store, "--fsck"]) == 0
         assert "integrity OK" in capsys.readouterr().out
 
+    def test_stats_metadata_excludes_quarantine(self, tmp_path, capsys):
+        """Metadata is `run`'s figure, and a quarantined container is
+        not metadata of the store it was moved out of."""
+        import re
+        import shutil
+
+        def metadata(pattern: str, out: str) -> int:
+            return int(re.search(pattern, out)[1].replace(",", ""))
+
+        store = tmp_path / "store"
+        main(["run", *FAST, "--store-dir", str(store)])
+        run_meta = metadata(r"metadata\W+([\d,]+) B", capsys.readouterr().out)
+        stats_line = r"metadata \(incl\. inodes\) ([\d,]+) B"
+        assert main(["stats", "--store-dir", str(store)]) == 0
+        before = metadata(stats_line, capsys.readouterr().out)
+        assert before == run_meta
+
+        container = sorted((store / "chunk").iterdir())[0]
+        (store / "quarantine.chunk").mkdir()
+        shutil.copy(container, store / "quarantine.chunk" / container.name)
+        assert main(["stats", "--store-dir", str(store)]) == 0
+        assert metadata(stats_line, capsys.readouterr().out) == before
+
 
 class TestGenCorpus:
     def test_gen_corpus_roundtrips_through_input_dir(self, tmp_path, capsys):

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.chunking import ChunkerConfig, VectorizedChunker
 from repro.core import DedupConfig, MHDDeduplicator
+from repro.hashing import BloomFilter, sha1
 from repro.workloads import tiny_corpus
 
 
@@ -49,6 +50,23 @@ def test_vectorized_chunker_memory_ceiling():
     for (mult, _final), tables in vectorized._POWER_TABLES.items():
         per_multiplier[mult] += len(tables)
     assert per_multiplier and max(per_multiplier.values()) <= 2, per_multiplier
+
+
+def test_bloom_negative_probe_floor():
+    """An absent digest costs < 6 µs per probe (typically ~1.2) at the
+    e2e benchmark's filter (1 MiB, k=7): new data stops at the first
+    clear bit.  A per-probe NumPy path took ~14 µs, so losing the
+    pure-Python fast path fails here."""
+    bloom = BloomFilter(1 << 20, 7)
+    for i in range(20_000):
+        bloom.add(sha1(i.to_bytes(4, "little")))
+    absent = [sha1(i.to_bytes(4, "little")) for i in range(20_000, 120_000)]
+    start = time.perf_counter()
+    hits = sum(1 for d in absent if d in bloom)
+    elapsed = time.perf_counter() - start
+    assert hits == 0  # ~1e-12 false positives each at under 2 % load
+    us = elapsed / len(absent) * 1e6
+    assert us < 6, f"bloom negative probe at {us:.2f} µs"
 
 
 def test_mhd_pipeline_throughput_floor():
