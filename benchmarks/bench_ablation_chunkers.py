@@ -15,7 +15,6 @@ from repro.chunking import (
     FastCDCChunker,
     FixedChunker,
     GearChunker,
-    LocalMaxChunker,
     ReferenceChunker,
     TTTDChunker,
     VectorizedChunker,
@@ -33,7 +32,6 @@ SLOW_DATA = FAST_DATA[: 256 << 10]  # the reference chunker is ~1000x slower
         GearChunker,
         TTTDChunker,
         FastCDCChunker,
-        LocalMaxChunker,
         FixedChunker,
     ],
 )

@@ -21,7 +21,6 @@ from .base import (
 from .fastcdc import FastCDCChunker
 from .fixed import FixedChunker
 from .gear import GearChunker
-from .lmc import LocalMaxChunker
 from .reference import ReferenceChunker
 from .tttd import TTTDChunker
 from .vectorized import VectorizedChunker
@@ -38,7 +37,6 @@ __all__ = [
     "FastCDCChunker",
     "FixedChunker",
     "GearChunker",
-    "LocalMaxChunker",
     "ReferenceChunker",
     "TTTDChunker",
     "VectorizedChunker",

@@ -235,7 +235,7 @@ class Chunker(ABC):
         after it must be buffered for the candidate test at that
         position to be byte-identical to a whole-input run.  The
         default covers every rolling-hash chunker (the hash window);
-        chunkers with wider context (LMC's extremum radius) override.
+        chunkers with other context (fixed-size needs none) override.
         """
         return self.config.window, self.config.window
 

@@ -24,9 +24,11 @@ into one deduplicating system:
    can re-evaluate placement after ring changes without re-reading
    data.
 
-Workers re-chunk and re-hash the segment bytes they receive — the
-routing tax of a shared-nothing design; the fleet-level cost shows up
-in :meth:`ClusterRouter.finalize`'s
+Each segment's chunk sizes and digests travel with its bytes to every
+worker that cuts like the router, so each byte is chunked and hashed
+once; journal replay and big-chunk algorithms (Bimodal, SubChunk, FBC)
+take the bytes path.  The fleet-level cost shows up in
+:meth:`ClusterRouter.finalize`'s
 :class:`~repro.cluster.fleet.FleetResult`, the same result type the
 by-machine fleet (:func:`~repro.cluster.fleet.dedup_sharded`) reports.
 """
@@ -38,7 +40,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from ..analysis.timing import DeviceModel
-from ..chunking import StreamStats, VectorizedChunker
+from ..chunking import Chunk, VectorizedChunker
 from ..core.config import DedupConfig
 from ..hashing import Digest, sha1, sha1_many
 from ..obs import MetricsRegistry
@@ -168,6 +170,8 @@ class _PendingSegment:
     fingerprint: Digest
     wal_key: Digest
     node: str
+    #: The router's chunk sizes and digests of ``data``.
+    chunked: tuple[list[int], list[Digest]]
 
 
 def _encode_wal(node: str, segment_id: str, data: bytes) -> bytes:
@@ -276,31 +280,28 @@ class ClusterRouter:
         if self._finalized:
             raise ClusterError("cluster already finalized")
         segments: list[_PendingSegment] = []
-        seg_parts: list[bytes] = []
+        seg_chunks: list[Chunk] = []
         seg_digests: list[Digest] = []
         seg_size = 0
         seg_limit = self.config.effective_segment_bytes()
-        stream = StreamStats()
 
         def cut_segment() -> None:
-            nonlocal seg_parts, seg_digests, seg_size
-            segments.append(
-                self._route(file.file_id, len(segments), b"".join(seg_parts), seg_digests)
-            )
-            seg_parts, seg_digests, seg_size = [], [], 0
+            nonlocal seg_chunks, seg_digests, seg_size
+            segments.append(self._route(file.file_id, len(segments), seg_chunks, seg_digests))
+            seg_chunks, seg_digests, seg_size = [], [], 0
 
         with file.open() as reader:
-            for batch in self._chunker.chunk_stream(reader, stats=stream):
+            # Chunk views stay valid across windows: the chunker rebinds
+            # its carry buffer, never resizing one a view was taken of.
+            for batch in self._chunker.chunk_stream(reader):
                 digests = sha1_many(chunk.data for chunk in batch)
                 for chunk, digest in zip(batch, digests, strict=True):
-                    # Copy out of the chunker's carry buffer: the view
-                    # is reused by the next window, the segment is not.
-                    seg_parts.append(chunk.data.tobytes())
+                    seg_chunks.append(chunk)
                     seg_digests.append(digest)
                     seg_size += chunk.size
                     if seg_size >= seg_limit:
                         cut_segment()
-        if seg_parts:
+        if seg_chunks:
             cut_segment()
         self.flush()  # acknowledges every queued segment
         placements = tuple(
@@ -313,14 +314,16 @@ class ClusterRouter:
         return recipe
 
     def _route(
-        self, file_id: str, index: int, data: bytes, digests: list[Digest]
+        self, file_id: str, index: int, chunks: list[Chunk], digests: list[Digest]
     ) -> _PendingSegment:
         segment_id = f"{file_id}#seg{index:05d}"
+        data = b"".join(chunk.data for chunk in chunks)
         node = route_segment(self.ring, digests, self.config.dedup.sd, self._mode)
         fingerprint = routing_key(digests, self.config.dedup.sd)
         wal_key = sha1(b"wal|" + segment_id.encode())
         self.backend.put(WAL_NAMESPACE, wal_key, _encode_wal(node, segment_id, data))
-        seg = _PendingSegment(segment_id, data, fingerprint, wal_key, node)
+        sizes = [chunk.size for chunk in chunks]
+        seg = _PendingSegment(segment_id, data, fingerprint, wal_key, node, (sizes, digests))
         queue = self._pending.setdefault(node, [])
         queue.append(seg)
         self.metrics.counter("cluster.route.segments").inc()
@@ -337,22 +340,32 @@ class ClusterRouter:
 
     def _dispatch(self, node: str) -> None:
         for seg in self._pending.pop(node, []):
-            self._ingest_acked(node, seg.segment_id, seg.data, seg.wal_key)
+            self._ingest_acked(node, seg.segment_id, seg.data, seg.wal_key, seg.chunked)
 
-    def _ingest_acked(self, node: str, segment_id: str, data: bytes, wal_key: Digest) -> None:
+    def _ingest_acked(
+        self, node: str, segment_id: str, data: bytes, wal_key: Digest,
+        chunked: tuple[list[int], list[Digest]] | None = None,
+    ) -> None:
         """Ingest one journalled segment under its own id until it succeeds.
 
         The one path by which a segment becomes durable, for live
-        dispatch and journal replay alike.  A crash respawns the worker
-        over its quarantine-repaired shard and ingests again: the store
-        names the new container, the segment's FileManifest is replaced,
-        and a segment that had landed (the worker died between its last
-        durable write and the ack) deduplicates against itself.  The
-        journal entry is deleted only on acknowledgment.
+        dispatch and journal replay alike.  ``chunked`` — the router's
+        chunk sizes and digests of ``data`` — is handed to a worker
+        whose stream chunker cuts like the router's; otherwise the
+        worker chunks and hashes the bytes itself.  A crash respawns the
+        worker over its quarantine-repaired shard and ingests again: the
+        store names the new container, the segment's FileManifest is
+        replaced, and a segment that had landed (the worker died between
+        its last durable write and the ack) deduplicates against itself.
+        The journal entry is deleted only on acknowledgment.
         """
         while True:
+            worker = self.workers[node]
             try:
-                self.workers[node].ingest_segment(segment_id, data)
+                if chunked is not None and worker.cuts_like(self._chunker):
+                    worker.ingest_chunked(segment_id, data, *chunked)
+                else:
+                    worker.ingest_segment(segment_id, data)
                 break
             except Exception as exc:  # noqa: BLE001 - worker failure isolation: any death must not sink the cluster
                 self._on_worker_crash(node, exc)

@@ -8,19 +8,26 @@ it must remember lives on its shard view of the shared backend (a
 disposable — :meth:`respawn` produces a fresh worker over the same
 shard, mirroring a process restart on the same disk.
 
+A routed segment arrives chunked and hashed by the router
+(:meth:`ShardWorker.ingest_chunked`); callers holding only bytes use
+:meth:`ShardWorker.ingest_segment`.
+
 Crash recovery is delegated to :func:`repro.storage.recover.recover`:
 objects torn by a mid-segment death are quarantined, then the
-coordinator replays the write-ahead journal entries the dead worker
-never acknowledged.
+coordinator ingests again every segment the dead worker never
+acknowledged.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from typing import cast
 
+from ..chunking import Chunker
 from ..core.base import Deduplicator, DedupStats
 from ..core.config import DedupConfig
+from ..hashing import Digest
 from ..obs import MetricsRegistry, Telemetry
 from ..registry import resolve
 from ..storage import DiskModel, StorageBackend
@@ -92,8 +99,23 @@ class ShardWorker:
         self.segments_ingested += 1
 
     def ingest_segment(self, segment_id: str, data: bytes) -> None:
-        """Deduplicate one routed segment into the shard."""
+        """Deduplicate one segment the caller holds only as bytes."""
         self.ingest(BackupFile(segment_id, data))
+
+    def ingest_chunked(
+        self, segment_id: str, data: bytes, sizes: Sequence[int], digests: Sequence[Digest]
+    ) -> None:
+        """Deduplicate one routed segment from the router's chunk sizes
+        and digests (:meth:`Deduplicator.ingest_chunked`); valid only
+        when :meth:`cuts_like` holds for the router's chunker."""
+        self._dedup.ingest_chunked(segment_id, data, sizes, digests)
+        self.segments_ingested += 1
+
+    def cuts_like(self, chunker: Chunker) -> bool:
+        """Whether ``chunker`` cuts bytes exactly as this shard's primary
+        stream does: the same class with an equal configuration."""
+        own = self._dedup._stream_chunker()
+        return type(own) is type(chunker) and own.config == chunker.config
 
     def restore_segment(self, segment_id: str) -> bytes:
         """Reconstruct a segment byte-for-byte from the shard."""

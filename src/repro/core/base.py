@@ -22,6 +22,8 @@ algorithm's own buffer (MHD's ``2·SD`` token buffer, a bimodal big
 chunk, a sparse-indexing segment) — independent of file size.  Files
 constructed with in-memory ``data`` take the same code path as one big
 window, so whole-bytes and streamed ingest are decision-identical.
+:meth:`Deduplicator.ingest_chunked` feeds the same loop one batch that
+its caller has already cut and digested (the cluster router's).
 
 The statistics exposed by :class:`DedupStats` are exactly the paper's
 evaluation quantities (Section V):
@@ -39,12 +41,15 @@ from __future__ import annotations
 
 import logging
 from abc import ABC, abstractmethod
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Any
 
-from ..chunking.base import Chunk, Chunker, DEFAULT_STREAM_WINDOW, StreamStats
-from ..hashing import BloomFilter, Digest, sha1_many
+import numpy as np
+
+from ..chunking import DEFAULT_STREAM_WINDOW, Chunk, Chunker, StreamStats, chunks_from_cut_points
+from ..hashing import HASH_SIZE, BloomFilter, Digest, sha1_many
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from ..storage import (
     INODE_SIZE,
@@ -405,6 +410,44 @@ class Deduplicator(ABC):
         are :func:`repro.storage.recover.recover`'s job, as for a crash
         at the same point.
         """
+        # One batched digest call over zero-copy views into the stream
+        # buffer: no per-chunk bytes objects are materialised.
+        self._ingest(
+            file, partial(self._file_batches, file), lambda b: sha1_many(c.data for c in b)
+        )
+
+    def ingest_chunked(
+        self, file_id: str, data: bytes, sizes: Sequence[int], digests: Sequence[Digest]
+    ) -> None:
+        """:meth:`ingest` of in-memory ``data`` whose caller already ran
+        this deduplicator's stream chunker (chunks of ``sizes`` bytes) and
+        SHA-1 (``digests``) over it — the same loop, observer, spans, abort
+        path and ``cpu``/``pipeline`` charges, one batch of zero-copy views.
+        ``ValueError`` unless ``sizes`` are positive and tile ``data``, one
+        20-byte digest each; that each digest is its chunk's SHA-1 is the
+        caller's precondition (checking would re-hash what this saves)."""
+        if len(digests) != len(sizes):
+            raise ValueError(f"{len(digests)} digests for {len(sizes)} chunks")
+        if any(size <= 0 for size in sizes) or sum(sizes) != len(data):
+            raise ValueError(f"chunk sizes do not tile the {len(data)}-byte input")
+        if any(len(d) != HASH_SIZE for d in digests):
+            raise ValueError(f"every digest must be {HASH_SIZE} bytes")
+        cuts = np.cumsum(sizes, dtype=np.int64)
+        known = list(digests)
+        self._ingest(
+            BackupFile(file_id, data),
+            partial(self._memory_batches, data, lambda buf: chunks_from_cut_points(buf, cuts)),
+            lambda _batch: known,
+        )
+
+    def _ingest(
+        self,
+        file: BackupFile,
+        source: Callable[[StreamStats], Iterator[list[Chunk]]],
+        digest: Callable[[list[Chunk]], list[Digest]],
+    ) -> None:
+        """The one ingest loop: ``source(stream)`` yields chunk batches,
+        ``digest(batch)`` names them (see :meth:`ingest`)."""
         if self._finalized:
             raise RuntimeError("deduplicator already finalized")
         self._in_dup_run = False  # duplicate slices do not span files
@@ -424,7 +467,7 @@ class Deduplicator(ABC):
                 # Manual iteration so the time spent *producing* a batch
                 # (the chunk stage) and the time *consuming* it (the dedup
                 # core) land in separate spans.
-                feed = self._file_batches(file, stream)
+                feed = source(stream)
                 while True:
                     with tel.span("chunk"):
                         batch = next(feed, None)
@@ -443,10 +486,7 @@ class Deduplicator(ABC):
                     self.pipeline.batches += 1
                     with tel.span("dedup", chunks=len(batch)):
                         with tel.span("hash", chunks=len(batch)):
-                            # One batched digest call over zero-copy views
-                            # into the stream buffer: no per-chunk bytes
-                            # objects are materialised.
-                            digests = sha1_many(c.data for c in batch)
+                            digests = digest(batch)
                             self.cpu.hashed += batch_bytes
                         self._ingest_chunks(batch, digests)
                 self._input_bytes += nbytes
@@ -500,21 +540,27 @@ class Deduplicator(ABC):
         decision-identical.
         """
         if file.data is not None:
-            data = file.data
-            if data:
-                stream.windows += 1
-                if len(data) > stream.peak_buffer_bytes:
-                    stream.peak_buffer_bytes = len(data)
-                batch = self._stream_chunker().chunk(data)
-                if stream.size_hist is not None:
-                    stream.size_hist.observe_many(c.size for c in batch)
-                yield batch
+            yield from self._memory_batches(file.data, self._stream_chunker().chunk, stream)
             return
         self.pipeline.streamed_files += 1
         with file.open() as reader:
             yield from self._stream_chunker().chunk_stream(
                 reader, self.stream_window_bytes, stream
             )
+
+    @staticmethod
+    def _memory_batches(
+        data: bytes, cut: Callable[[bytes], list[Chunk]], stream: StreamStats
+    ) -> Iterator[list[Chunk]]:
+        """In-memory ``data`` as one window: the single batch ``cut(data)``."""
+        if data:
+            stream.windows += 1
+            if len(data) > stream.peak_buffer_bytes:
+                stream.peak_buffer_bytes = len(data)
+            batch = cut(data)
+            if stream.size_hist is not None:
+                stream.size_hist.observe_many(c.size for c in batch)
+            yield batch
 
     def _stream_chunker(self) -> Chunker:
         """The chunker that defines this algorithm's primary stream.
