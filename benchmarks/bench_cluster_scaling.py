@@ -6,7 +6,7 @@ duplicates shared *across* shards are no longer found.  Both
 partitionings run on the same shard workers and report the same
 ``FleetResult``, so their rows are directly comparable:
 
-* **ring-routed** — segments are routed by representative fingerprint
+* **ring-routed** — segments are routed by their sampled hooks' votes
   over the consistent-hash ring, so similar segments land on the same
   shard *regardless of source machine*; swept over the shard count;
 * **by machine** — whole files go to their machine's shard (one node

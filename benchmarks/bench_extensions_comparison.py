@@ -1,10 +1,9 @@
-"""Extension comparison — all nine algorithms on one corpus.
+"""Extension comparison — all six algorithms on one corpus.
 
-Beyond the paper's four evaluated algorithms, this bench adds the
-three related-work systems its Section II discusses (Fingerdiff, FBC,
-Extreme Binning) and the paper's named-but-unevaluated SI-MHD variant,
-on the same corpus and granularity.  Columns mirror the Fig. 8 summary
-plus the RAM column the paper's Fingerdiff critique is about.
+Beyond the paper's four evaluated algorithms and the CDC baseline,
+this bench adds the paper's named-but-unevaluated SI-MHD variant, on
+the same corpus and granularity.  Columns mirror the Fig. 8 summary
+plus a peak-RAM column.
 """
 
 import pytest
@@ -14,9 +13,6 @@ from repro.analysis import evaluate, format_table
 from repro.baselines import (
     BimodalDeduplicator,
     CDCDeduplicator,
-    ExtremeBinningDeduplicator,
-    FBCDeduplicator,
-    FingerdiffDeduplicator,
     SparseIndexingDeduplicator,
     SubChunkDeduplicator,
 )
@@ -29,9 +25,6 @@ ALL = [
     BimodalDeduplicator,
     SubChunkDeduplicator,
     SparseIndexingDeduplicator,
-    FingerdiffDeduplicator,
-    FBCDeduplicator,
-    ExtremeBinningDeduplicator,
     MHDDeduplicator,
     SIMHDDeduplicator,
 ]
@@ -41,15 +34,14 @@ ALL = [
 def runs(corpus_files):
     out = {}
     for cls in ALL:
-        dedup = cls(DedupConfig(ecs=ECS, sd=SD_MAIN))
-        out[cls.name] = (dedup, evaluate(dedup, corpus_files, DEVICE))
+        out[cls.name] = evaluate(cls(DedupConfig(ecs=ECS, sd=SD_MAIN)), corpus_files, DEVICE)
     return out
 
 
 def test_extensions_comparison(benchmark, runs):
     def build() -> str:
         rows = []
-        for name, (dedup, run) in runs.items():
+        for name, run in runs.items():
             s = run.stats
             rows.append(
                 [
@@ -66,41 +58,22 @@ def test_extensions_comparison(benchmark, runs):
             ["algorithm", "data DER", "real DER", "metadata", "disk IOs",
              "tput ratio", "peak RAM"],
             rows,
-            title=f"nine-algorithm comparison (ECS={ECS}, SD={SD_MAIN})",
+            title=f"six-algorithm comparison (ECS={ECS}, SD={SD_MAIN})",
         )
 
     report = benchmark.pedantic(build, rounds=1, iterations=1)
     write_report(
         "extensions_comparison",
         report,
-        runs={name: run for name, (_dedup, run) in runs.items()},
+        runs=runs,
         extra={"ecs": ECS, "sd": SD_MAIN},
     )
 
 
 def test_si_mhd_fewer_ios_same_dedup(runs):
     """SI-MHD trades hook RAM for the BF-MHD hook-query disk traffic."""
-    bf_run, si_run = runs["bf-mhd"][1], runs["si-mhd"][1]
+    bf_run, si_run = runs["bf-mhd"], runs["si-mhd"]
     assert si_run.stats.stored_chunk_bytes == bf_run.stats.stored_chunk_bytes
     assert si_run.stats.io.count() < bf_run.stats.io.count()
     assert si_run.throughput_ratio >= bf_run.throughput_ratio
 
-
-def test_fingerdiff_ram_exceeds_mhd(runs):
-    """The ICPP paper's critique: Fingerdiff's per-subchunk database
-    cannot stay small; MHD's bloom+cache budget can."""
-    fd = runs["fingerdiff"][0]
-    assert fd.database_bytes() > 0
-    # RAM grows ~linearly with unique chunks; MHD's is a fixed budget.
-    mhd_stats = runs["bf-mhd"][1].stats
-    fd_stats = runs["fingerdiff"][1].stats
-    per_chunk_fd = fd.database_bytes() / max(1, fd_stats.unique_chunks)
-    assert per_chunk_fd > 20  # at least the digest itself, per chunk
-
-
-def test_extreme_binning_min_manifest_reads(runs):
-    """Extreme Binning's one-disk-access-per-file design."""
-    from repro.storage import DiskModel
-
-    eb = runs["extreme-binning"][1].stats
-    assert eb.io.count(DiskModel.MANIFEST, "read") <= eb.input_files

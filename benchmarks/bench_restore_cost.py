@@ -1,4 +1,4 @@
-"""Restore cost — fragmentation across the nine algorithms.
+"""Restore cost — fragmentation across the six algorithms.
 
 Beyond the paper (which measures write throughput only): how much does
 each algorithm's metadata layout tax *recovery*?  One seek per
@@ -19,8 +19,6 @@ ALGOS = [
     "bimodal",
     "subchunk",
     "sparse-indexing",
-    "fingerdiff",
-    "extreme-binning",
     "bf-mhd",
     "si-mhd",
 ]

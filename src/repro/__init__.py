@@ -26,9 +26,6 @@ from .analysis import AlgorithmRun, DeviceModel, evaluate
 from .baselines import (
     BimodalDeduplicator,
     CDCDeduplicator,
-    ExtremeBinningDeduplicator,
-    FBCDeduplicator,
-    FingerdiffDeduplicator,
     SparseIndexingDeduplicator,
     SubChunkDeduplicator,
 )
@@ -47,9 +44,6 @@ __all__ = [
     "CDCDeduplicator",
     "SparseIndexingDeduplicator",
     "SubChunkDeduplicator",
-    "ExtremeBinningDeduplicator",
-    "FBCDeduplicator",
-    "FingerdiffDeduplicator",
     "SIMHDDeduplicator",
     "ChunkerConfig",
     "VectorizedChunker",

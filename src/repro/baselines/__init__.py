@@ -1,24 +1,17 @@
-"""Baseline and related-work deduplication algorithms.
+"""Baseline deduplication algorithms.
 
 The four the paper evaluates against (CDC, Bimodal, SubChunk,
-SparseIndexing) plus the three its related-work section discusses
-(Fingerdiff, FBC, Extreme Binning), implemented in full.
+SparseIndexing), implemented in full.
 """
 
 from .bimodal import BimodalDeduplicator
 from .cdc import CDCDeduplicator
-from .extreme_binning import ExtremeBinningDeduplicator
-from .fbc import FBCDeduplicator
-from .fingerdiff import FingerdiffDeduplicator
 from .sparse_indexing import SparseIndexingDeduplicator
 from .subchunk import SubChunkDeduplicator
 
 __all__ = [
     "BimodalDeduplicator",
     "CDCDeduplicator",
-    "ExtremeBinningDeduplicator",
-    "FBCDeduplicator",
-    "FingerdiffDeduplicator",
     "SparseIndexingDeduplicator",
     "SubChunkDeduplicator",
 ]

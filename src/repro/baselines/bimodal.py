@@ -88,8 +88,11 @@ class BimodalDeduplicator(Deduplicator):
         self._observe_ram(self.cache.ram_bytes())
 
     def _commit_big(self, ctx: _FileState, chunk, digest, hit, next_hit) -> None:
-        """Store / re-chunk one big chunk whose neighbours are decided."""
-        if hit is None and self._should_rechunk(chunk, ctx.prev_hit, next_hit):
+        """Store / re-chunk one big chunk whose neighbours are decided.
+
+        The transition-point rule: a non-duplicate big chunk is
+        re-chunked iff a stream neighbour is duplicate."""
+        if hit is None and (ctx.prev_hit is not None or next_hit is not None):
             self.rechunked_big += 1
             # The big chunk's view is chunked in place — no bytes() copy.
             smalls = self.small_chunker.chunk(chunk.data)
@@ -102,12 +105,6 @@ class BimodalDeduplicator(Deduplicator):
         else:
             self._dedup_one(ctx, chunk, digest, hit)
         ctx.prev_hit = hit
-
-    def _should_rechunk(self, big: Chunk, prev_hit, next_hit) -> bool:
-        """Bimodal's transition-point rule: re-chunk a non-duplicate big
-        chunk iff a stream neighbour is duplicate.  Subclasses (FBC)
-        substitute their own selection strategy."""
-        return prev_hit is not None or next_hit is not None
 
     def _dedup_one(
         self,

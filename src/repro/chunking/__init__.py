@@ -3,9 +3,10 @@
 :class:`VectorizedChunker` (NumPy Karp–Rabin CDC) is the default
 chunker used by every deduplicator in the repository;
 :class:`ReferenceChunker` is its byte-at-a-time executable
-specification.  :class:`TTTDChunker`, :class:`GearChunker` and
-:class:`FixedChunker` are the alternatives the paper discusses in its
-related-work section, used in ablation benches.
+specification.  :class:`TTTDChunker` is the TTTD variant the
+paper's Section II describes, and :class:`FixedChunker` the fixed-size
+alternative behind its boundary-shifting argument; both are used in
+ablation benches.
 """
 
 from .base import (
@@ -18,9 +19,7 @@ from .base import (
     StreamStats,
     chunks_from_cut_points,
 )
-from .fastcdc import FastCDCChunker
 from .fixed import FixedChunker
-from .gear import GearChunker
 from .reference import ReferenceChunker
 from .tttd import TTTDChunker
 from .vectorized import VectorizedChunker
@@ -34,9 +33,7 @@ __all__ = [
     "StreamStats",
     "DEFAULT_STREAM_WINDOW",
     "chunks_from_cut_points",
-    "FastCDCChunker",
     "FixedChunker",
-    "GearChunker",
     "ReferenceChunker",
     "TTTDChunker",
     "VectorizedChunker",

@@ -5,7 +5,7 @@ All chunkers in this package share one contract: given an input buffer
 they return a strictly increasing array of *cut points* ``[c_1, ...,
 c_k]`` with ``c_k == len(data)``; chunk ``i`` covers bytes
 ``[c_{i-1}, c_i)`` (with ``c_0 == 0``).  Content-defined chunkers
-(Karp–Rabin, Gear, TTTD) choose cut points from the data so that
+(Karp–Rabin, TTTD) choose cut points from the data so that
 boundaries resynchronise after insertions/deletions — the property
 that defeats the boundary-shifting problem of fixed-size chunking.
 
@@ -35,7 +35,6 @@ the genuine end-of-input rules.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Protocol
@@ -191,17 +190,17 @@ class StreamStats:
     size_hist: Histogram | None = None
 
 
-class Chunker(ABC):
+class Chunker:
     """Interface implemented by every chunking algorithm."""
 
     config: ChunkerConfig
 
-    @abstractmethod
     def cut_points(self, data: Buffer) -> npt.NDArray[np.int64]:
         """Strictly increasing ``int64`` cut positions ending at ``len(data)``.
 
         An empty input yields an empty array.
         """
+        return self._cut_points_ctx(data, 0)
 
     def candidates(self, data: Buffer) -> npt.NDArray[np.int64]:
         """Positions where the cut condition fires, before selection.
@@ -250,16 +249,15 @@ class Chunker(ABC):
 
         The default implementation covers chunkers of the
         ``select_cut_points(candidates(...))`` shape; chunkers with
-        bespoke selection (TTTD, FastCDC, fixed) override.
+        bespoke selection (TTTD, fixed-size) override.
         """
-        if hist == 0:
-            return self.cut_points(data)
+        n = len(data) - hist
+        if n <= 0:
+            return np.empty(0, dtype=np.int64)
         cands = self.candidates(data)
-        local = cands[cands > hist] - hist
-        cuts = select_cut_points(
-            local, len(data) - hist, self.config.min_size, self.config.max_size
-        )
-        return cuts + hist
+        local = cands[cands > hist] - hist if hist else cands
+        cuts = select_cut_points(local, n, self.config.min_size, self.config.max_size)
+        return cuts + hist if hist else cuts
 
     def chunk_stream(
         self,

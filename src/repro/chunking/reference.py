@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 import numpy.typing as npt
 
-from ._select import select_cut_points, splitmix64
+from ._select import splitmix64
 from .base import Buffer, Chunker, ChunkerConfig
 
 __all__ = ["ReferenceChunker", "hash_params"]
@@ -78,11 +78,3 @@ class ReferenceChunker(Chunker):
             if ((h * final) & _U64) < threshold:
                 out.append(p)
         return np.asarray(out, dtype=np.int64)
-
-    def cut_points(self, data: Buffer) -> npt.NDArray[np.int64]:
-        n = len(data)
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        return select_cut_points(
-            self.candidates(data), n, self.config.min_size, self.config.max_size
-        )

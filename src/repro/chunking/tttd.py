@@ -2,24 +2,21 @@
 
 The paper's Section II describes TTTD as the improved CDC variant:
 besides the *main* divisor ``D`` (expected size ``ECS``) it tracks a
-*backup* divisor ``D' < D`` that matches more often.  While scanning
-between ``min_size`` and ``max_size``, the most recent backup match is
-remembered; if the scan reaches ``max_size`` without a main match, the
-cut is placed at the remembered backup position instead of at the
-arbitrary ``max_size`` byte.  This keeps forced cuts content-defined,
-improving boundary resynchronisation after edits.
-
-Implementation: reuses the vectorised Karp–Rabin window hash; the main
-condition is ``top log2(ECS) bits of (H*C) == 0`` and the backup
-condition ``top log2(ECS)-1 bits == 0`` (twice as likely, and a strict
-superset of main matches — exactly the divisor pair relationship).
+*backup* divisor ``D' = D/2`` that matches twice as often.  When a scan
+reaches ``max_size`` without a main match, the cut goes at the last
+backup match in the window instead of at the arbitrary ``max_size``
+byte, so forced cuts stay content-defined.  Both divisors run on the
+vectorised Karp–Rabin hash; backup matches are a superset of main ones.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.typing as npt
 
+from ._select import select_cut_points
 from .base import Buffer, Chunker, ChunkerConfig
 from .vectorized import VectorizedChunker
 
@@ -31,45 +28,21 @@ class TTTDChunker(Chunker):
 
     def __init__(self, config: ChunkerConfig | None = None) -> None:
         self.config = config or ChunkerConfig()
-        # Backup divisor = ECS/2: backup candidates are positions whose
-        # hash clears one fewer top bit.
         if self.config.expected_size < 128:
             raise ValueError("TTTD needs expected_size >= 128 for a backup divisor")
-        backup_cfg = ChunkerConfig(
-            expected_size=self.config.expected_size // 2,
-            min_size=self.config.min_size,
-            max_size=self.config.max_size,
-            window=self.config.window,
-            seed=self.config.seed,
-        )
         self._main = VectorizedChunker(self.config)
-        self._backup = VectorizedChunker(backup_cfg)
-
-    def cut_points(self, data: Buffer) -> npt.NDArray[np.int64]:
-        n = len(data)
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        return self._select(
-            self._main.candidates(data), self._backup.candidates(data), n
+        self._backup = VectorizedChunker(
+            replace(self.config, expected_size=self.config.expected_size // 2)
         )
 
     def _cut_points_ctx(self, data: Buffer, hist: int) -> npt.NDArray[np.int64]:
-        if hist == 0:
-            return self.cut_points(data)
-        main = self._main.candidates(data)
-        backup = self._backup.candidates(data)
-        cuts = self._select(
-            main[main > hist] - hist, backup[backup > hist] - hist, len(data) - hist
+        n = len(data) - hist
+        if n <= 0:
+            return np.empty(0, dtype=np.int64)
+        main, backup = (
+            c[c > hist] - hist
+            for c in (self._main.candidates(data), self._backup.candidates(data))
         )
-        return cuts + hist
-
-    def _select(
-        self,
-        main: npt.NDArray[np.int64],
-        backup: npt.NDArray[np.int64],
-        n: int,
-    ) -> npt.NDArray[np.int64]:
-        """TTTD cut selection over precomputed candidate arrays."""
         min_size, max_size = self.config.min_size, self.config.max_size
         cuts: list[int] = []
         start = 0
@@ -77,25 +50,12 @@ class TTTDChunker(Chunker):
             lo, hi = start + min_size, start + max_size
             k = int(np.searchsorted(main, lo, side="left"))
             if k < len(main) and main[k] <= hi:
-                cut = int(main[k])
+                start = int(main[k])
             else:
-                # No main match: fall back to the *last* backup match
-                # in-window, else force the cut at max_size.
+                # No main match: the last in-window backup match, else force.
                 kb = int(np.searchsorted(backup, hi, side="right")) - 1
-                if kb >= 0 and backup[kb] >= lo:
-                    cut = int(backup[kb])
-                else:
-                    cut = hi
-            cuts.append(cut)
-            start = cut
-        while n - start > min_size:
-            lo = start + min_size
-            k = int(np.searchsorted(main, lo, side="left"))
-            if k < len(main) and main[k] < n:
-                cut = int(main[k])
-                cuts.append(cut)
-                start = cut
-            else:
-                break
-        cuts.append(n)
-        return np.asarray(cuts, dtype=np.int64)
+                start = int(backup[kb]) if kb >= 0 and backup[kb] >= lo else hi
+            cuts.append(start)
+        # The tail is shorter than max_size: plain main-divisor selection.
+        tail = select_cut_points(main[main > start] - start, n - start, min_size, max_size)
+        return np.concatenate([np.asarray(cuts, dtype=np.int64), tail + start]) + hist

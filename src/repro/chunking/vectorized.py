@@ -29,9 +29,8 @@ test is ``H(p) * C < 2^64 / ECS`` for the odd finaliser ``C``; since
 ``M^p C`` and the finaliser costs no pass of its own.
 
 Inputs are processed in overlapping blocks (default 128 Ki positions)
-whose work arrays are allocated once per call and stay cache-resident
-— the same reason :mod:`repro.chunking.gear` blocks its kernel — so
-the passes run at cache speed and no input-sized temporary exists.
+whose work arrays are allocated once per call and stay cache-resident,
+so the passes run at cache speed and no input-sized temporary exists.
 Peak memory is ``4 × 8 ×`` block size (two scratch arrays per call,
 two shared tables; ~4 MiB) regardless of input length; the hash only
 depends on window *content*, so per-block candidate positions are
@@ -43,7 +42,6 @@ from __future__ import annotations
 import numpy as np
 import numpy.typing as npt
 
-from ._select import select_cut_points
 from .base import Buffer, Chunker, ChunkerConfig
 from .reference import hash_params
 
@@ -74,7 +72,7 @@ def _modinv_pow2(a: int) -> int:
 #: Process-wide power-table cache keyed by the rolling-hash constants
 #: ``(M, C)``: ``(Minv^(j+1))_j`` and ``(M^p C)_p`` (``Minv`` is derived
 #: from ``M``), so the key is complete: chunkers sharing a seed —
-#: FastCDC's strict/loose pair, every default-seed chunker of a fleet —
+#: TTTD's main/backup pair, every default-seed chunker of a fleet —
 #: share one pair of tables, while differently-seeded configs get
 #: distinct entries and can never poison each other's hashes.  Entries
 #: only ever grow and cached arrays are never mutated in place, so
@@ -174,11 +172,3 @@ class VectorizedChunker(Chunker):
         if not pieces:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(pieces)
-
-    def cut_points(self, data: Buffer) -> npt.NDArray[np.int64]:
-        n = len(data)
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        return select_cut_points(
-            self.candidates(data), n, self.config.min_size, self.config.max_size
-        )

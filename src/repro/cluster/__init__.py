@@ -4,7 +4,7 @@ The "one system, N workers" layer over the single-process pipeline:
 stateless :class:`~repro.cluster.worker.ShardWorker`\\ s own manifest
 shards on a shared backend, a
 :class:`~repro.cluster.router.ClusterRouter` routes incoming segments
-by representative fingerprint over a consistent-hash
+by their sampled hooks' votes over a consistent-hash
 :class:`~repro.cluster.ring.HashRing`, and
 :func:`~repro.cluster.rebalance.split_shard` grows the fleet by
 splitting the hottest shard with measured cost.
@@ -17,13 +17,7 @@ failure model) and ``benchmarks/bench_cluster_scaling.py`` for the
 cross-shard DER / makespan / RAM trade measurements.
 """
 
-from .fingerprint import (
-    FINGERPRINT_MODES,
-    hooks_of,
-    representative,
-    route_segment,
-    routing_key,
-)
+from .fingerprint import hooks_of, representative, route_segment, routing_key
 from .fleet import FleetResult, ShardResult, dedup_sharded, fleet_result, shard_by_machine
 from .rebalance import RebalanceReport, hottest_shard, split_shard
 from .ring import DEFAULT_VNODES, HashRing
@@ -41,7 +35,6 @@ from .worker import SHARD_PREFIX, ShardWorker, shard_prefix, validate_worker_nam
 
 __all__ = [
     "DEFAULT_VNODES",
-    "FINGERPRINT_MODES",
     "META_NAMESPACE",
     "RECIPE_NAMESPACE",
     "SHARD_PREFIX",

@@ -1,25 +1,21 @@
 """Representative-fingerprint routing keys.
 
-Two routing keys, both borrowed from baselines already in the tree:
-
-* **min-digest** — Extreme Binning's Broder min-wise representative
-  (``min(digests)``, see
-  :class:`~repro.baselines.extreme_binning.ExtremeBinningDeduplicator`):
-  similar segments share their minimum chunk digest with high
-  probability, so they land on the same shard and deduplicate against
-  each other.
-* **hook-votes** — Sparse Indexing's sampled hooks (``digest mod SD ==
-  0``, the exact predicate of
-  ``SparseIndexingDeduplicator._is_hook``): each hook votes for the
-  ring node that owns it, the plurality wins.  More robust than a
-  single representative when a segment straddles two locality runs.
-  Ties are pinned by
-  :func:`repro.baselines.sparse_indexing.rank_champions` — the same
-  deterministic ``(-votes, key)`` order the champion-selection bugfix
-  introduced, so routing never depends on arrival order.
+A segment routes by **hook votes** — Sparse Indexing's sampled hooks
+(``digest mod SD == 0``, the exact predicate of
+``SparseIndexingDeduplicator._is_hook``): each hook votes for the ring
+node that owns it, the plurality wins.  Similar segments share most of
+their hooks, so they land on the same shard and deduplicate against
+each other.  Ties are pinned by
+:func:`repro.baselines.sparse_indexing.rank_champions` — the same
+deterministic ``(-votes, key)`` order the champion-selection bugfix
+introduced, so routing never depends on arrival order.
 
 A segment with no hooks (short segment, unlucky sample) falls back to
-the min-digest key in either mode.
+the **min-digest** representative, Broder's min-wise sample
+(``min(digests)``).
+
+The caller samples a segment's hooks once (:func:`hooks_of`) and hands
+them to both :func:`route_segment` and :func:`routing_key`.
 """
 
 from __future__ import annotations
@@ -32,20 +28,15 @@ from ..hashing import Digest
 from .ring import HashRing
 
 __all__ = [
-    "FINGERPRINT_MODES",
     "hooks_of",
     "representative",
     "route_segment",
     "routing_key",
 ]
 
-#: Valid values for :attr:`repro.cluster.router.ClusterConfig.fingerprint`
-#: (``"auto"`` resolves to one of these via registry capabilities).
-FINGERPRINT_MODES = ("hook-votes", "min-digest")
-
 
 def representative(digests: Sequence[Digest]) -> Digest:
-    """Extreme Binning's representative: the minimum chunk digest."""
+    """The min-wise representative: the minimum chunk digest."""
     if not digests:
         raise ValueError("cannot take a representative of zero digests")
     return min(digests)
@@ -58,34 +49,24 @@ def hooks_of(digests: Sequence[Digest], sd: int) -> list[Digest]:
     return [d for d in digests if int.from_bytes(d[:8], "little") % sd == 0]
 
 
-def routing_key(digests: Sequence[Digest], sd: int) -> Digest:
+def routing_key(digests: Sequence[Digest], hooks: Sequence[Digest]) -> Digest:
     """The canonical single-digest key of a segment.
 
     The minimum hook when the segment has hooks, else the min-digest
     representative.  This is the key persisted in cluster recipes and
     re-evaluated by the rebalancer after ring membership changes.
     """
-    hooks = hooks_of(digests, sd)
     return min(hooks) if hooks else representative(digests)
 
 
 def route_segment(
-    ring: HashRing,
-    digests: Sequence[Digest],
-    sd: int,
-    mode: str = "hook-votes",
+    ring: HashRing, digests: Sequence[Digest], hooks: Sequence[Digest]
 ) -> str:
     """The worker a segment should go to.
 
-    ``mode="min-digest"`` routes by the single representative;
-    ``mode="hook-votes"`` lets every hook vote for its ring owner and
-    takes the deterministic plurality.
+    Every hook votes for its ring owner and the deterministic plurality
+    wins; a segment without hooks routes by its representative.
     """
-    if mode not in FINGERPRINT_MODES:
-        raise ValueError(f"mode must be one of {FINGERPRINT_MODES}, got {mode!r}")
-    if mode == "min-digest":
-        return ring.route(representative(digests))
-    hooks = hooks_of(digests, sd)
     if not hooks:
         return ring.route(representative(digests))
     votes: Counter[str] = Counter(ring.route(h) for h in hooks)

@@ -6,7 +6,7 @@ performance in distributed systems related applications such as large
 scale data backup."  Such systems scale by *partitioning*: each shard
 is deduplicated independently by its own node and duplicates *across*
 shards are deliberately missed — trading a little DER for scale-out,
-exactly like Extreme Binning's bins or HYDRAstor's supernodes.
+exactly like HYDRAstor's supernodes.
 
 Both partitionings this repo offers run on the same substrate — one
 :class:`~repro.cluster.worker.ShardWorker` per shard over a shared
@@ -16,7 +16,7 @@ is directly comparable:
 * :func:`dedup_sharded` assigns whole files by name (by machine, the
   natural unit of a backup fleet);
 * :class:`~repro.cluster.router.ClusterRouter` routes segments by
-  representative fingerprint.
+  their sampled hooks' votes.
 
 The simulated wall time of a fleet is the *maximum* shard time (nodes
 run concurrently); the sum is its cost in node-seconds.

@@ -6,7 +6,7 @@ into one deduplicating system:
 1. incoming files are chunked and hashed once at the edge, grouped
    into segments of ``DedupConfig.segment_bytes`` (the paper's
    ``ECS·SD·5`` setting);
-2. each segment is routed by representative fingerprint over the
+2. each segment is routed by its sampled hooks' votes over the
    consistent-hash ring (:mod:`repro.cluster.fingerprint`) and queued
    on its worker's dispatch batch;
 3. a **write-ahead journal** entry (namespace ``cluster.wal`` on the
@@ -26,7 +26,7 @@ into one deduplicating system:
 
 Each segment's chunk sizes and digests travel with its bytes to every
 worker that cuts like the router, so each byte is chunked and hashed
-once; journal replay and big-chunk algorithms (Bimodal, SubChunk, FBC)
+once; journal replay and big-chunk algorithms (Bimodal, SubChunk)
 take the bytes path.  The fleet-level cost shows up in
 :meth:`ClusterRouter.finalize`'s
 :class:`~repro.cluster.fleet.FleetResult`, the same result type the
@@ -44,11 +44,10 @@ from ..chunking import Chunk, VectorizedChunker
 from ..core.config import DedupConfig
 from ..hashing import Digest, sha1, sha1_many
 from ..obs import MetricsRegistry
-from ..registry import capabilities
 from ..storage import StorageBackend
 from ..storage.verify import IntegrityReport
 from ..workloads.machine import BackupFile
-from .fingerprint import route_segment, routing_key
+from .fingerprint import hooks_of, route_segment, routing_key
 from .fleet import FleetResult, fleet_result
 from .ring import DEFAULT_VNODES, HashRing
 from .worker import ShardWorker
@@ -90,10 +89,6 @@ class ClusterConfig:
     segment_bytes: int = 0
     #: Segments queued per worker before the batch is dispatched.
     batch_segments: int = 8
-    #: Routing-key mode: ``auto`` | ``hook-votes`` | ``min-digest``.
-    #: ``auto`` picks hook votes when the algorithm persists hooks
-    #: (registry capability), else the min-digest representative.
-    fingerprint: str = "auto"
     #: Consecutive crashes tolerated per worker before giving up.
     max_respawns: int = 3
     #: Attach metrics-only telemetry to each worker.
@@ -102,12 +97,6 @@ class ClusterConfig:
     def effective_segment_bytes(self) -> int:
         """The configured segment size, defaulting to ``dedup.segment_bytes``."""
         return self.segment_bytes or self.dedup.segment_bytes
-
-    def fingerprint_mode(self) -> str:
-        """Resolve ``auto`` to a concrete routing-key mode by capability."""
-        if self.fingerprint != "auto":
-            return self.fingerprint
-        return "hook-votes" if "hooks" in capabilities(self.algo) else "min-digest"
 
 
 @dataclass(frozen=True)
@@ -202,7 +191,6 @@ class ClusterRouter:
         #: Test seam: wraps a worker's shard view (fault injection).
         self._view_factory = view_factory
         self.metrics = MetricsRegistry()
-        self._mode = self.config.fingerprint_mode()
         self._chunker = VectorizedChunker(self.config.dedup.small_chunker_config())
         self._pending: dict[str, list[_PendingSegment]] = {}
         self._crashes: dict[str, int] = {}
@@ -318,8 +306,9 @@ class ClusterRouter:
     ) -> _PendingSegment:
         segment_id = f"{file_id}#seg{index:05d}"
         data = b"".join(chunk.data for chunk in chunks)
-        node = route_segment(self.ring, digests, self.config.dedup.sd, self._mode)
-        fingerprint = routing_key(digests, self.config.dedup.sd)
+        hooks = hooks_of(digests, self.config.dedup.sd)
+        node = route_segment(self.ring, digests, hooks)
+        fingerprint = routing_key(digests, hooks)
         wal_key = sha1(b"wal|" + segment_id.encode())
         self.backend.put(WAL_NAMESPACE, wal_key, _encode_wal(node, segment_id, data))
         sizes = [chunk.size for chunk in chunks]

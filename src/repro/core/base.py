@@ -241,9 +241,9 @@ class DedupStats:
 class _FileObjects:
     """The store objects ingesting one file creates, opened and closed once.
 
-    A per-file deduplicator (MHD, CDC, the Bimodal family, Fingerdiff)
-    writes, for each file, one DiskChunk container, one Manifest over
-    it and one FileManifest.  Constructing this opens them — container
+    A per-file deduplicator (MHD, CDC, Bimodal) writes, for each file,
+    one DiskChunk container, one Manifest over it and one FileManifest.
+    Constructing this opens them — container
     and manifest under ids from :func:`allocate_id` (a name the store
     has seen gets new ones and its FileManifest is replaced), the
     manifest pinned in the cache so it is not evicted mid-build — and
@@ -289,16 +289,13 @@ class _FileObjects:
             return self.manifest, idx
         return self._cache.locate(digest, self._dedup._hook_manifest)
 
-    def close(self, hook: Digest | None = None) -> None:
-        """Write the file's objects; ``hook`` registers the manifest's
-        one Hook right after it (Fingerdiff's one-hook-per-manifest)."""
+    def close(self) -> None:
+        """Write the file's objects."""
         dedup = self._dedup
         if self.writer is not None:
             self.writer.close()
         if self.manifest.entries:
             dedup.manifests.put(self.manifest)
-            if hook is not None:
-                dedup.hooks.put(hook, self.manifest.manifest_id)
         self._cache.unpin(self.manifest.manifest_id)
         dedup.file_manifests.put(self.fm)
 
@@ -366,7 +363,7 @@ class Deduplicator(ABC):
         subsequent ingests; the disk meter starts mirroring its
         per-namespace counters into the telemetry registry and the
         tracer's I/O probe is pointed at this run's meter.  Telemetry
-        is attached post-construction precisely so none of the nine
+        is attached post-construction precisely so none of the six
         algorithm constructors need to know about it.
         """
         return self._telemetry

@@ -100,14 +100,6 @@ class HHRPlan:
     compared_bytes: int  # bytes memcmp'd (CPU accounting)
     spans: tuple[Span, ...]  # replacement tiling of the old extent
 
-    @property
-    def duplicate_span(self) -> Span | None:
-        """The plan's duplicate span, if any bytes matched."""
-        for s in self.spans:
-            if s.role == "duplicate":
-                return s
-        return None
-
 
 def match_suffix_chunks(
     old: bytes, tail_chunks: Sequence[Buffer]

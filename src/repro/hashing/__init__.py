@@ -4,13 +4,11 @@ from .bloom import BloomFilter, optimal_bits, optimal_num_hashes
 from .digest import (
     HASH_SIZE,
     Digest,
-    Hasher,
     hex_short,
     sha1,
     sha1_many,
     sha1_spans,
 )
-from .sketch import CountMinSketch
 
 __all__ = [
     "BloomFilter",
@@ -18,10 +16,8 @@ __all__ = [
     "optimal_num_hashes",
     "HASH_SIZE",
     "Digest",
-    "Hasher",
     "hex_short",
     "sha1",
     "sha1_many",
     "sha1_spans",
-    "CountMinSketch",
 ]

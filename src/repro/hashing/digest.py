@@ -30,7 +30,6 @@ from typing import NewType
 __all__ = [
     "HASH_SIZE",
     "Digest",
-    "Hasher",
     "sha1",
     "sha1_many",
     "sha1_spans",
@@ -83,29 +82,6 @@ def sha1_spans(parts: Iterable[bytes | bytearray | memoryview]) -> Digest:
     for part in parts:
         h.update(part)
     return Digest(h.digest())
-
-
-class Hasher:
-    """Incremental SHA-1 accumulator.
-
-    For callers that fold a long stream into one digest without
-    materialising it — e.g. Extreme Binning's whole-file hash, built
-    chunk by chunk as batches arrive.  Wraps the stdlib object so that
-    algorithm modules never import :mod:`hashlib` directly (DDC001).
-    """
-
-    __slots__ = ("_h",)
-
-    def __init__(self, data: bytes | bytearray | memoryview = b"") -> None:
-        self._h = hashlib.sha1(data)
-
-    def update(self, data: bytes | bytearray | memoryview) -> None:
-        """Fold ``data`` into the running digest."""
-        self._h.update(data)
-
-    def digest(self) -> Digest:
-        """The 20-byte digest of everything fed so far."""
-        return Digest(self._h.digest())
 
 
 def hex_short(digest: Digest, length: int = 10) -> str:

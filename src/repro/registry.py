@@ -1,7 +1,7 @@
 """The one place mapping algorithm names to deduplicator classes.
 
 ``cli.py``, the cluster's shard workers, the service, the examples and
-the benchmark harness all need the same nine-entry name → class table;
+the benchmark harness all need the same six-entry name → class table;
 maintaining separate copies let them drift.  They now all call
 :func:`resolve` / :func:`available` here.
 
@@ -14,30 +14,9 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-__all__ = ["available", "capabilities", "describe", "entries", "resolve"]
+__all__ = ["available", "describe", "entries", "resolve"]
 
 _REGISTRY: dict[str, Callable] = {}
-
-#: Structural traits per algorithm, used by callers that adapt to the
-#: algorithm's index shape rather than its name — e.g. the cluster
-#: router picks its fingerprint mode from these:
-#:
-#: ``hooks``            persists sampled hook files (warm_start can
-#:                      rebuild a RAM index from them);
-#: ``segments``         groups the stream into multi-chunk segments;
-#: ``representative``   routes whole files by a min-digest
-#:                      representative (Extreme Binning).
-_CAPABILITIES: dict[str, frozenset[str]] = {
-    "bf-mhd": frozenset({"hooks"}),
-    "si-mhd": frozenset({"hooks"}),
-    "cdc": frozenset({"hooks"}),
-    "bimodal": frozenset({"hooks"}),
-    "subchunk": frozenset({"hooks"}),
-    "sparse-indexing": frozenset({"hooks", "segments"}),
-    "fingerdiff": frozenset({"hooks"}),
-    "fbc": frozenset(),
-    "extreme-binning": frozenset({"representative"}),
-}
 
 #: One-line description per algorithm (``repro list`` output); kept
 #: here rather than on the classes so the list prints without
@@ -49,9 +28,6 @@ _DESCRIPTIONS: dict[str, str] = {
     "bimodal": "bimodal chunking: big chunks, re-chunked small at dup boundaries",
     "subchunk": "two-level chunk/sub-chunk dedup with per-bin manifests",
     "sparse-indexing": "Lillibridge-style sampled sparse index over segments",
-    "fingerdiff": "Fingerdiff: variable-granularity super-chunks",
-    "fbc": "frequency-based chunking around popular chunk boundaries",
-    "extreme-binning": "Extreme Binning: one representative chunk id per file bin",
 }
 
 
@@ -59,9 +35,6 @@ def _populate() -> None:
     from .baselines import (
         BimodalDeduplicator,
         CDCDeduplicator,
-        ExtremeBinningDeduplicator,
-        FBCDeduplicator,
-        FingerdiffDeduplicator,
         SparseIndexingDeduplicator,
         SubChunkDeduplicator,
     )
@@ -75,9 +48,6 @@ def _populate() -> None:
             "bimodal": BimodalDeduplicator,
             "subchunk": SubChunkDeduplicator,
             "sparse-indexing": SparseIndexingDeduplicator,
-            "fingerdiff": FingerdiffDeduplicator,
-            "fbc": FBCDeduplicator,
-            "extreme-binning": ExtremeBinningDeduplicator,
         }
     )
 
@@ -99,13 +69,6 @@ def describe(name: str) -> str:
 def entries() -> list[tuple[str, str]]:
     """``(name, one-line description)`` for every algorithm, in order."""
     return [(name, describe(name)) for name in available()]
-
-
-def capabilities(name: str) -> frozenset[str]:
-    """Structural traits of a registered algorithm (see ``_CAPABILITIES``)."""
-    if name not in available():
-        raise ValueError(f"unknown algorithm {name!r}")
-    return _CAPABILITIES.get(name, frozenset())
 
 
 def resolve(name: str) -> Callable:

@@ -11,9 +11,6 @@ import pytest
 from repro.baselines import (
     BimodalDeduplicator,
     CDCDeduplicator,
-    ExtremeBinningDeduplicator,
-    FBCDeduplicator,
-    FingerdiffDeduplicator,
     SparseIndexingDeduplicator,
     SubChunkDeduplicator,
 )
@@ -28,9 +25,6 @@ ALL = [
     SparseIndexingDeduplicator,
     MHDDeduplicator,
     SIMHDDeduplicator,
-    FingerdiffDeduplicator,
-    FBCDeduplicator,
-    ExtremeBinningDeduplicator,
 ]
 
 
@@ -141,12 +135,6 @@ class TestAccounting:
             d.ingest(BackupFile("b", b"zz"))
 
 
-#: Their duplicate index lives in RAM only (Fingerdiff's database,
-#: Extreme Binning's primary index): a restarted process finds no
-#: duplicates of what an earlier one stored, under any file id.
-INDEX_NOT_PERSISTED = (FingerdiffDeduplicator, ExtremeBinningDeduplicator)
-
-
 @pytest.mark.parametrize("restart", [False, True], ids=["same-process", "restart"])
 class TestReingest:
     """Ingesting a file id again replaces its recipe; the store names
@@ -196,8 +184,7 @@ class TestReingest:
         other_name = self._ingest_twice(dedup_cls, restart, a, a, second_id="y")
         assert stored == other_name.bytes_stored(DiskModel.CHUNK)
         # ... and is all of it, bar what Sparse Indexing's sampling misses.
-        if not (restart and dedup_cls in INDEX_NOT_PERSISTED):
-            assert 300_000 <= stored < 300_000 * 1.02
+        assert 300_000 <= stored < 300_000 * 1.02
         self._sweep(dedup_cls, backend, a)
 
 

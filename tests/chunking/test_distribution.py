@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from repro.chunking import ChunkerConfig, GearChunker, VectorizedChunker
+from repro.chunking import ChunkerConfig, VectorizedChunker
 
 ECS = 512
 CFG = ChunkerConfig(expected_size=ECS, min_size=128, max_size=4096, window=16)
@@ -57,14 +57,6 @@ def test_no_positional_bias(sizes):
     idx = np.arange(len(sizes))
     rho, _p = sps.spearmanr(idx, sizes)
     assert abs(rho) < 0.02, rho
-
-
-def test_gear_distribution_comparable():
-    data = np.random.default_rng(7).integers(0, 256, size=2_000_000, dtype=np.uint8).tobytes()
-    cuts = GearChunker(CFG).cut_points(data)
-    sizes = np.diff(np.concatenate([[0], cuts]))[:-1]
-    expected = CFG.min_size + ECS
-    assert abs(sizes.mean() - expected) / expected < 0.1, sizes.mean()
 
 
 def test_low_entropy_input_not_degenerate():

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from repro.chunking import (
     ChunkerConfig,
     FixedChunker,
-    GearChunker,
     ReferenceChunker,
     TTTDChunker,
     VectorizedChunker,
@@ -25,8 +24,8 @@ from .conftest import buffers, random_bytes
 
 SMALL = ChunkerConfig(expected_size=256, min_size=64, max_size=1024, window=16)
 
-ALL_CHUNKERS = [VectorizedChunker, GearChunker, TTTDChunker, FixedChunker]
-CDC_CHUNKERS = [VectorizedChunker, GearChunker, TTTDChunker]
+ALL_CHUNKERS = [VectorizedChunker, TTTDChunker, FixedChunker]
+CDC_CHUNKERS = [VectorizedChunker, TTTDChunker]
 
 
 @pytest.mark.parametrize("cls", ALL_CHUNKERS)
@@ -138,10 +137,3 @@ def test_tttd_forced_cuts_rarer_than_plain_cdc():
     plain_forced = int(np.sum(plain_sizes == cfg.max_size))
     tttd_forced = int(np.sum(tttd_sizes == cfg.max_size))
     assert tttd_forced <= plain_forced
-
-
-def test_gear_window_clamped_to_64():
-    chunker = GearChunker(ChunkerConfig(expected_size=256, window=200))
-    assert chunker._window == 64
-    data = random_bytes(50_000, seed=11)
-    chunker.validate_cuts(len(data), chunker.cut_points(data))

@@ -30,7 +30,7 @@ from tests.test_ingest_behaviour_pin import RecordingBackend
 CFG = DedupConfig(ecs=256, sd=4, bloom_bytes=1 << 12, cache_manifests=4)
 
 #: Algorithms whose primary stream is not the router's chunker.
-BIG_CHUNK_STREAMS = {"bimodal", "subchunk", "fbc"}
+BIG_CHUNK_STREAMS = {"bimodal", "subchunk"}
 
 
 class Trickle(io.RawIOBase):

@@ -177,13 +177,6 @@ class TestWarmRestart:
 
 
 class TestConfig:
-    def test_auto_fingerprint_follows_capabilities(self):
-        assert ClusterConfig(algo="bf-mhd").fingerprint_mode() == "hook-votes"
-        assert ClusterConfig(algo="extreme-binning").fingerprint_mode() == "min-digest"
-        assert ClusterConfig(algo="fbc").fingerprint_mode() == "min-digest"
-        explicit = ClusterConfig(algo="bf-mhd", fingerprint="min-digest")
-        assert explicit.fingerprint_mode() == "min-digest"
-
     def test_effective_segment_bytes_defaults_to_dedup(self):
         cfg = ClusterConfig(dedup=CFG)
         assert cfg.effective_segment_bytes() == CFG.segment_bytes

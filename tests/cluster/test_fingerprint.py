@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.cluster import (
-    FINGERPRINT_MODES,
-    HashRing,
-    hooks_of,
-    representative,
-    route_segment,
-    routing_key,
-)
+from repro.cluster import HashRing, hooks_of, representative, route_segment, routing_key
 from repro.hashing import Digest, sha1
 
 
@@ -57,33 +50,31 @@ class TestRoutingKey:
     def test_min_hook_when_hooks_exist(self):
         ds = digests(500)
         hooks = hooks_of(ds, 8)
-        assert routing_key(ds, 8) == min(hooks)
+        assert routing_key(ds, hooks) == min(hooks)
 
     def test_falls_back_to_representative(self):
         ds = [d for d in digests(200) if not is_hook(d, 8)][:10]
-        assert hooks_of(ds, 8) == []
-        assert routing_key(ds, 8) == min(ds)
+        hooks = hooks_of(ds, 8)
+        assert hooks == []
+        assert routing_key(ds, hooks) == min(ds)
 
 
 class TestRouteSegment:
     def setup_method(self):
         self.ring = HashRing(["w0", "w1", "w2"])
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            route_segment(self.ring, digests(5), 8, mode="nope")
-
     def test_min_digest_routes_representative(self):
+        """Handed no hooks, a segment routes by its min-digest
+        representative, whichever digests it holds."""
         ds = digests(50)
-        assert route_segment(self.ring, ds, 8, mode="min-digest") == self.ring.route(
-            representative(ds)
-        )
+        assert route_segment(self.ring, ds, []) == self.ring.route(representative(ds))
+        assert routing_key(ds, []) == representative(ds)
 
     def test_hook_votes_is_plurality(self):
         """The winner must hold at least as many hook votes as any
         other node, and ties break deterministically by node name."""
         ds = digests(800)
-        winner = route_segment(self.ring, ds, 8, mode="hook-votes")
+        winner = route_segment(self.ring, ds, hooks_of(ds, 8))
         tally = {}
         for h in hooks_of(ds, 8):
             node = self.ring.route(h)
@@ -96,18 +87,16 @@ class TestRouteSegment:
         """Arrival order of digests must not change the plurality —
         the regression the champion tie-break fix guards against."""
         ds = digests(800)
-        a = route_segment(self.ring, ds, 8, mode="hook-votes")
-        b = route_segment(self.ring, list(reversed(ds)), 8, mode="hook-votes")
+        a = route_segment(self.ring, ds, hooks_of(ds, 8))
+        rev = list(reversed(ds))
+        b = route_segment(self.ring, rev, hooks_of(rev, 8))
         assert a == b
 
     def test_hook_votes_falls_back_without_hooks(self):
         ds = [d for d in digests(200) if not is_hook(d, 8)][:10]
-        assert route_segment(self.ring, ds, 8, mode="hook-votes") == self.ring.route(
-            representative(ds)
-        )
-
-    def test_modes_tuple_is_exact(self):
-        assert FINGERPRINT_MODES == ("hook-votes", "min-digest")
+        hooks = hooks_of(ds, 8)
+        assert hooks == []
+        assert route_segment(self.ring, ds, hooks) == self.ring.route(representative(ds))
 
     def test_similar_segments_land_together(self):
         """The point of representative routing: a segment sharing most
@@ -116,7 +105,6 @@ class TestRouteSegment:
         edited = list(base)
         edited[7] = Digest(sha1(b"novel1"))
         edited[91] = Digest(sha1(b"novel2"))
-        for mode in FINGERPRINT_MODES:
-            assert route_segment(self.ring, base, 8, mode=mode) == route_segment(
-                self.ring, edited, 8, mode=mode
-            )
+        assert route_segment(self.ring, base, hooks_of(base, 8)) == route_segment(
+            self.ring, edited, hooks_of(edited, 8)
+        )

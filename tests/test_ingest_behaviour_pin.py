@@ -154,21 +154,6 @@ PINNED = json.loads(
   "bytes": [912, "5bbad14e01409a5d", 989, "6eef413b4fdae9b6"],
   "w137": [912, "5bbad14e01409a5d", 989, "206040d1a83bc149"],
   "wdefault": [912, "5bbad14e01409a5d", 989, "8aab6b0ab3834c9a"]
- },
- "fingerdiff": {
-  "bytes": [540, "4af0d2f011039f07", 552, "9a1afcc92d164e0d"],
-  "w137": [540, "4af0d2f011039f07", 552, "939b5fe8209cc4d5"],
-  "wdefault": [540, "4af0d2f011039f07", 552, "2c2535b7ff9dc48b"]
- },
- "fbc": {
-  "bytes": [1263, "1601b56bc2fa6716", 1144, "0e198466a68d5f58"],
-  "w137": [1263, "1601b56bc2fa6716", 1144, "3988fa7074bdf966"],
-  "wdefault": [1263, "1601b56bc2fa6716", 1144, "1029f3ffc781d56c"]
- },
- "extreme-binning": {
-  "bytes": [501, "41726fe6acb59f6d", 315, "018724a707dafe15"],
-  "w137": [501, "41726fe6acb59f6d", 315, "953f9fa95df3c5ea"],
-  "wdefault": [501, "41726fe6acb59f6d", 315, "87ef0c35e8cfc7fc"]
  }
 }
 """

@@ -1,13 +1,13 @@
-"""The shared algorithm registry: one nine-entry table for everyone."""
+"""The shared algorithm registry: one six-entry table for everyone."""
 
 import pytest
 
-from repro.registry import available, capabilities, resolve
+from repro.registry import available, resolve
 
 
-def test_all_nine_algorithms_registered():
+def test_all_six_algorithms_registered():
     names = available()
-    assert len(names) == 9
+    assert len(names) == 6
     assert set(names) == {
         "bf-mhd",
         "si-mhd",
@@ -15,9 +15,6 @@ def test_all_nine_algorithms_registered():
         "bimodal",
         "subchunk",
         "sparse-indexing",
-        "fingerdiff",
-        "fbc",
-        "extreme-binning",
     }
 
 
@@ -39,21 +36,6 @@ def test_consumers_share_the_registry():
 
     assert not hasattr(cli, "ALGORITHMS")
     parser = cli.build_parser()
-    args = parser.parse_args(["run", "--algo", "extreme-binning"])
-    assert args.algo == "extreme-binning"
+    args = parser.parse_args(["run", "--algo", "sparse-indexing"])
+    assert args.algo == "sparse-indexing"
 
-
-def test_capabilities_cover_every_algorithm():
-    """Every registered name answers; hook-bearing designs say so."""
-    for name in available():
-        caps = capabilities(name)
-        assert isinstance(caps, frozenset)
-    assert "hooks" in capabilities("bf-mhd")
-    assert capabilities("sparse-indexing") >= {"hooks", "segments"}
-    assert capabilities("extreme-binning") == {"representative"}
-    assert capabilities("fbc") == frozenset()
-
-
-def test_capabilities_unknown_name_rejected():
-    with pytest.raises(ValueError, match="unknown"):
-        capabilities("no-such-algo")

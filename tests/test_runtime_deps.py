@@ -1,11 +1,11 @@
 """A runtime-only install imports every public surface.
 
 ``pyproject.toml`` declares ``numpy`` as the one runtime dependency;
-scipy, networkx, hypothesis and pytest are ``dev`` extras.  A module
+scipy, hypothesis and pytest are ``dev`` extras.  A module
 under ``src/`` that imports one of them at module level breaks every
 installation that did not ask for the extras, and CI would not notice,
 because every job installs them.  So this test imports the package in
-a fresh interpreter where those four cannot be imported at all.
+a fresh interpreter where those three cannot be imported at all.
 """
 
 import os
@@ -18,7 +18,7 @@ import repro
 
 SRC = Path(repro.__file__).resolve().parent.parent
 
-BLOCKED = ("scipy", "networkx", "hypothesis", "pytest")
+BLOCKED = ("scipy", "hypothesis", "pytest")
 
 PROBE = textwrap.dedent(
     """

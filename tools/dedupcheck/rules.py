@@ -55,7 +55,7 @@ class HashlibConfinement:
 
     The paper budgets every piece of metadata as 20-byte SHA-1 values;
     routing all digest creation through :mod:`repro.hashing.digest`
-    (``sha1`` / ``sha1_spans`` / ``Hasher``) keeps that budget — and the
+    (``sha1`` / ``sha1_many`` / ``sha1_spans``) keeps that budget — and the
     ``Digest`` NewType boundary — a checked fact.
     """
 
@@ -76,7 +76,7 @@ class HashlibConfinement:
                             node.col_offset,
                             self.code,
                             "direct hashlib import; use repro.hashing "
-                            "(sha1/sha1_spans/Hasher) instead",
+                            "(sha1/sha1_many/sha1_spans) instead",
                         )
             elif isinstance(node, ast.ImportFrom):
                 if node.level == 0 and (node.module or "").split(".")[0] == "hashlib":
@@ -86,7 +86,7 @@ class HashlibConfinement:
                         node.col_offset,
                         self.code,
                         "direct hashlib import; use repro.hashing "
-                        "(sha1/sha1_spans/Hasher) instead",
+                        "(sha1/sha1_many/sha1_spans) instead",
                     )
 
 
