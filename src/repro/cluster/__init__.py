@@ -24,7 +24,6 @@ from .ring import DEFAULT_VNODES, HashRing
 from .router import (
     META_NAMESPACE,
     RECIPE_NAMESPACE,
-    WAL_NAMESPACE,
     ClusterConfig,
     ClusterError,
     ClusterRecipe,
@@ -38,7 +37,6 @@ __all__ = [
     "META_NAMESPACE",
     "RECIPE_NAMESPACE",
     "SHARD_PREFIX",
-    "WAL_NAMESPACE",
     "ClusterConfig",
     "ClusterError",
     "ClusterRecipe",

@@ -68,7 +68,6 @@ def split_shard(
     new_node: str | None = None,
 ) -> RebalanceReport:
     """Join a new worker and migrate the hot shard's reclaimed segments."""
-    router.flush()
     hot = hot or hottest_shard(router)
     if hot not in router.workers:
         raise ValueError(f"unknown worker {hot!r}")

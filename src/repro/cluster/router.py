@@ -1,4 +1,4 @@
-"""The cluster coordinator: fingerprint-routed segment dispatch.
+"""The cluster coordinator: fingerprint-routed segment ingest.
 
 ``ClusterRouter`` turns N :class:`~repro.cluster.worker.ShardWorker`\\ s
 into one deduplicating system:
@@ -7,28 +7,26 @@ into one deduplicating system:
    into segments of ``DedupConfig.segment_bytes`` (the paper's
    ``ECS·SD·5`` setting);
 2. each segment is routed by its sampled hooks' votes over the
-   consistent-hash ring (:mod:`repro.cluster.fingerprint`) and queued
-   on its worker's dispatch batch;
-3. a **write-ahead journal** entry (namespace ``cluster.wal`` on the
-   shared backend) records the segment's bytes and destination before
-   dispatch, and is deleted only after the worker acknowledges the
-   ingest.  A worker dying mid-segment therefore loses nothing: the
-   shard is quarantine-repaired by
+   consistent-hash ring (:mod:`repro.cluster.fingerprint`) and ingested
+   by its worker straight away.  A worker dying mid-segment loses
+   nothing: the shard is quarantine-repaired by
    :func:`repro.storage.recover.recover`, the worker is respawned over
-   the surviving objects, and the unacknowledged journal entries are
-   replayed;
-4. a **cluster recipe** (namespace ``cluster.recipe``) maps each file
-   to its ordered segment placements; restore concatenates per-worker
-   segment restores.  The recipe also pins each segment's canonical
+   the surviving objects, and the segment, still in the router's RAM,
+   is ingested again;
+3. a **cluster recipe** (namespace ``cluster.recipe``) maps each file
+   to its ordered segment placements and is written only after every
+   segment is acknowledged, so a coordinator that dies mid-push leaves
+   no recipe and the client pushes the file again.  Restore
+   concatenates per-worker segment restores.  The recipe also pins
+   each segment's canonical
    :func:`~repro.cluster.fingerprint.routing_key` so the rebalancer
    can re-evaluate placement after ring changes without re-reading
    data.
 
 Each segment's chunk sizes and digests travel with its bytes to every
 worker that cuts like the router, so each byte is chunked and hashed
-once; journal replay and big-chunk algorithms (Bimodal, SubChunk)
-take the bytes path.  The fleet-level cost shows up in
-:meth:`ClusterRouter.finalize`'s
+once; big-chunk algorithms (Bimodal, SubChunk) take the bytes path.
+The fleet-level cost shows up in :meth:`ClusterRouter.finalize`'s
 :class:`~repro.cluster.fleet.FleetResult`, the same result type the
 by-machine fleet (:func:`~repro.cluster.fleet.dedup_sharded`) reports.
 """
@@ -49,13 +47,12 @@ from ..storage.verify import IntegrityReport
 from ..workloads.machine import BackupFile
 from .fingerprint import hooks_of, route_segment, routing_key
 from .fleet import FleetResult, fleet_result
-from .ring import DEFAULT_VNODES, HashRing
+from .ring import HashRing
 from .worker import ShardWorker
 
 __all__ = [
     "META_NAMESPACE",
     "RECIPE_NAMESPACE",
-    "WAL_NAMESPACE",
     "ClusterConfig",
     "ClusterError",
     "ClusterRecipe",
@@ -65,7 +62,6 @@ __all__ = [
 
 #: Shared-backend namespaces owned by the coordinator (never prefixed
 #: under a shard, so worker recovery sweeps cannot touch them).
-WAL_NAMESPACE = "cluster.wal"
 RECIPE_NAMESPACE = "cluster.recipe"
 META_NAMESPACE = "cluster.meta"
 
@@ -83,12 +79,8 @@ class ClusterConfig:
     #: Algorithm every worker runs (any registry name).
     algo: str = "bf-mhd"
     dedup: DedupConfig = field(default_factory=DedupConfig)
-    #: Virtual nodes per worker on the ring.
-    vnodes: int = DEFAULT_VNODES
     #: Segment size in bytes; 0 uses ``dedup.segment_bytes`` (ECS·SD·5).
     segment_bytes: int = 0
-    #: Segments queued per worker before the batch is dispatched.
-    batch_segments: int = 8
     #: Consecutive crashes tolerated per worker before giving up.
     max_respawns: int = 3
     #: Attach metrics-only telemetry to each worker.
@@ -150,30 +142,6 @@ class ClusterRecipe:
         return sha1(b"recipe|" + file_id.encode())
 
 
-@dataclass
-class _PendingSegment:
-    """A routed segment waiting in its worker's dispatch batch."""
-
-    segment_id: str
-    data: bytes
-    fingerprint: Digest
-    wal_key: Digest
-    node: str
-    #: The router's chunk sizes and digests of ``data``.
-    chunked: tuple[list[int], list[Digest]]
-
-
-def _encode_wal(node: str, segment_id: str, data: bytes) -> bytes:
-    header = json.dumps({"node": node, "segment": segment_id}, sort_keys=True).encode()
-    return header + b"\0" + data
-
-
-def _decode_wal(raw: bytes) -> tuple[str, str, bytes]:
-    cut = raw.index(b"\0")
-    header = json.loads(raw[:cut].decode())
-    return str(header["node"]), str(header["segment"]), raw[cut + 1 :]
-
-
 class ClusterRouter:
     """Coordinator over a ring of shard workers on one shared backend."""
 
@@ -192,7 +160,7 @@ class ClusterRouter:
         self._view_factory = view_factory
         self.metrics = MetricsRegistry()
         self._chunker = VectorizedChunker(self.config.dedup.small_chunker_config())
-        self._pending: dict[str, list[_PendingSegment]] = {}
+        #: Crashes per worker since its last acknowledged segment.
         self._crashes: dict[str, int] = {}
         self._finalized = False
 
@@ -207,7 +175,7 @@ class ClusterRouter:
             names = list(workers)
         if not names:
             raise ValueError("cluster needs at least one worker")
-        self.ring = HashRing(names, vnodes=self.config.vnodes)
+        self.ring = HashRing(names)
         self.workers: dict[str, ShardWorker] = {}
         for name in names:
             self.workers[name] = self._make_worker(name)
@@ -267,7 +235,7 @@ class ClusterRouter:
         """
         if self._finalized:
             raise ClusterError("cluster already finalized")
-        segments: list[_PendingSegment] = []
+        placements: list[SegmentPlacement] = []
         seg_chunks: list[Chunk] = []
         seg_digests: list[Digest] = []
         seg_size = 0
@@ -275,7 +243,7 @@ class ClusterRouter:
 
         def cut_segment() -> None:
             nonlocal seg_chunks, seg_digests, seg_size
-            segments.append(self._route(file.file_id, len(segments), seg_chunks, seg_digests))
+            placements.append(self._route(file.file_id, len(placements), seg_chunks, seg_digests))
             seg_chunks, seg_digests, seg_size = [], [], 0
 
         with file.open() as reader:
@@ -291,74 +259,54 @@ class ClusterRouter:
                         cut_segment()
         if seg_chunks:
             cut_segment()
-        self.flush()  # acknowledges every queued segment
-        placements = tuple(
-            SegmentPlacement(seg.node, seg.segment_id, len(seg.data), seg.fingerprint)
-            for seg in segments
-        )
-        recipe = ClusterRecipe(file_id=file.file_id, segments=placements)
+        recipe = ClusterRecipe(file_id=file.file_id, segments=tuple(placements))
         self.backend.put(RECIPE_NAMESPACE, recipe.key_for(file.file_id), recipe.to_bytes())
         self.metrics.counter("cluster.files").inc()
         return recipe
 
     def _route(
         self, file_id: str, index: int, chunks: list[Chunk], digests: list[Digest]
-    ) -> _PendingSegment:
+    ) -> SegmentPlacement:
+        """Route one segment and ingest it on its worker."""
         segment_id = f"{file_id}#seg{index:05d}"
         data = b"".join(chunk.data for chunk in chunks)
         hooks = hooks_of(digests, self.config.dedup.sd)
         node = route_segment(self.ring, digests, hooks)
-        fingerprint = routing_key(digests, hooks)
-        wal_key = sha1(b"wal|" + segment_id.encode())
-        self.backend.put(WAL_NAMESPACE, wal_key, _encode_wal(node, segment_id, data))
-        sizes = [chunk.size for chunk in chunks]
-        seg = _PendingSegment(segment_id, data, fingerprint, wal_key, node, (sizes, digests))
-        queue = self._pending.setdefault(node, [])
-        queue.append(seg)
         self.metrics.counter("cluster.route.segments").inc()
         self.metrics.counter(f"cluster.route.segments.{node}").inc()
         self.metrics.counter(f"cluster.route.bytes.{node}").inc(len(data))
-        if len(queue) >= self.config.batch_segments:
-            self._dispatch(node)
-        return seg
+        self._ingest_acked(node, segment_id, data, [chunk.size for chunk in chunks], digests)
+        return SegmentPlacement(node, segment_id, len(data), routing_key(digests, hooks))
 
     def flush(self) -> None:
-        """Dispatch every queued batch (put_file calls this per file)."""
-        for node in sorted(self._pending):
-            self._dispatch(node)
-
-    def _dispatch(self, node: str) -> None:
-        for seg in self._pending.pop(node, []):
-            self._ingest_acked(node, seg.segment_id, seg.data, seg.wal_key, seg.chunked)
+        """Nothing to do: ``put_file`` acknowledges every segment before it returns."""
 
     def _ingest_acked(
-        self, node: str, segment_id: str, data: bytes, wal_key: Digest,
-        chunked: tuple[list[int], list[Digest]] | None = None,
+        self, node: str, segment_id: str, data: bytes, sizes: list[int], digests: list[Digest]
     ) -> None:
-        """Ingest one journalled segment under its own id until it succeeds.
+        """Ingest one routed segment under its own id until it succeeds.
 
-        The one path by which a segment becomes durable, for live
-        dispatch and journal replay alike.  ``chunked`` — the router's
-        chunk sizes and digests of ``data`` — is handed to a worker
-        whose stream chunker cuts like the router's; otherwise the
-        worker chunks and hashes the bytes itself.  A crash respawns the
-        worker over its quarantine-repaired shard and ingests again: the
-        store names the new container, the segment's FileManifest is
+        The one path by which a segment becomes durable.  The router's
+        chunk ``sizes`` and ``digests`` of ``data`` are handed to a
+        worker whose stream chunker cuts like the router's; otherwise
+        the worker chunks and hashes the bytes itself.  A crash respawns
+        the worker over its quarantine-repaired shard and ingests again:
+        the store names the new container, the segment's FileManifest is
         replaced, and a segment that had landed (the worker died between
         its last durable write and the ack) deduplicates against itself.
-        The journal entry is deleted only on acknowledgment.
+        The acknowledgment resets the worker's crash count.
         """
         while True:
             worker = self.workers[node]
             try:
-                if chunked is not None and worker.cuts_like(self._chunker):
-                    worker.ingest_chunked(segment_id, data, *chunked)
+                if worker.cuts_like(self._chunker):
+                    worker.ingest_chunked(segment_id, data, sizes, digests)
                 else:
                     worker.ingest_segment(segment_id, data)
                 break
             except Exception as exc:  # noqa: BLE001 - worker failure isolation: any death must not sink the cluster
                 self._on_worker_crash(node, exc)
-        self.backend.delete(WAL_NAMESPACE, wal_key)
+        self._crashes.pop(node, None)
         self.metrics.counter("cluster.segments.acked").inc()
 
     def _on_worker_crash(self, node: str, exc: BaseException) -> None:
@@ -367,34 +315,12 @@ class ClusterRouter:
         self.metrics.counter("cluster.worker.crashes").inc()
         if crashes > self.config.max_respawns:
             raise ClusterError(
-                f"worker {node!r} crashed {crashes} times; giving up"
+                f"worker {node!r} crashed {crashes} times in a row; giving up"
             ) from exc
         # Quarantine-repair the shard, then warm-start a replacement
         # over the surviving objects (worker.respawn does both).
         self.workers[node] = self.workers[node].respawn()
         self.metrics.counter("cluster.worker.respawns").inc()
-
-    def replay_wal(self) -> int:
-        """Re-ingest journal entries no worker ever acknowledged.
-
-        The cold-restart half of crash recovery: a coordinator that
-        finds journal entries on startup re-dispatches them (the shard
-        quarantine sweep has already run via worker warm restart)
-        through the same acknowledged-ingest path as live dispatch, so
-        a replay that is itself interrupted can simply be run again.
-        Idempotent — an empty journal is a no-op.
-        """
-        replayed = 0
-        for key in sorted(self.backend.keys(WAL_NAMESPACE)):
-            node, segment_id, data = _decode_wal(self.backend.get(WAL_NAMESPACE, key))
-            if node not in self.workers:
-                # Its owner left the ring: re-route by content.
-                node = self.ring.route(sha1(data))
-            self._ingest_acked(node, segment_id, data, key)
-            replayed += 1
-        if replayed:
-            self.metrics.counter("cluster.wal.replayed").inc(replayed)
-        return replayed
 
     # -- restore ---------------------------------------------------------
 
@@ -426,13 +352,12 @@ class ClusterRouter:
     # -- lifecycle -------------------------------------------------------
 
     def finalize(self) -> FleetResult:
-        """Flush and finalize every worker; the fleet-level aggregate.
+        """Finalize every worker; the fleet-level aggregate.
 
         The cluster *is* a fleet of shard workers with routing in
         front, so every aggregate of :class:`FleetResult` (makespan vs
         aggregate seconds, DER, CPU, pipeline) applies unchanged.
         """
-        self.flush()
         if self._finalized:
             raise ClusterError("cluster already finalized")
         self._finalized = True

@@ -14,8 +14,8 @@ A routed segment arrives chunked and hashed by the router
 
 Crash recovery is delegated to :func:`repro.storage.recover.recover`:
 objects torn by a mid-segment death are quarantined, then the
-coordinator ingests again every segment the dead worker never
-acknowledged.
+coordinator ingests again, from the bytes it still holds, the segment
+the dead worker never acknowledged.
 """
 
 from __future__ import annotations
@@ -165,8 +165,8 @@ class ShardWorker:
 
         The shard is quarantine-repaired first, then the new worker
         warm-starts its RAM indexes from the surviving objects.  The
-        caller (coordinator) is responsible for replaying any journal
-        entries the dead worker never acknowledged.
+        caller (coordinator) is responsible for ingesting again the
+        segment the dead worker never acknowledged.
         """
         self.recover()
         replacement = ShardWorker(

@@ -271,13 +271,15 @@ def note_anomaly(name: str, detail: str = "", count: int = 1) -> None:
     negative delta, or :func:`repro.storage.recover.recover` reporting
     its repairs — can report through the telemetry layer without
     holding a per-run handle.  ``count`` batches repeated occurrences
-    of one anomaly kind into a single warning line.
+    of one anomaly kind into a single warning line, which carries the
+    count (``recover.hooks_deleted x3``) when it exceeds one.
     """
     _RUNTIME.counter(f"anomaly.{name}").inc(count)
+    label = f"{name} x{count}" if count > 1 else name
     if detail:
-        logger.warning("%s: %s", name, detail)
+        logger.warning("%s: %s", label, detail)
     else:
-        logger.warning("%s", name)
+        logger.warning("%s", label)
 
 
 def runtime_anomalies() -> dict[str, Any]:

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.cluster import (
+    META_NAMESPACE,
+    RECIPE_NAMESPACE,
     ClusterConfig,
     ClusterRecipe,
     ClusterRouter,
     FleetResult,
     SegmentPlacement,
-    WAL_NAMESPACE,
 )
 from repro.core import DedupConfig, MHDDeduplicator
 from repro.hashing import sha1
@@ -29,10 +30,22 @@ def build(backend, workers=3, **kw):
     return ClusterRouter(backend, workers=workers, config=cfg)
 
 
+class PutLogBackend(MemoryBackend):
+    """A memory backend that remembers every namespace ever put to."""
+
+    def __init__(self):
+        super().__init__()
+        self.put_namespaces = set()
+
+    def put(self, namespace, key, data):
+        self.put_namespaces.add(namespace)
+        super().put(namespace, key, data)
+
+
 class TestIngestRestore:
     @pytest.fixture(scope="class")
     def cluster(self, files):
-        backend = MemoryBackend()
+        backend = PutLogBackend()
         router = build(backend, workers=3, collect_metrics=True)
         originals = {}
         for f in files:
@@ -54,9 +67,12 @@ class TestIngestRestore:
             assert recipe.size == len(data)
             assert all(p.node in router.workers for p in recipe.segments)
 
-    def test_wal_drained_after_acks(self, cluster):
+    def test_coordinator_writes_no_segment_copy(self, cluster):
+        """User bytes are written to the shards alone: outside them the
+        coordinator puts recipes and membership, never a segment copy."""
         router, _ = cluster
-        assert list(router.backend.keys(WAL_NAMESPACE)) == []
+        written = {ns for ns in router.backend.put_namespaces if not ns.startswith("shard.")}
+        assert written == {RECIPE_NAMESPACE, META_NAMESPACE}
 
     def test_segments_spread_over_workers(self, cluster):
         router, _ = cluster

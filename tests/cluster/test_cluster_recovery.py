@@ -3,9 +3,11 @@
 The seeded-kill matrix the issue's acceptance gate asks for: faults
 are injected on one worker's shard view, the coordinator respawns it
 over the quarantined shard, and every recipe that exists afterwards
-restores byte-identically.  The cold-restart half (coordinator dies,
-journal survives) is covered by ``replay_wal``.
+restores byte-identically.  The cold-restart half: a coordinator that
+dies mid-push leaves no recipe, and the client pushes the file again.
 """
+
+import random
 
 import pytest
 
@@ -13,19 +15,17 @@ from repro.cluster import (
     ClusterConfig,
     ClusterError,
     ClusterRouter,
-    WAL_NAMESPACE,
     shard_prefix,
 )
 from repro.core import DedupConfig
 from repro.storage import (
-    CrashPoint,
     DiskModel,
     FaultInjectingBackend,
     FaultSpec,
     MemoryBackend,
 )
 from repro.storage.backend import PrefixedBackend
-from repro.workloads import tiny_corpus
+from repro.workloads import BackupFile, tiny_corpus
 
 CFG = DedupConfig(ecs=1024, sd=8, bloom_bytes=1 << 18)
 
@@ -119,9 +119,7 @@ class TestMidSegmentKill:
         assert router.recipe_ids() == sorted(originals)
         for fid, data in originals.items():
             assert router.restore_file(fid) == data
-        # Journal fully drained (every segment was acknowledged)...
-        assert list(backend.keys(WAL_NAMESPACE)) == []
-        # ...and the repaired shards pass a full integrity walk.
+        # The repaired shards pass a full integrity walk.
         assert all(r.ok for r in router.fsck().values())
 
     def test_lost_ack_reingests_without_new_chunk_bytes(self, files):
@@ -137,7 +135,6 @@ class TestMidSegmentKill:
                 view_factory=view_factory,
             )
             router.put_file(files[0])
-            assert list(router.backend.keys(WAL_NAMESPACE)) == []
             with files[0].open() as r:
                 assert router.restore_file(files[0].file_id) == r.read()
             assert all(r.ok for r in router.fsck(check_entry_hashes=True).values())
@@ -171,16 +168,65 @@ class TestMidSegmentKill:
         with pytest.raises(ClusterError, match="giving up"):
             ingest_all(router, files)
 
+    def test_crash_count_resets_on_ack(self, files):
+        """max_respawns bounds *consecutive* crashes: two deaths with
+        acknowledged segments between them are two separate faults."""
+        schedule = [
+            FaultSpec("crash", op="put", namespace=DiskModel.CHUNK, at=2),
+            FaultSpec("crash", op="put", namespace=DiskModel.CHUNK, at=30),
+        ]
+        fault_backends = []
+        router = ClusterRouter(
+            MemoryBackend(),
+            workers=["solo"],
+            config=ClusterConfig(dedup=CFG, max_respawns=1),
+            view_factory=faulted_views("solo", schedule, sink=fault_backends),
+        )
+        originals = ingest_all(router, files)
+        assert sum(fault_backends[0].faults_injected.values()) == 2
+        assert router.metrics.counter("cluster.worker.crashes").value == 2
+        assert router.metrics.counter("cluster.worker.respawns").value == 2
+        for fid, data in originals.items():
+            assert router.restore_file(fid) == data
+        assert all(r.ok for r in router.fsck().values())
 
-class TestColdRestartReplay:
-    def test_journal_survives_coordinator_death_and_replays(self, files):
-        """Coordinator dies mid-dispatch: unacknowledged journal
-        entries survive on the shared backend, and a fresh coordinator
-        replays them into durable segments."""
+    def test_dead_push_leaks_nothing_into_the_next(self, files):
+        """A push that dies with ClusterError is over: none of its
+        segments may be ingested later by another file's push."""
+        dead = BackupFile("dead", random.Random(7).randbytes(10 * CFG.segment_bytes))
+        router = ClusterRouter(
+            MemoryBackend(),
+            workers=2,
+            config=ClusterConfig(dedup=CFG, max_respawns=0),
+            view_factory=faulted_views(
+                "worker-00", [FaultSpec("crash", op="put", namespace=DiskModel.CHUNK, at=0)]
+            ),
+        )
+        with pytest.raises(ClusterError):
+            router.put_file(dead)
+        assert router.recipe_ids() == []
+        survivor = router.workers["worker-01"]
+        dead_ids = [f"dead#seg{i:05d}" for i in range(10)]
+        landed = [sid for sid in dead_ids if survivor.has_segment(sid)]
+        ingested = survivor.segments_ingested
+
+        recipe = router.put_file(files[0])
+        assert [sid for sid in dead_ids if survivor.has_segment(sid)] == landed
+        own = sum(p.node == "worker-01" for p in recipe.segments)
+        assert survivor.segments_ingested - ingested == own
+        with files[0].open() as r:
+            assert router.restore_file(files[0].file_id) == r.read()
+
+
+class TestColdRestart:
+    def test_dead_push_leaves_no_recipe_and_is_redone(self, files):
+        """Coordinator dies mid-push: the file has no recipe, a fresh
+        coordinator over the same backend finds the membership and
+        clean shards, and pushing again restores byte-identically."""
         backend = MemoryBackend()
+        victim = files[0]
         # Every worker dies on its first chunk put and the coordinator
-        # tolerates zero respawns — the whole "process" goes down with
-        # journal entries still pending.
+        # tolerates zero respawns: the whole "process" goes down.
         dead = ClusterRouter(
             backend,
             workers=2,
@@ -188,63 +234,39 @@ class TestColdRestartReplay:
             view_factory=dying_views(DiskModel.CHUNK),
         )
         with pytest.raises(ClusterError):
-            ingest_all(dead, files)
-        pending = list(backend.keys(WAL_NAMESPACE))
-        assert pending  # the journal outlived the coordinator
+            dead.put_file(victim)
 
         # Warm restart: same backend, clean views, persisted membership.
         reborn = ClusterRouter(backend, config=ClusterConfig(dedup=CFG))
         assert sorted(reborn.workers) == sorted(dead.workers)
-        replayed = reborn.replay_wal()
-        assert replayed == len(pending)
-        assert list(backend.keys(WAL_NAMESPACE)) == []
-        assert reborn.metrics.counter("cluster.wal.replayed").value == replayed
-        # Idempotent: nothing left on a second pass.
-        assert reborn.replay_wal() == 0
+        with pytest.raises(KeyError):
+            reborn.get_recipe(victim.file_id)
         assert all(r.ok for r in reborn.fsck().values())
 
         # The restarted cluster keeps working end to end.
         originals = ingest_all(reborn, files)
         for fid, data in originals.items():
             assert reborn.restore_file(fid) == data
+        assert reborn.metrics.counter("cluster.worker.crashes").value == 0
 
-    def test_interrupted_replay_does_not_brick_the_next_one(self, files):
-        """A coordinator that dies *inside* replay leaves a durable
-        container behind; the next replay must step past it (the store
-        names each attempt's container, for live dispatch and replay
-        alike), not collide with it forever."""
+    def test_repeated_deaths_do_not_brick_the_push(self, files):
+        """Coordinators that die *after* a segment's container landed
+        leave durable containers behind; the next push must step past
+        them (the store names each attempt's container), not collide
+        with them forever."""
         backend = MemoryBackend()
         fragile = ClusterConfig(dedup=CFG, max_respawns=0)
         victim = files[0]
-        dead = ClusterRouter(
-            backend, workers=2, config=fragile, view_factory=dying_views(DiskModel.CHUNK)
-        )
-        with pytest.raises(ClusterError):
-            dead.put_file(victim)
-        pending = list(backend.keys(WAL_NAMESPACE))
-        assert pending
-
-        # Two cold restarts die mid-replay: the segment's container is
-        # durable, its manifest is not.
         for _ in range(2):
             doomed = ClusterRouter(
-                backend, config=fragile, view_factory=dying_views(DiskModel.MANIFEST)
+                backend, workers=2, config=fragile, view_factory=dying_views(DiskModel.MANIFEST)
             )
-            with pytest.raises((ClusterError, CrashPoint)):
-                doomed.replay_wal()
-            assert list(backend.keys(WAL_NAMESPACE)) == pending
+            with pytest.raises(ClusterError):
+                doomed.put_file(victim)
+            assert doomed.recipe_ids() == []
 
         reborn = ClusterRouter(backend, config=ClusterConfig(dedup=CFG))
-        assert reborn.replay_wal() == len(pending)
-        assert list(backend.keys(WAL_NAMESPACE)) == []
-        assert all(r.ok for r in reborn.fsck().values())
-
-        # The file whose push died is pushed again: its segments are
-        # re-ingested over what the replay landed, deduplicate against
-        # it (no new chunk bytes) and the file restores intact.
-        landed = {w.name: w.stored_chunk_bytes() for w in reborn.workers.values()}
         reborn.put_file(victim)
-        assert {w.name: w.stored_chunk_bytes() for w in reborn.workers.values()} == landed
         with victim.open() as r:
             assert reborn.restore_file(victim.file_id) == r.read()
         assert reborn.metrics.counter("cluster.worker.crashes").value == 0

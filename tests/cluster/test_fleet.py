@@ -95,7 +95,7 @@ def test_fleet_on_a_directory_store_restores_and_fscks(files, tmp_path):
 
 def test_shard_exception_propagates(files):
     """An error in a shard is the caller's error, like any library call
-    (surviving a dead worker is the router's WAL/respawn job)."""
+    (surviving a dead worker is the router's quarantine/respawn job)."""
 
     def broken_reader():
         raise OSError("disk on fire")

@@ -164,3 +164,12 @@ class TestAnomalyChannel:
             note_anomaly("test.synthetic", "detail text")
         assert runtime_anomalies()["anomaly.test.synthetic"] == before + 1
         assert any("detail text" in r.message for r in caplog.records)
+
+    def test_batched_anomaly_logs_its_count(self, caplog):
+        """recover() reports each repair category as one batched call;
+        the warning line must say how many, not just which kind."""
+        before = runtime_anomalies().get("anomaly.test.batched", 0)
+        with caplog.at_level("WARNING", logger="repro.obs"):
+            note_anomaly("test.batched", count=3)
+        assert runtime_anomalies()["anomaly.test.batched"] == before + 3
+        assert [r.getMessage() for r in caplog.records] == ["test.batched x3"]
