@@ -1,7 +1,8 @@
 """Content-defined and fixed-size chunking algorithms.
 
-:class:`VectorizedChunker` (NumPy Karp–Rabin CDC) is the default
-chunker used by every deduplicator in the repository;
+:class:`VectorizedChunker` (Karp–Rabin CDC: one compiled C call, the
+NumPy kernel where no C compiler is available) is the default chunker
+used by every deduplicator in the repository;
 :class:`ReferenceChunker` is its byte-at-a-time executable
 specification.  :class:`TTTDChunker` is the TTTD variant the
 paper's Section II describes, and :class:`FixedChunker` the fixed-size

@@ -63,28 +63,36 @@ def select_cut_points(
     """
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    # One forward walk over plain ints: chunk starts only move right,
-    # so the first candidate >= start + min_size is never behind ``k``.
-    cands: list[int] = candidates.tolist()
-    num = len(cands)
+    num = len(candidates)
+    # One forward walk over plain ints: chunk starts only move right, so
+    # the first candidate >= start + min_size is never behind ``k``.  When
+    # the candidates outnumber the cuts there can be (a zero run makes
+    # every position one), a binary search hops to it instead of listing
+    # them as Python ints (~36 bytes each, 48x a zero run's bytes).
+    dense = num > n // min_size + 1
+    cands: list[int] | npt.NDArray[np.int64] = candidates if dense else candidates.tolist()
+
+    def first_at_least(lo: int, k: int) -> int:
+        if dense:
+            return int(np.searchsorted(candidates, lo))
+        while k < num and cands[k] < lo:
+            k += 1
+        return k
+
     cuts: list[int] = []
     start = 0
     k = 0  # index of the first candidate not yet ruled out
     while n - start > max_size:
-        lo = start + min_size
+        k = first_at_least(start + min_size, k)
         hi = start + max_size
-        while k < num and cands[k] < lo:
-            k += 1
-        start = cands[k] if k < num and cands[k] <= hi else hi
+        start = int(cands[k]) if k < num and cands[k] <= hi else hi
         cuts.append(start)
     # Tail: shorter than max_size.  A candidate may still split it,
     # provided both resulting pieces respect min_size where possible.
     while n - start > min_size:
-        lo = start + min_size
-        while k < num and cands[k] < lo:
-            k += 1
+        k = first_at_least(start + min_size, k)
         if k < num and cands[k] < n:
-            start = cands[k]
+            start = int(cands[k])
             cuts.append(start)
         else:
             break

@@ -249,7 +249,8 @@ class Chunker:
 
         The default implementation covers chunkers of the
         ``select_cut_points(candidates(...))`` shape; chunkers with
-        bespoke selection (TTTD, fixed-size) override.
+        bespoke selection (TTTD, fixed-size) override, and
+        ``VectorizedChunker`` overrides with its compiled kernel.
         """
         n = len(data) - hist
         if n <= 0:

@@ -1,12 +1,18 @@
-"""NumPy-vectorised Karp–Rabin CDC chunker.
+"""The production Karp–Rabin CDC chunker: one compiled call, NumPy fallback.
 
-Computes the same sliding-window hash as
-:class:`repro.chunking.reference.ReferenceChunker` but with O(n)
-elementwise ``uint64`` array operations instead of a Python loop —
-the standard HPC-Python answer to "byte-level chunking is slow".
+:class:`VectorizedChunker` gives exactly the cut points of
+:class:`repro.chunking.reference.ReferenceChunker`.  It cuts through
+the compiled kernel ``_cdc.c``: one C call per buffer that fuses the
+rolling hash with the min/max selection, re-seeds the window hash at
+each chunk's ``start + min_size`` and never builds a candidate array.
+The kernel is built with the interpreter's C compiler on first use
+(:mod:`repro.chunking._cdc`); where that fails the chunker falls back,
+by itself, to the NumPy kernel below plus ``select_cut_points``.
+:meth:`VectorizedChunker.candidates` is always the NumPy kernel — TTTD
+and the tests use it.
 
-The trick
----------
+The NumPy trick
+---------------
 The window hash is a difference of prefix hashes:
 
 .. math:: H(p) = P(p) - P(p-w)\\,M^w, \\qquad
@@ -30,11 +36,12 @@ test is ``H(p) * C < 2^64 / ECS`` for the odd finaliser ``C``; since
 
 Inputs are processed in overlapping blocks (default 128 Ki positions)
 whose work arrays are allocated once per call and stay cache-resident,
-so the passes run at cache speed and no input-sized temporary exists.
-Peak memory is ``4 × 8 ×`` block size (two scratch arrays per call,
-two shared tables; ~4 MiB) regardless of input length; the hash only
-depends on window *content*, so per-block candidate positions are
-globally exact.
+so the passes run at cache speed.  The compare writes into one ``bool``
+mask over the input, whose ``flatnonzero`` is the candidate array: peak
+memory is the mask (one byte per input byte), the candidates (eight
+bytes each) and ``4 × 8 ×`` block size of scratch and shared tables
+(~4 MiB).  The hash only depends on window *content*, so per-block
+candidate positions are globally exact.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from __future__ import annotations
 import numpy as np
 import numpy.typing as npt
 
+from . import _cdc
 from .base import Buffer, Chunker, ChunkerConfig
 from .reference import hash_params
 
@@ -124,6 +132,12 @@ class VectorizedChunker(Chunker):
         self._pow_minv: npt.NDArray[np.uint64] | None = None
         self._pow_mf: npt.NDArray[np.uint64] | None = None
 
+    def _cut_points_ctx(self, data: Buffer, hist: int) -> npt.NDArray[np.int64]:
+        kernel = _cdc.compiled()
+        if kernel is None:
+            return super()._cut_points_ctx(data, hist)
+        return kernel(data, hist, self.config, self._mult, self._final)
+
     def _power_tables(
         self, m: int
     ) -> tuple[npt.NDArray[np.uint64], npt.NDArray[np.uint64]]:
@@ -149,9 +163,11 @@ class VectorizedChunker(Chunker):
         q = np.empty(span + 1, dtype=np.uint64)
         q[0] = 0  # Q(0); blocks only ever write q[1:]
         h = np.empty(span + 1 - w, dtype=np.uint64)
-        cond = np.empty(span + 1 - w, dtype=np.bool_)
+        # cut[p - w]: position p is a candidate.  A zero run makes every
+        # position one, so a mask (1 byte per position) is what stays
+        # small there, not per-block index arrays (8, and 16 once joined).
+        cut = np.empty(n + 1 - w, dtype=np.bool_)
         threshold = self._threshold
-        pieces: list[npt.NDArray[np.int64]] = []
         with np.errstate(over="ignore"):
             for p0 in range(w, n + 1, self._block):
                 p1 = min(n, p0 + self._block - 1)
@@ -165,10 +181,8 @@ class VectorizedChunker(Chunker):
                 # H(p) * C = (M^p C) * (Q(p) - Q(p-w)), local p in [w, m]
                 np.subtract(q[w : m + 1], q[:k], out=h[:k])
                 np.multiply(h[:k], pow_mf[w : m + 1], out=h[:k])
-                np.less(h[:k], threshold, out=cond[:k])
-                local = np.flatnonzero(cond[:k])
-                if local.size:
-                    pieces.append(local.astype(np.int64) + p0)
-        if not pieces:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(pieces)
+                np.less(h[:k], threshold, out=cut[p0 - w : p0 - w + k])
+        del q, h  # freed before the index array exists: a lower peak
+        out = np.flatnonzero(cut).astype(np.int64, copy=False)
+        out += w
+        return out

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chunking import ChunkerConfig, ReferenceChunker, VectorizedChunker
+from repro.chunking.base import Chunker
 
 from .conftest import buffers, random_bytes
 
@@ -27,9 +28,12 @@ def test_candidates_identical(data):
 @given(buffers)
 @settings(max_examples=50, deadline=None)
 def test_cut_points_identical(data):
+    """Both paths: the default (compiled where it built) and NumPy."""
     ref = ReferenceChunker(SMALL)
     vec = VectorizedChunker(SMALL)
-    assert np.array_equal(ref.cut_points(data), vec.cut_points(data))
+    want = ref.cut_points(data)
+    assert np.array_equal(want, vec.cut_points(data))
+    assert np.array_equal(want, Chunker._cut_points_ctx(vec, data, 0))
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([17, 100, 333, 4096]))

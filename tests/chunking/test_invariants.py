@@ -7,6 +7,8 @@
    introduction (the "boundary-shifting problem").
 """
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,19 @@ def test_cut_contract(cls, data):
     chunker = cls(SMALL)
     cuts = chunker.cut_points(data)
     chunker.validate_cuts(len(data), cuts)
+
+
+@pytest.mark.parametrize("cls", ALL_CHUNKERS)
+@given(data=buffers, window=st.integers(1, 3000))
+@settings(max_examples=25, deadline=None)
+def test_streaming_equals_whole(cls, data, window):
+    """``chunk_stream`` cuts where one whole-buffer call does, for any read
+    size (``VectorizedChunker`` on its compiled kernel wherever it built)."""
+    chunker = cls(SMALL)
+    stream = chunker.chunk_stream(io.BytesIO(data), window_bytes=window)
+    assert [c.offset + c.size for batch in stream for c in batch] == (
+        chunker.cut_points(data).tolist()
+    )
 
 
 @pytest.mark.parametrize("cls", CDC_CHUNKERS)

@@ -1,4 +1,8 @@
-"""Edge-condition tests specific to the vectorised chunker."""
+"""Edge-condition tests specific to the vectorised chunker.
+
+The power-table tests look inside the NumPy kernel, so they run on the
+NumPy path (``numpy_path``) whether or not the compiled kernel built.
+"""
 
 import numpy as np
 import pytest
@@ -36,7 +40,7 @@ def test_input_one_byte_short_of_window():
     assert VectorizedChunker(cfg).candidates(data).size == 0
 
 
-def test_power_table_cache_reused_across_calls():
+def test_power_table_cache_reused_across_calls(numpy_path):
     cfg = ChunkerConfig(expected_size=256, window=16)
     v = VectorizedChunker(cfg)
     a = random_bytes(50_000, seed=4)
@@ -88,7 +92,7 @@ def test_modinv_verified_for_odd_multipliers():
         assert (a * _modinv_pow2(a)) & ((1 << 64) - 1) == 1
 
 
-def test_power_table_cache_keyed_by_multiplier():
+def test_power_table_cache_keyed_by_multiplier(numpy_path):
     """Two differently-seeded configs in one process must not share
     power tables — a shared-cache regression would silently corrupt one
     chunker's hashes with the other's multiplier."""
@@ -109,7 +113,7 @@ def test_power_table_cache_keyed_by_multiplier():
     assert not np.array_equal(expect_a, expect_b)
 
 
-def test_power_table_cache_shared_for_same_multiplier():
+def test_power_table_cache_shared_for_same_multiplier(numpy_path):
     cfg = ChunkerConfig(expected_size=256, window=16)
     data = random_bytes(40_000, seed=8)
     v1, v2 = VectorizedChunker(cfg), VectorizedChunker(cfg)

@@ -10,16 +10,18 @@ import tracemalloc
 from collections import Counter
 
 import numpy as np
+import pytest
 
-from repro.chunking import ChunkerConfig, VectorizedChunker
+from repro.chunking import ChunkerConfig, VectorizedChunker, _cdc
 from repro.core import DedupConfig, MHDDeduplicator
 from repro.hashing import BloomFilter, sha1
 from repro.workloads import tiny_corpus
 
 
 def test_vectorized_chunker_throughput_floor():
-    """≥ 5 MB/s (typically 100-150); the reference runs at ~1 MB/s, so
-    this also guards against silently falling back to scalar code."""
+    """≥ 5 MB/s (typically ~580 compiled, ~145 on the NumPy fallback); the
+    reference runs at ~1 MB/s, so this also guards against silently
+    falling back to scalar code."""
     data = np.random.default_rng(0).integers(0, 256, size=16 << 20, dtype=np.uint8).tobytes()
     chunker = VectorizedChunker(ChunkerConfig(expected_size=4096))
     start = time.perf_counter()
@@ -29,11 +31,12 @@ def test_vectorized_chunker_throughput_floor():
     assert mbps > 5, f"chunker at {mbps:.1f} MB/s"
 
 
-def test_vectorized_chunker_memory_ceiling():
-    """Chunking 8 MiB allocates < 16 MiB beyond the input: the kernel's
-    scratch is two block-sized arrays, not five input-sized ones (which
-    traced ≈ 50 MiB), and the shared cache holds two power tables per
-    multiplier — the finaliser is folded into one, not kept beside it."""
+def test_vectorized_chunker_memory_ceiling(numpy_path):
+    """The NumPy path chunks 8 MiB in < 16 MiB beyond the input: a one-byte
+    candidate mask per input byte plus two block-sized scratch arrays, not
+    five input-sized ones (which traced ≈ 50 MiB), and the shared cache
+    holds two power tables per multiplier — the finaliser is folded into
+    one, not kept beside it."""
     from repro.chunking import vectorized
 
     data = np.random.default_rng(2).integers(0, 256, size=8 << 20, dtype=np.uint8).tobytes()
@@ -50,6 +53,35 @@ def test_vectorized_chunker_memory_ceiling():
     for (mult, _final), tables in vectorized._POWER_TABLES.items():
         per_multiplier[mult] += len(tables)
     assert per_multiplier and max(per_multiplier.values()) <= 2, per_multiplier
+
+
+def _zero_run_peak():
+    """Peak traced bytes of cutting 4 MiB of zeros, where every position
+    is a cut candidate, so every chunk is min_size (1 KiB) long."""
+    data = bytes(4 << 20)
+    chunker = VectorizedChunker(ChunkerConfig(expected_size=4096))
+    chunker.cut_points(data[: 1 << 20])  # load the kernel, fill the power tables
+    tracemalloc.start()
+    try:
+        cuts = chunker.cut_points(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(cuts, np.arange(1, 4097) * 1024)
+    return peak
+
+
+def test_zero_run_memory_on_the_numpy_path(numpy_path):
+    """Zero-filled blocks are common in disk images.  Walking a Python int
+    per candidate cost ~48x the input (16 MiB of zeros: 7 MB/s, 769 MiB
+    peak); the mask and the binary-search hop stay below 10x."""
+    assert _zero_run_peak() < 10 * (4 << 20)
+
+
+def test_zero_run_memory_on_the_compiled_path():
+    if _cdc.compiled() is None:
+        pytest.skip("this process cuts with NumPy")
+    assert _zero_run_peak() < 1 << 20
 
 
 def test_bloom_negative_probe_floor():

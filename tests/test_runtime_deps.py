@@ -1,11 +1,13 @@
 """A runtime-only install imports every public surface.
 
 ``pyproject.toml`` declares ``numpy`` as the one runtime dependency;
-scipy, hypothesis and pytest are ``dev`` extras.  A module
-under ``src/`` that imports one of them at module level breaks every
-installation that did not ask for the extras, and CI would not notice,
-because every job installs them.  So this test imports the package in
-a fresh interpreter where those three cannot be imported at all.
+scipy, hypothesis and pytest are ``dev`` extras, and cffi, installed on
+some hosts, is no dependency at all (the chunking kernel loads through
+``ctypes``).  A module under ``src/`` that imports one of them at module
+level breaks every installation that did not ask for the extras, and CI
+would not notice, because every job installs them.  So this test imports the package in
+a fresh interpreter where none of them can be imported, and cuts
+64 KiB, so the compiled chunking kernel's loader runs there too.
 """
 
 import os
@@ -18,7 +20,7 @@ import repro
 
 SRC = Path(repro.__file__).resolve().parent.parent
 
-BLOCKED = ("scipy", "hypothesis", "pytest")
+BLOCKED = ("scipy", "hypothesis", "pytest", "cffi")
 
 PROBE = textwrap.dedent(
     """
@@ -41,6 +43,11 @@ PROBE = textwrap.dedent(
 
     for name in available():
         resolve(name)
+    # Importing compiles nothing; the first cut loads the chunking kernel
+    # (or falls back to NumPy) with the standard library alone.
+    from repro.chunking import VectorizedChunker, _cdc
+    assert not _cdc._loaded
+    VectorizedChunker().cut_points(bytes(range(256)) * 256)
     print(len(available()))
     """
 )
