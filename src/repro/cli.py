@@ -43,7 +43,7 @@ Examples::
     repro-dedup gc --store-dir /backup/store --delete 'pc00/gen000/*'
     repro-dedup list
     repro-dedup serve --store-dir /srv/dedup --port 7846 --max-bytes 1073741824
-    repro-dedup serve --store-dir /srv/dedup --trace-dir /srv/traces --profile srv.folded
+    repro-dedup serve --store-dir /srv/dedup --trace-dir /srv/traces
     repro-dedup client push --tenant alice --port 7846 ~/disks/*.img
     repro-dedup client push --tenant alice --port 7846 --trace push.jsonl ~/disks/*.img
     repro-dedup trace-view push.jsonl /srv/traces/trace-alice-0001.jsonl
@@ -542,7 +542,7 @@ def cmd_list(args) -> int:
 def cmd_serve(args) -> int:
     import asyncio
 
-    from .service import DedupServer, FleetExecutor, TenantQuota
+    from .service import DedupServer, TenantQuota
 
     backend: StorageBackend = DirectoryBackend(args.store_dir)
     server = DedupServer(
@@ -558,15 +558,6 @@ def cmd_serve(args) -> int:
         max_rate_delay=args.max_rate_delay,
         trace_dir=args.trace_dir,
     )
-    sampler = None
-    if args.profile:
-        from .obs.profile import StackSampler
-
-        # Sample only the ingest fleet: the event loop's stacks are
-        # all epoll waits, which would drown the interesting frames.
-        sampler = StackSampler(thread_prefixes=(FleetExecutor.THREAD_NAME_PREFIX,))
-        sampler.start()
-
     async def _run() -> None:
         await server.start()
         # Machine-parsable ready line (the CI smoke test and scripts
@@ -584,15 +575,6 @@ def cmd_serve(args) -> int:
         asyncio.run(_run())
     except KeyboardInterrupt:
         print("interrupted; server stopped", file=sys.stderr)
-    finally:
-        if sampler is not None:
-            sampler.stop()
-            stacks = sampler.write(args.profile)
-            print(
-                f"profile: {stacks} stacks ({sampler.samples} samples) "
-                f"-> {args.profile}",
-                file=sys.stderr,
-            )
     return 0
 
 
@@ -894,11 +876,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-dir",
         metavar="DIR",
         help="write one JSONL span trace per traced session under DIR",
-    )
-    p_srv.add_argument(
-        "--profile",
-        metavar="PATH",
-        help="sample fleet-thread stacks; write collapsed stacks to PATH on exit",
     )
     _add_dedup_args(p_srv, store_dir=False)
     p_srv.set_defaults(func=cmd_serve)

@@ -361,8 +361,8 @@ class Deduplicator(ABC):
         Assigning a live :class:`~repro.obs.Telemetry` turns on metric
         collection and (when it has sinks) span tracing for all
         subsequent ingests; the disk meter starts mirroring its
-        per-namespace counters into the telemetry registry and the
-        tracer's I/O probe is pointed at this run's meter.  Telemetry
+        per-namespace counters into the telemetry registry and its
+        span I/O probe is pointed at this run's meter.  Telemetry
         is attached post-construction precisely so none of the six
         algorithm constructors need to know about it.
         """

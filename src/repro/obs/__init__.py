@@ -7,14 +7,15 @@ it without cycles.  The pieces:
 
 * :class:`MetricsRegistry` with :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` — mergeable process-local metrics.
-* :class:`Tracer` / spans (:mod:`repro.obs.trace`) — nested timed
-  events over the chunk→hash→index→store pipeline.
-* Sinks (:mod:`repro.obs.sinks`) — ``NullSink`` (default, zero
-  overhead), ``InMemorySink`` (tests), ``JsonlTraceSink`` (replayable
-  trace file), ``PromTextSink`` (Prometheus text exposition).
-* :class:`Telemetry` / :data:`NULL_TELEMETRY` — the facade the stack
-  holds; see docs/OBSERVABILITY.md for the metric catalogue and trace
-  schema.
+* :class:`Telemetry` / :data:`NULL_TELEMETRY` — the one handle the
+  stack holds: registry, spans and heartbeat; see
+  docs/OBSERVABILITY.md for the metric catalogue and trace schema.
+* Spans (:mod:`repro.obs.trace`) — nested timed events over the
+  chunk→hash→index→store pipeline, handed out by
+  :meth:`Telemetry.span`.
+* Sinks (:mod:`repro.obs.sinks`) — ``InMemorySink`` (tests),
+  ``JsonlTraceSink`` (replayable trace file), ``PromTextSink``
+  (Prometheus text exposition); no sinks means no spans.
 * :class:`SLOEngine` (:mod:`repro.obs.slo`) — per-tenant rolling-window
   objectives with multi-window burn-rate alerting.
 * :class:`StackSampler` (:mod:`repro.obs.profile`) — continuous
@@ -30,10 +31,8 @@ from .metrics import (
     MetricsRegistry,
 )
 from .sinks import (
-    NULL_SINK,
     InMemorySink,
     JsonlTraceSink,
-    NullSink,
     PromTextSink,
     Sink,
     load_trace,
@@ -54,7 +53,6 @@ from .trace import (
     NullSpan,
     Span,
     SpanEvent,
-    Tracer,
     new_trace_id,
     parse_span_ref,
     span_ref,
@@ -76,8 +74,6 @@ __all__ = [
     "SIZE_BUCKETS",
     "COUNT_BUCKETS",
     "Sink",
-    "NullSink",
-    "NULL_SINK",
     "InMemorySink",
     "JsonlTraceSink",
     "PromTextSink",
@@ -93,7 +89,6 @@ __all__ = [
     "Span",
     "NullSpan",
     "NULL_SPAN",
-    "Tracer",
     "new_trace_id",
     "span_ref",
     "parse_span_ref",

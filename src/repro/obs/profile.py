@@ -17,10 +17,9 @@ the sampler's own daemon thread.  A ``thread_prefixes`` filter narrows
 attention to e.g. the service's fleet workers (threads named
 ``fleet-…``) so event-loop bookkeeping does not drown out dedup work.
 
-Attachment points: ``repro-dedup profile -- <subcommand …>`` wraps any
-CLI run, ``repro-dedup serve --profile out.collapsed`` profiles a
-server until shutdown, and the benchmark suite's ``--profile`` flag
-profiles a whole bench session (see benchmarks/conftest.py).
+Attachment point: ``repro-dedup profile -- <subcommand …>`` wraps any
+CLI run; ``repro-dedup profile --threads fleet --out srv.folded serve
+…`` profiles a server's ingest fleet until Ctrl-C.
 """
 
 from __future__ import annotations

@@ -3,11 +3,10 @@
 A sink receives the two telemetry products: completed trace spans
 (:class:`~repro.obs.trace.SpanEvent`, streamed as they close) and the
 final :class:`~repro.obs.metrics.MetricsRegistry` (delivered once, at
-:meth:`~repro.obs.telemetry.Telemetry.close` time).  Four
-implementations cover the matrix:
+:meth:`~repro.obs.telemetry.Telemetry.close` time).  Telemetry with
+no sinks produces no spans at all, so there is no null sink.  Three
+implementations:
 
-* :class:`NullSink` — the default; every method is a no-op, keeping
-  the disabled path free of I/O and allocations.
 * :class:`InMemorySink` — buffers everything in lists; what tests use.
 * :class:`JsonlTraceSink` — appends one JSON object per line to a
   *replayable* trace file (``{"type": "span", ...}`` records, plus one
@@ -20,6 +19,7 @@ implementations cover the matrix:
 from __future__ import annotations
 
 import json
+import logging
 import re
 from typing import IO, Protocol, runtime_checkable
 
@@ -28,8 +28,6 @@ from .trace import SpanEvent
 
 __all__ = [
     "Sink",
-    "NullSink",
-    "NULL_SINK",
     "InMemorySink",
     "JsonlTraceSink",
     "PromTextSink",
@@ -37,6 +35,8 @@ __all__ = [
     "prom_text",
     "prom_text_multi",
 ]
+
+logger = logging.getLogger("repro.obs")
 
 
 @runtime_checkable
@@ -54,23 +54,6 @@ class Sink(Protocol):
     def close(self) -> None:
         """Flush and release any underlying resources."""
         ...
-
-
-class NullSink:
-    """Discards everything (the default sink)."""
-
-    def emit_span(self, event: SpanEvent) -> None:
-        """Discard the span."""
-
-    def emit_metrics(self, registry: MetricsRegistry) -> None:
-        """Discard the registry."""
-
-    def close(self) -> None:
-        """Nothing to release."""
-
-
-#: Shared default instance.
-NULL_SINK = NullSink()
 
 
 class InMemorySink:
@@ -135,19 +118,24 @@ def load_trace(path: str) -> tuple[list[SpanEvent], dict[str, object]]:
     """Parse a :class:`JsonlTraceSink` file back into events + metrics.
 
     Returns ``(spans, metrics_dict)``; ``metrics_dict`` is empty when
-    the trace carries no metrics record.  Raises ``ValueError`` on
-    malformed lines (the trace-view CLI surfaces this as a failure).
+    the trace carries no metrics record.  A malformed final line that
+    lacks its newline is a record cut short by a crash: it is dropped
+    with one warning.  Any other malformed line raises ``ValueError``
+    (the trace-view CLI surfaces this as a failure).
     """
     spans: list[SpanEvent] = []
     metrics: dict[str, object] = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
             if not line:
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as e:
+                if not raw.endswith("\n"):  # only the last line can lack one
+                    logger.warning("%s:%d: dropped a truncated last record", path, lineno)
+                    break
                 raise ValueError(f"{path}:{lineno}: not valid JSON: {e}") from e
             kind = record.get("type")
             if kind == "span":

@@ -41,6 +41,10 @@ __all__ = ["SLOSpec", "SLOEngine", "DEFAULT_SLOS"]
 
 #: Valid spec kinds and the event streams they are evaluated over.
 _KINDS = ("latency", "error_rate", "rejection_rate")
+#: Window bucket granularity (seconds).
+_BUCKET_S = 10.0
+#: Recent session latencies per tenant behind the reported p50/p99.
+_LATENCY_KEEP = 512
 
 
 @dataclass(frozen=True)
@@ -85,8 +89,7 @@ class SLOSpec:
         }
 
 
-#: The service's stock objectives; ``DedupServer`` installs these when
-#: no explicit engine is passed.
+#: The service's objectives: ``DedupServer``'s engine tracks these.
 DEFAULT_SLOS: tuple[SLOSpec, ...] = (
     SLOSpec(name="session-latency-p50", kind="latency", objective=0.50, threshold_s=1.0),
     SLOSpec(name="session-latency-p99", kind="latency", objective=0.99, threshold_s=5.0),
@@ -98,15 +101,14 @@ DEFAULT_SLOS: tuple[SLOSpec, ...] = (
 class _Window:
     """Time-bucketed event counts for one tenant (ring by bucket index)."""
 
-    __slots__ = ("bucket_s", "horizon_s", "buckets")
+    __slots__ = ("horizon_s", "buckets")
 
-    def __init__(self, bucket_s: float, horizon_s: float) -> None:
-        self.bucket_s = bucket_s
+    def __init__(self, horizon_s: float) -> None:
         self.horizon_s = horizon_s
         self.buckets: dict[int, dict[str, float]] = {}
 
     def add(self, now: float, key: str, amount: float = 1.0) -> None:
-        idx = int(now // self.bucket_s)
+        idx = int(now // _BUCKET_S)
         bucket = self.buckets.get(idx)
         if bucket is None:
             bucket = self.buckets[idx] = {}
@@ -114,12 +116,12 @@ class _Window:
         bucket[key] = bucket.get(key, 0.0) + amount
 
     def _prune(self, newest_idx: int) -> None:
-        oldest_live = newest_idx - int(self.horizon_s // self.bucket_s) - 1
+        oldest_live = newest_idx - int(self.horizon_s // _BUCKET_S) - 1
         for idx in [i for i in self.buckets if i < oldest_live]:
             del self.buckets[idx]
 
     def total(self, now: float, key: str, window_s: float) -> float:
-        first = int((now - window_s) // self.bucket_s) + 1
+        first = int((now - window_s) // _BUCKET_S) + 1
         return sum(
             counts.get(key, 0.0) for idx, counts in self.buckets.items() if idx >= first
         )
@@ -147,11 +149,6 @@ class SLOEngine:
         Alert channel — called as ``anomaly(name, detail)`` when a
         spec's multi-window burn trips; defaults to the process-global
         :func:`~repro.obs.telemetry.note_anomaly`.
-    bucket_s:
-        Window bucket granularity.
-    latency_keep:
-        How many recent session latencies per tenant back the reported
-        p50/p99 observations.
 
     All methods are thread-safe; the service calls them from its event
     loop, tests and benchmarks from arbitrary threads.
@@ -162,8 +159,6 @@ class SLOEngine:
         specs: Sequence[SLOSpec] = DEFAULT_SLOS,
         clock: Callable[[], float] = time.monotonic,
         anomaly: Callable[[str, str], None] | None = None,
-        bucket_s: float = 10.0,
-        latency_keep: int = 512,
     ) -> None:
         names = [s.name for s in specs]
         if len(set(names)) != len(names):
@@ -173,8 +168,6 @@ class SLOEngine:
         self._anomaly: Callable[[str, str], None] = (
             anomaly if anomaly is not None else note_anomaly
         )
-        self._bucket_s = bucket_s
-        self._latency_keep = latency_keep
         self._horizon_s = max((s.window_s for s in self.specs), default=3600.0)
         self._lock = threading.Lock()
         self._windows: dict[str, _Window] = {}
@@ -194,7 +187,7 @@ class SLOEngine:
             for spec in self.specs:
                 if spec.kind == "latency" and duration_s > spec.threshold_s:
                     win.add(now, f"slow.{spec.name}")
-            lat = self._latencies.setdefault(tenant, deque(maxlen=self._latency_keep))
+            lat = self._latencies.setdefault(tenant, deque(maxlen=_LATENCY_KEEP))
             lat.append((now, duration_s))
             self._check_alerts(tenant, now)
 
@@ -274,7 +267,7 @@ class SLOEngine:
     def _window(self, tenant: str) -> _Window:
         win = self._windows.get(tenant)
         if win is None:
-            win = self._windows[tenant] = _Window(self._bucket_s, self._horizon_s)
+            win = self._windows[tenant] = _Window(self._horizon_s)
         return win
 
     @staticmethod

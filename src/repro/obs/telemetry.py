@@ -1,4 +1,4 @@
-"""The telemetry facade: one object wiring registry, tracer and sinks.
+"""The telemetry object: one handle owning registry, spans and sinks.
 
 Instrumented code (the dedup stack) sees exactly one handle — a
 :class:`Telemetry` — and asks it for three things:
@@ -23,15 +23,19 @@ data flows in through calls the instrumented code makes.
 from __future__ import annotations
 
 import logging
-from collections.abc import Callable
+import threading
+import time
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
 from .metrics import MetricsRegistry
 from .sinks import Sink
-from .trace import NULL_SPAN, NullSpan, Span, Tracer
+from .trace import NULL_SPAN, NullSpan, Span, SpanEvent, new_trace_id, span_ref
 
 __all__ = [
+    "HEARTBEAT_BYTES",
+    "HEARTBEAT_FILES",
     "HeartbeatEvent",
     "Telemetry",
     "NULL_TELEMETRY",
@@ -42,6 +46,12 @@ __all__ = [
 logger = logging.getLogger("repro.obs")
 
 
+#: Heartbeat intervals: the callback fires at most once per this many
+#: files or input bytes, whichever comes first.
+HEARTBEAT_FILES = 32
+HEARTBEAT_BYTES = 64 << 20
+
+
 @dataclass(frozen=True)
 class HeartbeatEvent:
     """Live-progress snapshot handed to the heartbeat callback."""
@@ -50,8 +60,6 @@ class HeartbeatEvent:
     input_bytes: int  # bytes ingested so far
     unique_bytes: int  # bytes resolved unique so far
     duplicate_bytes: int  # bytes resolved duplicate so far
-    tenant: str = ""  # owning tenant ("" outside the service)
-    active_sessions: int = 0  # server-wide live sessions at beat time
 
     @property
     def der_so_far(self) -> float:
@@ -60,7 +68,7 @@ class HeartbeatEvent:
 
 
 class Telemetry:
-    """One run's telemetry context (registry + optional tracing/heartbeat).
+    """One run's telemetry context: registry, spans and heartbeat.
 
     Parameters
     ----------
@@ -70,58 +78,47 @@ class Telemetry:
         :attr:`registry`) but no spans are produced.
     heartbeat:
         Optional callback receiving :class:`HeartbeatEvent`; invoked at
-        most once per ``heartbeat_files`` files or ``heartbeat_bytes``
-        input bytes, whichever fires first.
-    io_probe:
-        Optional ``() -> (disk_ops, disk_bytes)`` sampler attached to
-        every span (set automatically when a telemetry object is handed
-        to a deduplicator).
-    trace_id / origin:
-        Cross-process trace context for the tracer (see
-        :class:`~repro.obs.trace.Tracer`); a server session passes the
-        trace id received from its client so both processes' spans
-        share one id.
-    tenant:
-        Tenant label stamped on heartbeat events ("" outside the
-        service).
-    active_sessions:
-        Optional supplier of the server-wide live-session count,
-        sampled at each heartbeat.
+        most once per :data:`HEARTBEAT_FILES` files or
+        :data:`HEARTBEAT_BYTES` input bytes, whichever fires first.
+    trace_id:
+        The cross-process trace id stamped on every span; generated
+        fresh when empty (and left empty when there are no sinks).  A
+        server session passes the id it received from its client so
+        both processes' spans share one id.
+    origin:
+        Name of the process/component producing this trace (``client``,
+        ``server alice-0003``, …); makes span ids globally unique as
+        ``"<origin>#<span_id>"`` refs so traces from several files can
+        be merged.
+
+    The span *stack* (parentage) is single-threaded by design — one
+    telemetry object belongs to one run or one session lane.  Id
+    allocation and sink emission are lock-protected, so other threads
+    (e.g. the server's event loop) may safely report after-the-fact
+    :meth:`closed_span` events into the same trace.  The I/O sampler
+    spans use for attribution is attached with :meth:`set_io_probe`
+    (a deduplicator does this when handed a telemetry object).
     """
 
     def __init__(
         self,
-        sinks: tuple[Sink, ...] | list[Sink] = (),
+        sinks: Sequence[Sink] = (),
         heartbeat: Callable[[HeartbeatEvent], None] | None = None,
-        heartbeat_files: int = 32,
-        heartbeat_bytes: int = 64 << 20,
-        io_probe: Callable[[], tuple[int, int]] | None = None,
         trace_id: str = "",
         origin: str = "",
-        tenant: str = "",
-        active_sessions: Callable[[], int] | None = None,
     ) -> None:
-        if heartbeat_files < 1 or heartbeat_bytes < 1:
-            raise ValueError("heartbeat intervals must be >= 1")
         self.registry = MetricsRegistry()
         self.sinks: tuple[Sink, ...] = tuple(sinks)
         self.heartbeat = heartbeat
-        self.heartbeat_files = heartbeat_files
-        self.heartbeat_bytes = heartbeat_bytes
-        self.tenant = tenant
-        self.active_sessions = active_sessions
-        self._hb_next_files = heartbeat_files
-        self._hb_next_bytes = heartbeat_bytes
-        self._tracer: Tracer | None = (
-            Tracer(
-                [s.emit_span for s in self.sinks],
-                io_probe=io_probe,
-                trace_id=trace_id,
-                origin=origin,
-            )
-            if self.sinks
-            else None
-        )
+        self._hb_next_files = HEARTBEAT_FILES
+        self._hb_next_bytes = HEARTBEAT_BYTES
+        self.trace_id = (trace_id or new_trace_id()) if self.sinks else ""
+        self.origin = origin
+        self.epoch = time.perf_counter()
+        self.io_probe: Callable[[], tuple[int, int]] | None = None
+        self._stack: list[int] = []
+        self._lock = threading.Lock()
+        self._counter = 0
         self._closed = False
 
     # ---- capability flags (what instrumentation guards check) ----------
@@ -134,12 +131,7 @@ class Telemetry:
     @property
     def tracing(self) -> bool:
         """Whether spans are live (any sink attached)."""
-        return self._tracer is not None
-
-    @property
-    def trace_id(self) -> str:
-        """The cross-process trace id ("" when tracing is off)."""
-        return self._tracer.trace_id if self._tracer is not None else ""
+        return bool(self.sinks)
 
     # ---- spans -----------------------------------------------------------
 
@@ -149,10 +141,9 @@ class Telemetry:
         Returns the shared no-op span when tracing is off, so call
         sites can use ``with tel.span("store"):`` unconditionally.
         """
-        tracer = self._tracer
-        if tracer is None:
+        if not self.sinks:
             return NULL_SPAN
-        return tracer.span(name, attrs or None)
+        return Span(self, name, attrs)
 
     def closed_span(
         self,
@@ -161,29 +152,57 @@ class Telemetry:
         parent: int = -1,
         attrs: dict[str, Any] | None = None,
     ) -> int:
-        """Report an already-measured interval as a span (thread-safe).
+        """Report an already-measured interval ending *now* as a span.
 
-        No-op (returns -1) when tracing is off.  Used by the service's
-        event loop to attribute waits — lock acquisition, rate-limit
-        sleeps, queue back-pressure — to a session trace whose stack
-        lives on a lane thread.
+        Thread-safe and stack-free: the service's event loop uses it to
+        attribute waits — lock acquisition, rate-limit sleeps, queue
+        back-pressure — to a session trace whose stack lives on a lane
+        thread.  Returns the new span's id, or -1 when tracing is off.
         """
-        tracer = self._tracer
-        if tracer is None:
+        if not self.sinks:
             return -1
-        return tracer.closed_span(name, duration, parent=parent, attrs=attrs)
+        end = time.perf_counter() - self.epoch
+        span_id = self._next_id()
+        self._emit(
+            SpanEvent(
+                name=name,
+                span_id=span_id,
+                parent=parent,
+                start=max(0.0, end - duration),
+                duration=duration,
+                attrs={} if attrs is None else attrs,
+                trace_id=self.trace_id,
+                origin=self.origin,
+            )
+        )
+        return span_id
 
     def span_ref(self, span_id: int) -> str:
         """Cross-process reference for one of this trace's spans."""
-        tracer = self._tracer
-        if tracer is None:
+        if not self.sinks:
             return ""
-        return tracer.ref(span_id)
+        return span_ref(self.origin, span_id)
 
     def set_io_probe(self, probe: Callable[[], tuple[int, int]] | None) -> None:
-        """(Re)attach the I/O sampler spans use for attribution."""
-        if self._tracer is not None:
-            self._tracer.io_probe = probe
+        """(Re)attach the ``() -> (disk_ops, disk_bytes)`` sampler.
+
+        When set, every span carries the I/O delta observed while it
+        was open (``attrs["io_ops"]`` / ``attrs["io_bytes"]``) — the
+        data behind ``trace-view``'s I/O attribution columns.  Kept
+        only while tracing, so the shared null holds no reference.
+        """
+        if self.sinks:
+            self.io_probe = probe
+
+    def _next_id(self) -> int:
+        with self._lock:
+            self._counter += 1
+            return self._counter
+
+    def _emit(self, event: SpanEvent) -> None:
+        with self._lock:
+            for sink in self.sinks:
+                sink.emit_span(event)
 
     # ---- heartbeat -------------------------------------------------------
 
@@ -193,25 +212,21 @@ class Telemetry:
         """Maybe invoke the heartbeat callback (rate-limited).
 
         Called by the deduplicator after every file; fires the callback
-        when the configured file- or byte-interval has elapsed since
-        the previous beat.
+        when the file- or byte-interval has elapsed since the previous
+        beat.
         """
         if self.heartbeat is None:
             return
         if files < self._hb_next_files and input_bytes < self._hb_next_bytes:
             return
-        self._hb_next_files = files + self.heartbeat_files
-        self._hb_next_bytes = input_bytes + self.heartbeat_bytes
+        self._hb_next_files = files + HEARTBEAT_FILES
+        self._hb_next_bytes = input_bytes + HEARTBEAT_BYTES
         self.heartbeat(
             HeartbeatEvent(
                 files=files,
                 input_bytes=input_bytes,
                 unique_bytes=unique_bytes,
                 duplicate_bytes=duplicate_bytes,
-                tenant=self.tenant,
-                active_sessions=(
-                    self.active_sessions() if self.active_sessions is not None else 0
-                ),
             )
         )
 
@@ -245,10 +260,6 @@ class _NullTelemetry(Telemetry):
     def enabled(self) -> bool:
         """Always ``False`` — instrumentation guards skip all work."""
         return False
-
-    def span(self, name: str, **attrs: Any) -> Span | NullSpan:
-        """Always the shared no-op span."""
-        return NULL_SPAN
 
 
 #: Shared disabled telemetry; the default on every deduplicator.

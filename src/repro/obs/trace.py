@@ -1,8 +1,9 @@
 """Pipeline span tracing: nested timed events over the ingest stages.
 
-A :class:`Tracer` hands out :class:`Span` context managers; entering a
-span pushes it on the tracer's stack (establishing parentage), exiting
-stamps the duration and emits a :class:`SpanEvent` to every sink.  The
+:meth:`Telemetry.span <repro.obs.telemetry.Telemetry.span>` hands out
+:class:`Span` context managers; entering a span pushes it on the
+telemetry's stack (establishing parentage), exiting stamps the duration
+and emits a :class:`SpanEvent` to every sink.  The
 event schema is deliberately flat and JSON-friendly so a trace file is
 replayable (see :mod:`repro.obs.traceview` and docs/OBSERVABILITY.md):
 
@@ -11,9 +12,9 @@ field     meaning
 ========  =====================================================
 name      stage name (``run``, ``file``, ``chunk``, ``hash``,
           ``index``, ``store``, ``end_file``, ``verify`` …)
-span_id   per-tracer ordinal, unique within one trace
+span_id   per-trace ordinal, unique within one trace
 parent    ``span_id`` of the enclosing span (-1 at the root)
-start     seconds since the tracer's epoch (perf-counter clock)
+start     seconds since the trace's epoch (perf-counter clock)
 duration  seconds between enter and exit
 attrs     small JSON-safe dict (file ids, batch sizes, metered
           ``io_ops``/``io_bytes`` deltas from the I/O probe)
@@ -24,7 +25,7 @@ DDC004 bans wall-clock reads from ``repro/core``/``chunking``/
 ``baselines``, so instrumented code only ever calls through this
 module (and through no-op spans when tracing is off).
 
-Cross-process stitching (the distributed half): every tracer carries a
+Cross-process stitching (the distributed half): every trace carries a
 ``trace_id`` (random 128-bit hex, W3C-traceparent flavoured) and an
 ``origin`` naming the process/component that produced the trace.  Both
 are stamped on each :class:`SpanEvent`.  A span in *another* process is
@@ -39,18 +40,18 @@ defaults and keep working.
 from __future__ import annotations
 
 import os
-import threading
 import time
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from .telemetry import Telemetry
 
 __all__ = [
     "SpanEvent",
     "Span",
     "NullSpan",
     "NULL_SPAN",
-    "Tracer",
     "new_trace_id",
     "span_ref",
     "parse_span_ref",
@@ -89,7 +90,7 @@ class SpanEvent:
     duration: float
     attrs: dict[str, Any] = field(default_factory=dict)
     trace_id: str = ""  # shared across processes participating in one trace
-    origin: str = ""  # which tracer (process/component) produced the span
+    origin: str = ""  # which process/component produced the span
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-serialisable form (the JSONL trace record body)."""
@@ -150,10 +151,10 @@ NULL_SPAN = NullSpan()
 class Span:
     """A live span; use as a context manager around one pipeline stage."""
 
-    __slots__ = ("_tracer", "name", "span_id", "parent", "start", "attrs", "_io0")
+    __slots__ = ("_tel", "name", "span_id", "parent", "start", "attrs", "_io0")
 
-    def __init__(self, tracer: Tracer, name: str, attrs: dict[str, Any]) -> None:
-        self._tracer = tracer
+    def __init__(self, tel: Telemetry, name: str, attrs: dict[str, Any]) -> None:
+        self._tel = tel
         self.name = name
         self.attrs = attrs
         self.span_id = -1
@@ -166,27 +167,27 @@ class Span:
         self.attrs[name] = value
 
     def __enter__(self) -> Span:
-        """Start the clock and push this span on the tracer stack."""
-        tracer = self._tracer
-        self.span_id = tracer._next_id()
-        self.parent = tracer._stack[-1] if tracer._stack else -1
-        tracer._stack.append(self.span_id)
-        if tracer.io_probe is not None:
-            self._io0 = tracer.io_probe()
-        self.start = time.perf_counter() - tracer.epoch
+        """Start the clock and push this span on the telemetry's span stack."""
+        tel = self._tel
+        self.span_id = tel._next_id()
+        self.parent = tel._stack[-1] if tel._stack else -1
+        tel._stack.append(self.span_id)
+        if tel.io_probe is not None:
+            self._io0 = tel.io_probe()
+        self.start = time.perf_counter() - tel.epoch
         return self
 
     def __exit__(self, *exc: object) -> None:
         """Stop the clock, pop the stack and emit the event to the sinks."""
-        tracer = self._tracer
-        duration = time.perf_counter() - tracer.epoch - self.start
-        if tracer._stack and tracer._stack[-1] == self.span_id:
-            tracer._stack.pop()
-        if self._io0 is not None and tracer.io_probe is not None:
-            ops1, bytes1 = tracer.io_probe()
+        tel = self._tel
+        duration = time.perf_counter() - tel.epoch - self.start
+        if tel._stack and tel._stack[-1] == self.span_id:
+            tel._stack.pop()
+        if self._io0 is not None and tel.io_probe is not None:
+            ops1, bytes1 = tel.io_probe()
             self.attrs["io_ops"] = ops1 - self._io0[0]
             self.attrs["io_bytes"] = bytes1 - self._io0[1]
-        tracer._emit(
+        tel._emit(
             SpanEvent(
                 name=self.name,
                 span_id=self.span_id,
@@ -194,114 +195,7 @@ class Span:
                 start=self.start,
                 duration=duration,
                 attrs=self.attrs,
-                trace_id=tracer.trace_id,
-                origin=tracer.origin,
+                trace_id=tel.trace_id,
+                origin=tel.origin,
             )
         )
-
-
-class Tracer:
-    """Produces nested spans and fans completed events out to sinks.
-
-    Parameters
-    ----------
-    emit:
-        Callables receiving each completed :class:`SpanEvent` (the
-        sinks' ``emit_span`` methods).
-    io_probe:
-        Optional zero-argument callable returning cumulative
-        ``(disk_ops, disk_bytes)``; when set, every span carries the
-        I/O delta observed while it was open (``attrs["io_ops"]`` /
-        ``attrs["io_bytes"]``) — the data behind ``trace-view``'s I/O
-        attribution columns.
-    trace_id:
-        The cross-process trace id stamped on every span; generated
-        fresh when empty.  A server continuing a client's trace passes
-        the id it received over the wire.
-    origin:
-        Name of the process/component producing this trace (``client``,
-        ``server s3``, …); makes span ids globally unique as
-        ``"<origin>#<span_id>"`` refs so traces from several files can
-        be merged.
-
-    The span *stack* (parentage) is single-threaded by design — one
-    tracer belongs to one run or one session lane.  Id allocation and
-    sink emission are lock-protected, so other threads (e.g. the
-    server's event loop) may safely report after-the-fact
-    :meth:`closed_span` events into the same trace.
-    """
-
-    __slots__ = (
-        "epoch",
-        "io_probe",
-        "trace_id",
-        "origin",
-        "_emitters",
-        "_stack",
-        "_lock",
-        "_counter",
-    )
-
-    def __init__(
-        self,
-        emit: Sequence[Callable[[SpanEvent], None]],
-        io_probe: Callable[[], tuple[int, int]] | None = None,
-        trace_id: str = "",
-        origin: str = "",
-    ) -> None:
-        self.epoch = time.perf_counter()
-        self.io_probe = io_probe
-        self.trace_id = trace_id or new_trace_id()
-        self.origin = origin
-        self._emitters = tuple(emit)
-        self._stack: list[int] = []
-        self._lock = threading.Lock()
-        self._counter = 0
-
-    def _next_id(self) -> int:
-        with self._lock:
-            self._counter += 1
-            return self._counter
-
-    def span(self, name: str, attrs: dict[str, Any] | None = None) -> Span:
-        """A new span named after one pipeline stage (not yet entered)."""
-        return Span(self, name, {} if attrs is None else attrs)
-
-    def closed_span(
-        self,
-        name: str,
-        duration: float,
-        parent: int = -1,
-        attrs: dict[str, Any] | None = None,
-    ) -> int:
-        """Emit an already-finished span ending *now* (thread-safe).
-
-        The parentage stack is not touched, so any thread may report a
-        measured interval — e.g. the server's event loop attributing a
-        rate-limit sleep or lock wait to a session whose lane thread
-        owns the stack.  Returns the new span's id.
-        """
-        end = time.perf_counter() - self.epoch
-        span_id = self._next_id()
-        self._emit(
-            SpanEvent(
-                name=name,
-                span_id=span_id,
-                parent=parent,
-                start=max(0.0, end - duration),
-                duration=duration,
-                attrs={} if attrs is None else attrs,
-                trace_id=self.trace_id,
-                origin=self.origin,
-            )
-        )
-        return span_id
-
-    def ref(self, span_id: int) -> str:
-        """The cross-process reference for one of this tracer's spans."""
-        return span_ref(self.origin, span_id)
-
-    def _emit(self, event: SpanEvent) -> None:
-        with self._lock:
-            for emit in self._emitters:
-                emit(event)

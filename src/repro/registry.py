@@ -4,23 +4,32 @@
 the benchmark harness all need the same six-entry name → class table;
 maintaining separate copies let them drift.  They now all call
 :func:`resolve` / :func:`available` here.
-
-The table is populated lazily so importing :mod:`repro.registry` stays
-cheap: the deduplicator modules load on the first lookup, not at
-import.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
+from .baselines import (
+    BimodalDeduplicator,
+    CDCDeduplicator,
+    SparseIndexingDeduplicator,
+    SubChunkDeduplicator,
+)
+from .core import MHDDeduplicator, SIMHDDeduplicator
+
 __all__ = ["available", "describe", "entries", "resolve"]
 
-_REGISTRY: dict[str, Callable] = {}
+_REGISTRY: dict[str, Callable] = {
+    "bf-mhd": MHDDeduplicator,
+    "si-mhd": SIMHDDeduplicator,
+    "cdc": CDCDeduplicator,
+    "bimodal": BimodalDeduplicator,
+    "subchunk": SubChunkDeduplicator,
+    "sparse-indexing": SparseIndexingDeduplicator,
+}
 
-#: One-line description per algorithm (``repro list`` output); kept
-#: here rather than on the classes so the list prints without
-#: importing every deduplicator.
+#: One-line description per algorithm (``repro list`` output).
 _DESCRIPTIONS: dict[str, str] = {
     "bf-mhd": "MHD with Bloom-filtered hook index (the paper's main system)",
     "si-mhd": "MHD with a sparse in-RAM hook index instead of the Bloom filter",
@@ -31,31 +40,8 @@ _DESCRIPTIONS: dict[str, str] = {
 }
 
 
-def _populate() -> None:
-    from .baselines import (
-        BimodalDeduplicator,
-        CDCDeduplicator,
-        SparseIndexingDeduplicator,
-        SubChunkDeduplicator,
-    )
-    from .core import MHDDeduplicator, SIMHDDeduplicator
-
-    _REGISTRY.update(
-        {
-            "bf-mhd": MHDDeduplicator,
-            "si-mhd": SIMHDDeduplicator,
-            "cdc": CDCDeduplicator,
-            "bimodal": BimodalDeduplicator,
-            "subchunk": SubChunkDeduplicator,
-            "sparse-indexing": SparseIndexingDeduplicator,
-        }
-    )
-
-
 def available() -> tuple[str, ...]:
     """Registered algorithm names, in registration order."""
-    if not _REGISTRY:
-        _populate()
     return tuple(_REGISTRY)
 
 
@@ -76,8 +62,6 @@ def resolve(name: str) -> Callable:
 
     Raises ``ValueError`` (listing the valid names) for unknown names.
     """
-    if not _REGISTRY:
-        _populate()
     try:
         return _REGISTRY[name]
     except KeyError:

@@ -53,6 +53,7 @@ subsequent fsck is clean.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import logging
 import time
@@ -63,7 +64,7 @@ from typing import Any
 
 from ..core.config import DedupConfig
 from ..obs.metrics import MetricsRegistry
-from ..obs.sinks import JsonlTraceSink, prom_text_multi
+from ..obs.sinks import prom_text_multi
 from ..obs.slo import SLOEngine
 from ..obs.telemetry import HeartbeatEvent
 from ..registry import resolve
@@ -109,6 +110,9 @@ _NO_SESSION: dict[str, Any] = {
 class DedupServer:
     """Multi-tenant dedup service over one shared backend.
 
+    The per-tenant SLO engine behind ``/slo`` and the ``slo.*`` gauges
+    in ``/metrics`` is :attr:`slo`, built with the default specs.
+
     Parameters
     ----------
     backend:
@@ -137,15 +141,13 @@ class DedupServer:
         thread) for the tenant's session lock before the ``busy``
         refusal.
     trace_dir:
-        When set, every session writes a JSONL trace file
-        ``trace-<tenant>-<n>.jsonl`` there, continuing the client's
-        trace context when the ``open`` request carries one —
-        ``repro-dedup trace-view client.jsonl trace-server-….jsonl``
-        merges them into one cross-process tree.
-    slo:
-        The per-tenant SLO engine behind ``/slo`` and the ``slo.*``
-        gauges in ``/metrics``; a default-spec engine is installed
-        when omitted.
+        When set, every session that opens writes a JSONL trace file
+        ``trace-<tenant>-<nnnn>.jsonl`` there (``nnnn``: the tenant's
+        session number), continuing the client's trace context when
+        the ``open`` request carries one —
+        ``repro-dedup trace-view client.jsonl trace-alice-0001.jsonl``
+        merges them into one cross-process tree.  A refused or failed
+        ``open`` writes none.
     """
 
     def __init__(
@@ -163,7 +165,6 @@ class DedupServer:
         max_rate_delay: float = 5.0,
         open_wait: float = 30.0,
         trace_dir: str | Path | None = None,
-        slo: SLOEngine | None = None,
     ) -> None:
         if queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
@@ -183,29 +184,23 @@ class DedupServer:
         self.fleet = FleetExecutor(workers)
         #: Service-global (unlabeled) metrics: connections, HTTP hits.
         self.metrics = MetricsRegistry()
-        self.slo = slo if slo is not None else SLOEngine()
+        self.slo = SLOEngine()
         self.trace_dir: Path | None = Path(trace_dir) if trace_dir is not None else None
         if self.trace_dir is not None:
             self.trace_dir.mkdir(parents=True, exist_ok=True)
-        self._trace_seq = 0
         self._server: asyncio.AbstractServer | None = None
+        #: Live connection handlers; :meth:`stop` waits them out.
+        self._handlers: set[asyncio.Task[Any]] = set()
 
-    def _session_trace_sink(self, tenant_id: str) -> JsonlTraceSink | None:
-        """A fresh per-session trace sink under ``trace_dir`` (or None)."""
-        if self.trace_dir is None:
-            return None
-        self._trace_seq += 1
-        return JsonlTraceSink(self.trace_dir / f"trace-{tenant_id}-{self._trace_seq:04d}.jsonl")
-
-    def _heartbeat(self, event: HeartbeatEvent) -> None:
+    def _heartbeat(self, tenant_id: str, event: HeartbeatEvent) -> None:
         """Log session liveness: the no-trace attribution channel."""
         logger.info(
             "heartbeat tenant=%s files=%d input_bytes=%d der=%.2f active_sessions=%d",
-            event.tenant,
+            tenant_id,
             event.files,
             event.input_bytes,
             event.der_so_far,
-            event.active_sessions,
+            self.registry.active_sessions(),
         )
 
     # ---- lifecycle ------------------------------------------------------
@@ -229,11 +224,16 @@ class DedupServer:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Stop accepting connections and shut the fleet down."""
+        """Stop accepting connections, let open ones finish, shut the fleet down."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        # Before Python 3.12, wait_closed() returns while connections are
+        # still open; their handlers close their sockets and may still
+        # need the fleet to abort a session.
+        if self._handlers:
+            await asyncio.wait(set(self._handlers))
         self.fleet.shutdown(wait=True)
 
     # ---- /metrics -------------------------------------------------------
@@ -280,6 +280,10 @@ class DedupServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self.metrics.counter("service_connections").inc()
+        task = asyncio.current_task()
+        if task is not None:
+            self._handlers.add(task)
+            task.add_done_callback(self._handlers.discard)
         try:
             try:
                 first = await reader.readline()
@@ -600,11 +604,10 @@ class _Connection:
             algorithm=algorithm,
             config=self.server.config,
             max_rate_delay=self.server.max_rate_delay,
-            trace_sink=self.server._session_trace_sink(tenant_id),
+            trace_dir=self.server.trace_dir,
             trace_id=trace_id,
             parent_ref=parent_span,
-            heartbeat=self.server._heartbeat,
-            active_sessions=self.server.registry.active_sessions,
+            heartbeat=functools.partial(self.server._heartbeat, tenant_id),
         )
         # The only part of open() that can block — waiting out another
         # session of the same tenant — happens here on the event loop;
@@ -616,8 +619,6 @@ class _Connection:
             self.server.slo.record_admission(tenant_id, rejected=True)
             raise
         lock_wait = time.perf_counter() - lock_t0
-        if lock_wait >= _WAIT_SPAN_FLOOR:
-            session.record_wait("wait.tenant_lock", lock_wait)
         self.lane = self.server.fleet.lane()
         self.slots = asyncio.Semaphore(self.server.queue_depth)
         try:
@@ -628,6 +629,8 @@ class _Connection:
             tenant.lock.release()
             raise
         await asyncio.wrap_future(fut)
+        if lock_wait >= _WAIT_SPAN_FLOOR:
+            session.record_wait("wait.tenant_lock", lock_wait)
         self.session = session
         self._session_t0 = time.perf_counter()
         self._slo_recorded = False

@@ -44,11 +44,12 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
+from pathlib import Path
 from typing import BinaryIO
 
 from ..core.base import Deduplicator, DedupStats
 from ..core.config import DedupConfig
-from ..obs.sinks import Sink
+from ..obs.sinks import JsonlTraceSink
 from ..obs.telemetry import HeartbeatEvent, Telemetry
 from ..obs.trace import Span
 from ..registry import resolve
@@ -130,22 +131,22 @@ class DedupSession:
         sleeps on a worker thread: it calls :meth:`admit` on the
         event loop and absorbs the delay with ``asyncio.sleep``
         before dispatching the pre-admitted write.
-    trace_sink:
-        Optional span sink (typically a
-        :class:`~repro.obs.sinks.JsonlTraceSink`).  When set, the
-        session opens a root ``session`` span at :meth:`open` and the
-        dedup core's ingest spans nest under it, all stamped with the
-        session's trace context.
+    trace_dir:
+        When set, :meth:`open` writes the session's spans to
+        ``trace-<session id>.jsonl`` in this directory — created only
+        once the lock is held and the warm start has succeeded, so a
+        refused or failed open leaves no file.  The session's root
+        ``session`` span encloses the dedup core's ingest spans, all
+        stamped with the session's trace context.
     trace_id / parent_ref:
         Cross-process trace context received over the wire: the
         client's trace id (fresh one generated when empty) and the
         span ref (``"<origin>#<id>"``) of the client's root span,
         recorded as the root span's ``remote_parent`` so
         ``merge_traces`` can stitch client and server files.
-    heartbeat / active_sessions:
-        Forwarded into the session's :class:`Telemetry` so heartbeat
-        events carry the tenant id and the server-wide live-session
-        count.
+    heartbeat:
+        Forwarded into the session's :class:`Telemetry`: the callback
+        receives the run's heartbeat events.
     """
 
     def __init__(
@@ -156,11 +157,10 @@ class DedupSession:
         max_rate_delay: float = 5.0,
         open_wait: float = 300.0,
         sleep: Callable[[float], None] = time.sleep,
-        trace_sink: Sink | None = None,
+        trace_dir: str | Path | None = None,
         trace_id: str = "",
         parent_ref: str = "",
         heartbeat: Callable[[HeartbeatEvent], None] | None = None,
-        active_sessions: Callable[[], int] | None = None,
     ) -> None:
         self.tenant = tenant
         self.algorithm = algorithm
@@ -168,18 +168,16 @@ class DedupSession:
         self.max_rate_delay = max_rate_delay
         self.open_wait = open_wait
         self._sleep = sleep
-        self._trace_sink = trace_sink
+        self._trace_dir = Path(trace_dir) if trace_dir is not None else None
         self._trace_id = trace_id
         self._parent_ref = parent_ref
         self._heartbeat = heartbeat
-        self._active_sessions = active_sessions
         self._state = "new"
         self.session_id = ""
         self.generation = -1
         self._dedup: Deduplicator | None = None
         self._telemetry: Telemetry | None = None
         self._root_span: Span | None = None
-        self._pending_waits: list[tuple[str, float]] = []
         self._written: dict[str, str] = {}  # client path -> store id, for commit
         self.stats: DedupStats | None = None
         self.recovery: RecoveryReport | None = None
@@ -224,20 +222,23 @@ class DedupSession:
             dedup_cls = resolve(self.algorithm)
             dedup = dedup_cls(self.config, backend=self.tenant.view)
             dedup.warm_start()
-            tel = Telemetry(
-                sinks=(self._trace_sink,) if self._trace_sink is not None else (),
-                heartbeat=self._heartbeat,
-                trace_id=self._trace_id,
-                origin=f"server {self.session_id}",
-                tenant=self.tenant.tenant_id,
-                active_sessions=self._active_sessions,
-            )
-            dedup.telemetry = tel
-            dedup.ingest_observer = _QuotaObserver(self)
             # Some path's newest store id carries the newest generation:
             # only the first open (or first after an abort) reads the store.
             gens = [split_store_id(i)[0] for i in self.tenant.files.latest().values()]
             self.generation = max(gens, default=-1) + 1
+            # The trace file opens last, so a failed open leaves none.
+            tel = Telemetry(
+                sinks=(
+                    [JsonlTraceSink(str(self._trace_dir / f"trace-{self.session_id}.jsonl"))]
+                    if self._trace_dir is not None
+                    else []
+                ),
+                heartbeat=self._heartbeat,
+                trace_id=self._trace_id,
+                origin=f"server {self.session_id}",
+            )
+            dedup.telemetry = tel
+            dedup.ingest_observer = _QuotaObserver(self)
             self._dedup = dedup
             self._telemetry = tel
             if tel.tracing:
@@ -251,9 +252,6 @@ class DedupSession:
                 root = tel.span("session", **attrs)
                 if isinstance(root, Span):
                     self._root_span = root.__enter__()
-                for name, seconds in self._pending_waits:
-                    self.record_wait(name, seconds)
-                self._pending_waits.clear()
         except BaseException:
             self.tenant.lock.release()
             raise
@@ -278,31 +276,28 @@ class DedupSession:
 
         Thread-safe and stack-free (a closed span parented on the
         session root), so the server's event loop can report the waits
-        it absorbs on the session's behalf — ``wait.tenant_lock``,
-        ``wait.rate``, ``wait.queue``, ``wait.lane`` — while the lane
-        thread owns the span stack.  Waits measured before :meth:`open`
-        builds the tracer are buffered and flushed once it exists;
-        everything is a no-op when the session has no trace sink.
+        it absorbs on the session's behalf — ``wait.tenant_lock``
+        (reported once :meth:`open` returns), ``wait.rate``,
+        ``wait.queue``, ``wait.lane`` — while the lane thread owns the
+        span stack.  A no-op unless the session is open and traced.
         """
         if seconds <= 0.0:
             return
         tel = self._telemetry
         if tel is None or not tel.tracing:
-            if self._trace_sink is not None:
-                self._pending_waits.append((name, seconds))
             return
         root = self._root_span
         tel.closed_span(name, seconds, parent=root.span_id if root is not None else -1)
 
     def _finish_trace(self, outcome: str) -> None:
-        """Close the root ``session`` span and flush the trace sink."""
+        """Close the root ``session`` span and flush the trace file."""
         root = self._root_span
         if root is not None:
             root.set_attr("outcome", outcome)
             root.__exit__(None, None, None)
             self._root_span = None
         tel = self._telemetry
-        if tel is not None and self._trace_sink is not None:
+        if tel is not None and tel.tracing:
             tel.close()
 
     def admit(self, declared_bytes: int) -> float:

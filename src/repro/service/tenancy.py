@@ -381,7 +381,7 @@ class TenantRegistry:
         A tenant's session lock is held exactly while a session is
         open (``DedupSession.open`` takes it, commit/abort release
         it), so the held-lock count *is* the live session count — the
-        figure stamped on heartbeat events.
+        figure the server's heartbeat log line reports.
         """
         with self._lock:
             return sum(1 for t in self._tenants.values() if t.lock.locked())

@@ -54,7 +54,6 @@ def engine(*specs, clock=None, alerts=None):
         anomaly=(lambda name, detail: alerts.append((name, detail)))
         if alerts is not None
         else (lambda name, detail: None),
-        bucket_s=10.0,
     )
 
 

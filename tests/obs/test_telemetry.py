@@ -13,6 +13,7 @@ from repro.obs import (
     runtime_anomalies,
     summarize,
 )
+from repro.obs.telemetry import HEARTBEAT_BYTES, HEARTBEAT_FILES
 from repro.workloads import tiny_corpus
 
 CFG = DedupConfig(ecs=1024, sd=8, bloom_bytes=1 << 18)
@@ -50,24 +51,19 @@ class TestFacade:
 
     def test_heartbeat_rate_limit(self):
         beats: list[HeartbeatEvent] = []
-        tel = Telemetry(heartbeat=beats.append, heartbeat_files=10)
-        for f in range(1, 25):
+        tel = Telemetry(heartbeat=beats.append)
+        for f in range(1, 3 * HEARTBEAT_FILES - 1):
             tel.heartbeat_tick(f, f * 100, f * 60, f * 40)
-        assert [b.files for b in beats] == [10, 20]
+        assert [b.files for b in beats] == [HEARTBEAT_FILES, 2 * HEARTBEAT_FILES]
         assert beats[0].der_so_far == pytest.approx(1000 / 600)
 
     def test_heartbeat_byte_trigger(self):
         beats: list[HeartbeatEvent] = []
-        tel = Telemetry(
-            heartbeat=beats.append, heartbeat_files=10**9, heartbeat_bytes=1000
-        )
-        tel.heartbeat_tick(1, 500, 500, 0)
-        tel.heartbeat_tick(2, 1500, 1500, 0)
-        assert [b.input_bytes for b in beats] == [1500]
-
-    def test_heartbeat_interval_validation(self):
-        with pytest.raises(ValueError):
-            Telemetry(heartbeat_files=0)
+        tel = Telemetry(heartbeat=beats.append)
+        half = HEARTBEAT_BYTES // 2
+        tel.heartbeat_tick(1, half, half, 0)
+        tel.heartbeat_tick(2, 3 * half, 3 * half, 0)
+        assert [b.input_bytes for b in beats] == [3 * half]
 
 
 class TestNullTelemetry:

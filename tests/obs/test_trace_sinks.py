@@ -1,6 +1,8 @@
 """Tests for span tracing, the JSONL trace format and the Prometheus sink."""
 
 import json
+import logging
+from pathlib import Path
 
 import pytest
 
@@ -8,11 +10,10 @@ from repro.obs import (
     InMemorySink,
     JsonlTraceSink,
     MetricsRegistry,
-    NullSink,
     PromTextSink,
     Sink,
     SpanEvent,
-    Tracer,
+    Telemetry,
     load_trace,
     prom_text,
     prom_text_multi,
@@ -22,10 +23,10 @@ from repro.obs import (
 class TestTracer:
     def test_nesting_establishes_parentage(self):
         sink = InMemorySink()
-        tracer = Tracer([sink.emit_span])
-        with tracer.span("run") as run:
-            with tracer.span("file") as f:
-                with tracer.span("hash"):
+        tel = Telemetry(sinks=[sink])
+        with tel.span("run") as run:
+            with tel.span("file") as f:
+                with tel.span("hash"):
                     pass
         names = [e.name for e in sink.spans]
         assert names == ["hash", "file", "run"]  # innermost closes first
@@ -37,10 +38,10 @@ class TestTracer:
 
     def test_span_ids_unique_and_durations_nest(self):
         sink = InMemorySink()
-        tracer = Tracer([sink.emit_span])
-        with tracer.span("outer"):
+        tel = Telemetry(sinks=[sink])
+        with tel.span("outer"):
             for _ in range(3):
-                with tracer.span("inner"):
+                with tel.span("inner"):
                     pass
         ids = [e.span_id for e in sink.spans]
         assert len(set(ids)) == len(ids)
@@ -51,8 +52,9 @@ class TestTracer:
     def test_io_probe_deltas_attached(self):
         state = {"ops": 0, "bytes": 0}
         sink = InMemorySink()
-        tracer = Tracer([sink.emit_span], io_probe=lambda: (state["ops"], state["bytes"]))
-        with tracer.span("store"):
+        tel = Telemetry(sinks=[sink])
+        tel.set_io_probe(lambda: (state["ops"], state["bytes"]))
+        with tel.span("store"):
             state["ops"] += 5
             state["bytes"] += 4096
         (ev,) = sink.spans
@@ -61,8 +63,8 @@ class TestTracer:
 
     def test_attrs_survive_with_set_attr(self):
         sink = InMemorySink()
-        tracer = Tracer([sink.emit_span])
-        with tracer.span("file", {"file_id": "a"}) as sp:
+        tel = Telemetry(sinks=[sink])
+        with tel.span("file", file_id="a") as sp:
             sp.set_attr("size", 10)
         (ev,) = sink.spans
         assert ev.attrs["file_id"] == "a" and ev.attrs["size"] == 10
@@ -98,7 +100,7 @@ class TestJsonl:
         sink = JsonlTraceSink(path)
         sink.emit_span(SpanEvent("run", 1, -1, 0.0, 1.0, {}))
         sink.close()
-        for line in open(path, encoding="utf-8"):
+        for line in Path(path).read_text(encoding="utf-8").splitlines():
             assert json.loads(line)["type"] == "span"
 
     def test_write_after_close_raises(self, tmp_path):
@@ -119,6 +121,29 @@ class TestJsonl:
         bad.write_text('{"type":"mystery"}\n')
         with pytest.raises(ValueError):
             load_trace(str(bad))
+
+    def test_load_drops_a_truncated_last_record(self, tmp_path, caplog):
+        # A crash mid-write leaves the last record cut short, without
+        # its newline: everything before it still loads.
+        path = str(tmp_path / "t.jsonl")
+        sink = JsonlTraceSink(path)
+        for i in range(5):
+            sink.emit_span(SpanEvent("file", i + 1, -1, 0.0, 1.0, {}))
+        sink.close()
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(blob[:-8])  # the newline and 7 bytes of record 5
+        with caplog.at_level(logging.WARNING, logger="repro.obs"):
+            spans, metrics = load_trace(path)
+        assert [ev.span_id for ev in spans] == [1, 2, 3, 4]
+        assert metrics == {}
+        assert len(caplog.records) == 1 and "truncated" in caplog.text
+
+    def test_load_rejects_a_malformed_middle_line(self, tmp_path):
+        p = tmp_path / "bad.jsonl"
+        good = json.dumps({"type": "span", **SpanEvent("run", 1, -1, 0.0, 1.0).as_dict()})
+        p.write_text(f"{good}\n{good[:-7]}\n{good}")
+        with pytest.raises(ValueError, match=":2: not valid JSON"):
+            load_trace(str(p))
 
     def test_load_skips_blank_lines_and_empty_metrics(self, tmp_path):
         p = tmp_path / "t.jsonl"
@@ -167,14 +192,14 @@ class TestPromExposition:
         sink.emit_span(SpanEvent("run", 1, -1, 0.0, 1.0, {}))  # ignored
         sink.emit_metrics(self._registry())
         sink.close()
-        content = open(path, encoding="utf-8").read()
+        content = Path(path).read_text(encoding="utf-8")
         assert "repro_ingest_files_total 3" in content
 
     def test_prom_sink_without_metrics_writes_empty_file(self, tmp_path):
         path = str(tmp_path / "m.prom")
         sink = PromTextSink(path)
         sink.close()
-        assert open(path, encoding="utf-8").read() == ""
+        assert Path(path).read_text(encoding="utf-8") == ""
 
 
 class TestPromMulti:
@@ -225,6 +250,5 @@ class TestPromMulti:
 
 
 def test_all_sinks_satisfy_protocol():
-    assert isinstance(NullSink(), Sink)
     assert isinstance(InMemorySink(), Sink)
     assert isinstance(PromTextSink("unused"), Sink)

@@ -7,6 +7,7 @@ re-pushes, mid-session disconnects, live ``/metrics`` scrapes.
 
 import asyncio
 import json
+import os
 import re
 import socket
 import threading
@@ -400,6 +401,58 @@ class TestPoolStarvation:
                 assert client.get("alice", "slow.img") == blob
         finally:
             harness.stop()
+
+
+def open_files_under(directory):
+    """Paths under ``directory`` this process holds open (Linux /proc)."""
+    fd_dir = "/proc/self/fd"
+    if not os.path.isdir(fd_dir):
+        pytest.skip("needs /proc/self/fd")
+    held = []
+    for fd in os.listdir(fd_dir):
+        try:
+            target = os.readlink(os.path.join(fd_dir, fd))
+        except OSError:  # closed between listdir and readlink
+            continue
+        if target.startswith(str(directory)):
+            held.append(target)
+    return held
+
+
+class TestTraceFiles:
+    """A session's trace file exists only once the session is open."""
+
+    def test_busy_refusals_leave_no_trace_file(self, tmp_path):
+        traces = tmp_path / "traces"
+        harness = ServerHarness(tmp_path, open_wait=0.1, trace_dir=traces)
+        try:
+            holder = harness.client()
+            holder.open("alice")
+            for _ in range(3):
+                with harness.client() as client, pytest.raises(TenantBusy):
+                    client.open("alice")
+            holder.abort()
+            holder.close()
+        finally:
+            harness.stop()
+        assert sorted(p.name for p in traces.iterdir()) == ["trace-alice-0001.jsonl"]
+        assert open_files_under(traces) == []
+
+    def test_failed_warm_start_leaves_no_trace_file(self, tmp_path, monkeypatch):
+        def boom(self):
+            raise RuntimeError("warm start failed")
+
+        monkeypatch.setattr(resolve("bf-mhd"), "warm_start", boom)
+        traces = tmp_path / "traces"
+        harness = ServerHarness(tmp_path, trace_dir=traces)
+        try:
+            with harness.client() as client:
+                with pytest.raises(ServiceError, match="warm start failed"):
+                    client.open("alice")
+                assert open_files_under(traces) == []
+        finally:
+            harness.stop()
+        assert list(traces.iterdir()) == []
 
 
 class TestBadInputsAnswered:

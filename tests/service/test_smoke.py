@@ -82,6 +82,7 @@ def test_serve_two_tenants_then_metrics_and_fsck(tmp_path):
     finally:
         server.terminate()
         server.wait(timeout=30)
+        server.stdout.close()
 
     typed = set()
     for line in body.splitlines():
@@ -120,6 +121,7 @@ def test_traced_push_stitches_one_trace_and_slo(tmp_path):
     finally:
         server.terminate()
         server.wait(timeout=30)
+        server.stdout.close()
 
     session_traces = sorted(traces.glob("*.jsonl"))
     assert len(session_traces) == 1, session_traces

@@ -8,6 +8,8 @@ spans under the session, wait-time attributed separately from work.
 """
 
 import asyncio
+import dataclasses
+import logging
 import threading
 
 import numpy as np
@@ -22,6 +24,7 @@ from repro.obs import (
     merge_traces,
     summarize,
 )
+from repro.obs.telemetry import HEARTBEAT_FILES
 from repro.obs.traceview import WAIT_PREFIX
 from repro.service import DedupServer, ServiceClient
 from repro.storage import DirectoryBackend
@@ -200,25 +203,32 @@ class TestCrossProcessTrace:
 
 
 class TestHeartbeatFields:
-    def test_heartbeat_carries_tenant_and_active_sessions(self):
-        beats = []
-        tel = Telemetry(
-            heartbeat=beats.append,
-            tenant="alice",
-            active_sessions=lambda: 3,
-        )
-        tel.heartbeat_tick(
-            files=10_000, input_bytes=1 << 30, unique_bytes=1 << 29, duplicate_bytes=0
-        )
-        assert beats, "heartbeat should fire on a huge first tick"
-        beat = beats[0]
-        assert beat.tenant == "alice"
-        assert beat.active_sessions == 3
+    def test_heartbeat_carries_tenant_and_active_sessions(self, harness, caplog):
+        # The event holds ingest counters only; the server's log line
+        # adds the tenant and the live-session count at beat time.
+        files = [(f"f{i:02d}.img", rand(2_000, 100 + i)) for i in range(HEARTBEAT_FILES)]
+        with caplog.at_level(logging.INFO, logger="repro.service"):
+            with harness.client() as client:
+                client.open("alice")
+                assert all(r["ok"] for r in client.push_many(files))
+                client.commit()
+        beats = [r.getMessage() for r in caplog.records if r.name == "repro.service"]
+        beats = [m for m in beats if m.startswith("heartbeat ")]
+        assert len(beats) == 1, beats
+        fields = dict(kv.split("=") for kv in beats[0].split()[1:])
+        assert fields["tenant"] == "alice"
+        assert fields["files"] == str(HEARTBEAT_FILES)
+        assert fields["active_sessions"] == "1"
 
-    def test_heartbeat_defaults_outside_the_service(self):
+    def test_heartbeat_event_carries_only_ingest_counters(self):
         event = HeartbeatEvent(files=1, input_bytes=2, unique_bytes=2, duplicate_bytes=0)
-        assert event.tenant == ""
-        assert event.active_sessions == 0
+        assert [f.name for f in dataclasses.fields(event)] == [
+            "files",
+            "input_bytes",
+            "unique_bytes",
+            "duplicate_bytes",
+        ]
+        assert event.der_so_far == 1.0
 
     def test_server_active_sessions_counts_open_sessions(self, harness):
         registry = harness.server.registry

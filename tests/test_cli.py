@@ -1,5 +1,8 @@
 """Tests for the repro-dedup command-line interface."""
 
+import signal
+import subprocess
+
 import numpy as np
 import pytest
 
@@ -309,6 +312,44 @@ def test_gc_keep_last(tmp_path, capsys):
 def test_run_with_profile(capsys):
     assert main(["run", "--profile", "server-fleet", "--ecs", "2048", "--sd", "16"]) == 0
     assert "bf-mhd results" in capsys.readouterr().out
+
+
+class TestProfileVerb:
+    def test_profile_run_writes_collapsed_stacks(self, tmp_path, capsys):
+        out = tmp_path / "run.folded"
+        argv = ["profile", "--out", str(out), "run", "--machines", "2", "--generations", "1"]
+        assert main(argv) == 0
+        stacks = out.read_text(encoding="utf-8").splitlines()
+        assert stacks, "no stack sampled"
+        assert all(line.rsplit(" ", 1)[1].isdigit() for line in stacks)
+
+    def test_profile_serve_writes_fleet_stacks_on_sigint(self, tmp_path):
+        from tests.service.test_smoke import cli, write_image
+
+        out = tmp_path / "serve.folded"
+        write_image(tmp_path / "a.img", 4)
+        server = cli(
+            "profile", "--threads", "fleet", "--out", str(out),
+            "serve", "--store-dir", str(tmp_path / "store"), "--ecs", "1024", "--sd", "8",
+            stdout=subprocess.PIPE,
+        )
+        try:
+            ready = server.stdout.readline()
+            assert ready.startswith("serving on 127.0.0.1:"), ready
+            port = ready.rsplit(":", 1)[1].strip()
+            push = cli(
+                "client", "push", "--tenant", "alice", "--port", port, str(tmp_path / "a.img"),
+                stdout=subprocess.DEVNULL,
+            )
+            assert push.wait(timeout=120) == 0
+            server.send_signal(signal.SIGINT)
+            assert server.wait(timeout=30) == 0
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait(timeout=30)
+            server.stdout.close()
+        assert out.read_text(encoding="utf-8").strip(), "no fleet stack sampled"
 
 
 class TestTelemetry:
