@@ -54,10 +54,12 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from typing import BinaryIO
 
 from .analysis import DeviceModel, format_table
 from .storage import (
@@ -296,13 +298,31 @@ def cmd_restore(args) -> int:
         print(f"not in store: {unknown}", file=sys.stderr)
         return 1
     for file_id in targets:
-        out_path = os.path.join(args.output_dir, file_id)
-        os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
-        with open(out_path, "wb") as fh:
-            for piece in file_manifests.get(file_id).iter_restore(chunks):
-                fh.write(piece)
+        with _restore_to(args.output_dir, file_id) as fh:
+            fh.writelines(file_manifests.get(file_id).iter_restore(chunks))
     print(f"restored {len(targets)} files to {args.output_dir}")
     return 0
+
+
+@contextlib.contextmanager
+def _restore_to(output_dir: str, name: str) -> Iterator[BinaryIO]:
+    """A file to stream one restored file into, for ``output_dir/name``.
+
+    The bytes go to ``<path>.part``, renamed when the block succeeds, so
+    a restore that fails part-way leaves no short file under the real
+    name.
+    """
+    out_path = os.path.join(output_dir, name)
+    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
+    part = out_path + ".part"
+    try:
+        with open(part, "wb") as fh:
+            yield fh
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(part)
+        raise
+    os.replace(part, out_path)
 
 
 def cmd_compare(args) -> int:
@@ -640,11 +660,8 @@ def _cmd_client_inner(args, tel: Telemetry | None) -> int:
             elif args.action == "restore":
                 targets = args.paths or sorted(client.list_files(args.tenant))
                 for path in targets:
-                    data = client.get(args.tenant, path)
-                    out_path = os.path.join(args.output_dir, path)
-                    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
-                    with open(out_path, "wb") as fh:
-                        fh.write(data)
+                    with _restore_to(args.output_dir, path) as fh:
+                        client.get_into(args.tenant, path, fh)
                 print(f"restored {len(targets)} files to {args.output_dir}")
             elif args.action == "list":
                 files = client.list_files(args.tenant)

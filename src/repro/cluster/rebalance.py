@@ -8,7 +8,10 @@ hook-vote placements that differ from their canonical key — stay put.
 
 Migration is restore-and-reingest: the old owner reconstructs each
 moving segment byte-for-byte, the new owner deduplicates it into its
-empty shard, and the recipe entry is rewritten.  The old shard keeps
+empty shard, and the recipe entry is rewritten.  A segment is at most
+the router's segment size plus one chunk (``ECS·SD·5`` by default:
+320 KiB at ECS 4 KiB, SD 16), so the whole-segment copy is already
+bounded in RAM and needs no stream.  The old shard keeps
 the chunk bytes (garbage collection's job), but drops the segment's
 file manifest so ownership stays single-homed.  The measured cost —
 moved bytes and device-model seconds — is what

@@ -16,8 +16,8 @@ into one deduplicating system:
 3. a **cluster recipe** (namespace ``cluster.recipe``) maps each file
    to its ordered segment placements and is written only after every
    segment is acknowledged, so a coordinator that dies mid-push leaves
-   no recipe and the client pushes the file again.  Restore
-   concatenates per-worker segment restores.  The recipe also pins
+   no recipe and the client pushes the file again.  Restore streams
+   the per-worker segment restores in order.  The recipe also pins
    each segment's canonical
    :func:`~repro.cluster.fingerprint.routing_key` so the rebalancer
    can re-evaluate placement after ring changes without re-reading
@@ -34,7 +34,7 @@ by-machine fleet (:func:`~repro.cluster.fleet.dedup_sharded`) reports.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from ..analysis.timing import DeviceModel
@@ -342,12 +342,19 @@ class ClusterRouter:
         """Persist an updated recipe (rebalance bookkeeping)."""
         self.backend.put(RECIPE_NAMESPACE, recipe.key_for(recipe.file_id), recipe.to_bytes())
 
+    def iter_restore(self, file_id: str) -> Iterator[bytes]:
+        """A file's bytes in order, one segment restore at a time
+        (``KeyError`` here, not on the first piece, if it has no recipe).
+
+        RAM is bounded by one segment: the configured segment size plus
+        at most one chunk.
+        """
+        recipe = self.get_recipe(file_id)
+        return (self.workers[p.node].restore_segment(p.segment_id) for p in recipe.segments)
+
     def restore_file(self, file_id: str) -> bytes:
         """Reassemble a file from its per-worker segment restores."""
-        recipe = self.get_recipe(file_id)
-        return b"".join(
-            self.workers[p.node].restore_segment(p.segment_id) for p in recipe.segments
-        )
+        return b"".join(self.iter_restore(file_id))
 
     # -- lifecycle -------------------------------------------------------
 

@@ -692,9 +692,9 @@ class Deduplicator(ABC):
 
     def restore(self, file_id: str) -> bytes:
         """Reconstruct a file byte-for-byte (the dedup invariant)."""
-        return self.file_manifests.get(file_id).restore(self.chunks)
+        return b"".join(self.iter_restore(file_id))
 
-    def restore_iter(self, file_id: str) -> Iterator[bytes]:
+    def iter_restore(self, file_id: str) -> Iterator[bytes]:
         """The file's bytes in order, in bounded pieces (streaming restore)."""
         return self.file_manifests.get(file_id).iter_restore(self.chunks)
 

@@ -33,7 +33,7 @@ from .quotas import (
     TokenBucket,
 )
 from .server import DedupServer
-from .session import DedupSession, SessionClosed, latest_files, restore_file
+from .session import DedupSession, SessionClosed, latest_files
 from .tenancy import Tenant, TenantFiles, TenantRegistry, tenant_namespace_prefix
 
 __all__ = [
@@ -54,6 +54,5 @@ __all__ = [
     "TenantRegistry",
     "TokenBucket",
     "latest_files",
-    "restore_file",
     "tenant_namespace_prefix",
 ]

@@ -2,7 +2,7 @@
 
 The client mirrors the session lifecycle one-to-one — ``open`` /
 ``put`` / ``commit`` / ``abort`` plus the sessionless ``list_files`` /
-``get`` / ``usage`` — and converts wire refusals back into the
+``get`` / ``get_into`` / ``usage`` — and converts wire refusals back into the
 exceptions the library raises locally
 (:class:`~repro.service.quotas.QuotaExceeded`,
 :class:`~repro.service.quotas.RateLimited`), so code written against
@@ -25,15 +25,20 @@ them; clients without telemetry send none.
 
 from __future__ import annotations
 
+import io
 import json
 import socket
-from typing import Any
+from typing import Any, BinaryIO
 
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from ..obs.trace import Span
 from .quotas import QuotaExceeded, RateLimited, ServiceError, TenantBusy
 
 __all__ = ["ServiceClient"]
+
+#: Largest socket read of a ``get`` payload, and so the most ``get_into``
+#: hands its sink at once.
+_READ_PIECE = 1 << 20
 
 
 def _raise_for(response: dict[str, Any]) -> dict[str, Any]:
@@ -184,15 +189,30 @@ class ServiceClient:
         assert isinstance(files, dict)
         return files
 
-    def get(self, tenant: str, path: str) -> bytes:
-        """Restore the newest generation of one file."""
+    def get_into(self, tenant: str, path: str, out: BinaryIO) -> int:
+        """Restore the newest generation of one file into ``out``, a
+        piece at a time; returns its size.
+
+        ``ConnectionError`` if the payload ends short (the server closes
+        the connection when a restore fails past the header); ``out``
+        then holds a prefix of the file.
+        """
         self._send({"op": "get", "tenant": tenant, "path": path})
-        header = _raise_for(self._recv())
-        size = int(header["size"])
-        data = self._rfile.read(size)
-        if len(data) != size:
-            raise ConnectionError(f"short read: {len(data)}/{size} bytes")
-        return data
+        size = int(_raise_for(self._recv())["size"])
+        got = 0
+        while got < size:
+            piece = self._rfile.read(min(size - got, _READ_PIECE))
+            if not piece:
+                raise ConnectionError(f"short read: {got}/{size} bytes")
+            out.write(piece)
+            got += len(piece)
+        return size
+
+    def get(self, tenant: str, path: str) -> bytes:
+        """Restore the newest generation of one file, whole."""
+        out = io.BytesIO()
+        self.get_into(tenant, path, out)
+        return out.getvalue()
 
     def usage(self, tenant: str) -> dict[str, Any]:
         """The tenant's quota ledger snapshot."""

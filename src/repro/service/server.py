@@ -57,7 +57,7 @@ import functools
 import json
 import logging
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from concurrent.futures import Future
 from pathlib import Path
 from typing import Any
@@ -69,6 +69,7 @@ from ..obs.slo import SLOEngine
 from ..obs.telemetry import HeartbeatEvent
 from ..registry import resolve
 from ..storage import StorageBackend
+from ..storage.file_manifest import RESTORE_PIECE_SIZE
 from .lanes import FleetExecutor, SerialLane
 from .quotas import ServiceError, TenantBusy, TenantQuota
 from .session import DedupSession, SessionClosed
@@ -92,10 +93,19 @@ _MAX_PAYLOAD = 64 << 20
 #: the tenant lock past ``open_wait``); how long one is anyone's
 #: guess, so suggest a short poll.
 _BUSY_RETRY_AFTER = 1.0
+#: Largest slice of a ``get`` payload handed to the transport at once:
+#: a slice the socket does not take is copied into the transport's
+#: buffer, so this bounds that copy, not the piece.
+_WRITE_SLICE = 1 << 18
 
 
 class _ProtocolError(Exception):
     """Malformed client input; the connection is closed after replying."""
+
+
+class _PayloadBroken(Exception):
+    """A ``get`` failed after its header: the connection is closed with
+    no reply, since any line written now would land inside the payload."""
 
 
 #: Canned refusal for session ops arriving without an open session
@@ -510,6 +520,8 @@ class _Connection:
                 self._send({"ok": False, "error": "bad_request", "message": str(e)})
                 await self.writer.drain()
                 return
+            except _PayloadBroken:
+                return
             except ServiceError as e:
                 response = _error_payload(e)
             except Exception as e:  # noqa: BLE001 - reply, keep serving
@@ -772,22 +784,53 @@ class _Connection:
         return {"ok": True, "files": await self._run_in_fleet(files.latest)}
 
     async def _op_get(self, request: dict[str, Any]) -> dict[str, Any] | None:
-        """Restore one file: a size header line, then the raw bytes.
+        """Restore one file: a size header line, then the raw bytes, streamed.
 
-        Returns ``None`` — the payload response is written here, not by
-        the main loop.
+        The first fleet call resolves ``path`` and reads the first
+        batch, so an unknown path or an early read failure is still an
+        error reply, and a file of up to one batch costs one call.  A
+        failure past the header closes the connection
+        (:class:`_PayloadBroken`).  Returns ``None`` — the payload
+        response is written here, not by the main loop.
         """
         tenant_id = self._tenant_arg(request)
         path = self._require(request, "path", str)
         files = self.server.registry.files(tenant_id)
+
+        def first() -> tuple[int, Iterator[bytes], list[bytes]]:
+            size, pieces = files.iter_restore(path)
+            return size, pieces, _next_batch(pieces)
+
         try:
-            data = await self._run_in_fleet(lambda: files.restore(path))
+            size, pieces, batch = await self._run_in_fleet(first)
         except KeyError as e:
             return {"ok": False, "error": "not_found", "message": str(e)}
-        self._send({"ok": True, "path": path, "size": len(data)})
-        self.writer.write(data)
-        await self.writer.drain()
+        self._send({"ok": True, "path": path, "size": size})
+        sent = 0
+        try:
+            sent = await self._write_pieces(batch)
+            while sent < size:
+                batch = await self._run_in_fleet(lambda: _next_batch(pieces))
+                if not batch:
+                    raise ValueError(f"restore ended at {sent} bytes")
+                sent += await self._write_pieces(batch)
+        except Exception as e:
+            logger.warning(
+                "get %s %r failed after %d/%d bytes", tenant_id, path, sent, size, exc_info=e
+            )
+            raise _PayloadBroken from e
         return None
+
+    async def _write_pieces(self, batch: list[bytes]) -> int:
+        """Write ``batch`` as payload, draining each slice; returns its
+        byte count.  Empties the list, so no written piece stays
+        referenced while the caller reads the next batch."""
+        data = memoryview(b"".join(batch))  # a one-piece batch is not copied
+        batch.clear()
+        for at in range(0, len(data), _WRITE_SLICE):
+            self.writer.write(data[at : at + _WRITE_SLICE])
+            await self.writer.drain()
+        return len(data)
 
     async def _op_usage(self, request: dict[str, Any]) -> dict[str, Any]:
         tenant_id = self._tenant_arg(request)
@@ -796,6 +839,20 @@ class _Connection:
         except KeyError as e:
             return {"ok": False, "error": "not_found", "message": str(e)}
         return {"ok": True, "tenant": tenant_id, "usage": tenant.ledger.snapshot()}
+
+
+def _next_batch(pieces: Iterator[bytes]) -> list[bytes]:
+    """A restore stream's next pieces, until they reach
+    :data:`~repro.storage.file_manifest.RESTORE_PIECE_SIZE` bytes or the
+    stream ends: what one fleet call reads for a ``get``."""
+    batch: list[bytes] = []
+    nbytes = 0
+    for piece in pieces:
+        batch.append(piece)
+        nbytes += len(piece)
+        if nbytes >= RESTORE_PIECE_SIZE:
+            break
+    return batch
 
 
 async def _as_response(fut: asyncio.Future[dict[str, Any]]) -> dict[str, Any]:

@@ -36,8 +36,8 @@ same point: both lean on the same recovery semantics.
 push that aborts after a file finished must not cost that file's
 committed version.  Sessions therefore namespace file ids by push
 generation, the version axis: client path ``disk0.img`` is stored as
-``g000001/disk0.img`` by the second push.  :func:`latest_files` and
-:func:`restore_file` resolve a bare path to its newest generation.
+``g000001/disk0.img`` by the second push.  :func:`latest_files`
+resolves a bare path to its newest generation.
 """
 
 from __future__ import annotations
@@ -53,32 +53,21 @@ from ..obs.sinks import JsonlTraceSink
 from ..obs.telemetry import HeartbeatEvent, Telemetry
 from ..obs.trace import Span
 from ..registry import resolve
-from ..storage import StorageBackend
 from ..storage.recover import RecoveryReport, recover
 from ..workloads.machine import BackupFile
 from .quotas import RateLimited, TenantBusy
-from .tenancy import Tenant, TenantFiles, latest_files, split_store_id
+from .tenancy import Tenant, latest_files, split_store_id
 
 __all__ = [
     "DedupSession",
     "SessionClosed",
     "latest_files",
-    "restore_file",
     "split_store_id",
 ]
 
 
 class SessionClosed(RuntimeError):
     """An operation was attempted on a session that is not open."""
-
-
-def restore_file(backend: StorageBackend, path: str) -> bytes:
-    """Restore the newest generation of ``path`` from a tenant view.
-
-    Lists the view on every call; the service's ``get`` goes through
-    the tenant's kept :class:`~repro.service.tenancy.TenantFiles`.
-    """
-    return TenantFiles(backend).restore(path)
 
 
 class _QuotaObserver:

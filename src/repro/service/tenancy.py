@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import re
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from ..obs.metrics import MetricsRegistry
@@ -147,8 +148,9 @@ class TenantFiles:
             if self._latest is not None:
                 self._latest = dict(sorted((self._latest | written).items()))
 
-    def restore(self, path: str) -> bytes:
-        """The newest generation of ``path``; ``KeyError`` if unknown.
+    def iter_restore(self, path: str) -> tuple[int, Iterator[bytes]]:
+        """The newest generation of ``path``: its size and its bytes in
+        pieces; ``KeyError`` (here, not on the first piece) if unknown.
 
         Reads only the store — no deduplicator needed, which is how the
         service restores without holding the tenant's session lock.
@@ -159,7 +161,11 @@ class TenantFiles:
             raise KeyError(f"no file {path!r} in store") from None
         meter = DiskModel()
         manifest = FileManifestStore(self._view, meter).get(store_id)
-        return manifest.restore(DiskChunkStore(self._view, meter))
+        return manifest.total_size, manifest.iter_restore(DiskChunkStore(self._view, meter))
+
+    def restore(self, path: str) -> bytes:
+        """The newest generation of ``path``, whole; ``KeyError`` if unknown."""
+        return b"".join(self.iter_restore(path)[1])
 
 
 @dataclass

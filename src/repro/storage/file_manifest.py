@@ -10,7 +10,8 @@ in Fig. 7(c).
 
 Each entry costs 36 bytes (20-byte DiskChunk address + offset + size),
 and restoring a file is the correctness oracle for every deduplicator
-in this repository: ``restore() == original`` byte-for-byte.
+in this repository: ``b"".join(iter_restore()) == original``
+byte-for-byte.
 """
 
 from __future__ import annotations
@@ -88,17 +89,13 @@ class FileManifest:
         """Serialized size: 36 bytes per extent plus the name header."""
         return len(self.to_bytes())
 
-    def restore(self, chunks: DiskChunkStore) -> bytes:
-        """Reconstruct the original file bytes (the dedup invariant)."""
-        return b"".join(
-            chunks.read(e.container_id, e.offset, e.size) for e in self.extents
-        )
-
     def iter_restore(self, chunks: DiskChunkStore) -> Iterator[bytes]:
         """The file's bytes in order, in pieces of at most :data:`RESTORE_PIECE_SIZE`.
 
-        For callers that write the file out rather than hold it: RAM is
-        bounded by one piece however large the file or its extents.
+        The one place extents become bytes: one read per extent of at
+        most a piece, so RAM is bounded by one piece however large the
+        file or its extents.  Every restore in the library, the service
+        and the cluster is a stream over this, or a join of one.
         """
         for e in self.extents:
             for done in range(0, e.size, RESTORE_PIECE_SIZE):

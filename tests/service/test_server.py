@@ -6,6 +6,7 @@ re-pushes, mid-session disconnects, live ``/metrics`` scrapes.
 """
 
 import asyncio
+import io
 import json
 import os
 import re
@@ -26,7 +27,8 @@ from repro.service import (
     ServiceError,
     TenantBusy,
 )
-from repro.storage import DirectoryBackend
+from repro.storage import DirectoryBackend, DiskModel
+from repro.storage.file_manifest import RESTORE_PIECE_SIZE, FileManifestStore, file_object_ids
 
 CFG = DedupConfig(ecs=1024, sd=8, bloom_bytes=1 << 18)
 
@@ -555,6 +557,40 @@ class TestDisconnect:
         with harness.client() as client:
             assert client.get("alice", "ok.img") == committed
             assert "torn.img" not in client.list_files("alice")
+
+
+class TestStreamedGet:
+    def test_failure_past_the_header_closes_the_connection(self, harness):
+        """A container lost behind the first batch: the server has sent the
+        header and the first piece, so it closes the connection — the
+        client gets a short read, never wrong bytes — and keeps serving."""
+        shared, other = rand(1 << 20, 21), rand(20_000, 22)
+        big = rand(RESTORE_PIECE_SIZE + (1 << 19), 23) + shared
+        with harness.client() as client:
+            client.open("alice")
+            client.push_many([("shared.img", shared), ("other.img", other)])
+            client.commit()
+            client.open("alice")
+            client.put("big.img", big)
+            client.commit()
+        view = harness.server.registry.view("alice")
+        fm = FileManifestStore(view, DiskModel()).get("g000001/big.img")
+        lost = file_object_ids("g000000/shared.img")[0]
+        assert fm.extents[0].size > RESTORE_PIECE_SIZE
+        assert lost in [e.container_id for e in fm.extents[1:]]
+        assert view.delete(DiskModel.CHUNK, lost)
+
+        out = io.BytesIO()
+        with harness.client() as client:
+            with pytest.raises(ConnectionError, match="short read"):
+                client.get_into("alice", "big.img", out)
+        got = out.getvalue()
+        assert RESTORE_PIECE_SIZE <= len(got) < len(big)
+        assert got == big[: len(got)]
+
+        with harness.client() as client:
+            assert client.get("alice", "other.img") == other
+            assert client.ping()
 
 
 _SAMPLE_RE = re.compile(

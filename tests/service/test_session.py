@@ -20,10 +20,10 @@ from repro.service import (
     RateLimited,
     SessionClosed,
     TenantBusy,
+    TenantFiles,
     TenantQuota,
     TenantRegistry,
     latest_files,
-    restore_file,
 )
 from repro.service.session import split_store_id
 from repro.storage import (
@@ -71,7 +71,7 @@ class TestLifecycle:
         assert session.state == "committed"
         assert store_id == "g000000/disk.img"
         assert session.stats is not None and session.stats.input_bytes == 40_000
-        assert restore_file(registry.view("alice"), "disk.img") == blob
+        assert TenantFiles(registry.view("alice")).restore("disk.img") == blob
 
     def test_write_after_commit_raises(self, registry):
         session = DedupSession(registry.register("alice"), config=CFG).open()
@@ -151,7 +151,7 @@ class TestGenerations:
         # latest_files resolves to the newest generation.
         view = registry.view("alice")
         assert latest_files(view)["disk.img"] == "g000002/disk.img"
-        assert restore_file(view, "disk.img") == edited
+        assert TenantFiles(view).restore("disk.img") == edited
 
 
     def test_a_failed_manifest_put_does_not_brick_the_path(self, tmp_path):
@@ -173,7 +173,7 @@ class TestGenerations:
             assert retry.generation == 0
             retry.write("disk.img", data)
         assert tenant.files.restore("disk.img") == data
-        assert restore_file(tenant.view, "disk.img") == data
+        assert TenantFiles(tenant.view).restore("disk.img") == data
         assert fsck_ok(tenant.view)
 
     def test_later_opens_read_no_file_manifest(self, tmp_path):
@@ -203,7 +203,7 @@ class TestGenerations:
                 s.write(f"new{gen}.img", rand(10_000, 90 + gen))
             assert backend.reads == 4  # the first open's listing, nothing since
             assert tenant.files.latest() == latest_files(uncounted)
-        assert restore_file(uncounted, "f0.img") == rand(10_000, 83)
+        assert TenantFiles(uncounted).restore("f0.img") == rand(10_000, 83)
 
 
 class TestKeptListing:
@@ -324,7 +324,7 @@ class TestQuota:
         assert fsck_ok(view)
         # No partial file manifest leaked; the committed file survived.
         assert list(latest_files(view)) == ["ok.img"]
-        assert restore_file(view, "ok.img") == committed
+        assert TenantFiles(view).restore("ok.img") == committed
         # The ledger kept the charge for work actually done, and it is
         # bounded by quota, not by the stream's full size.
         assert tenant.ledger.bytes_used <= 30_000
@@ -405,7 +405,7 @@ class TestRateLimit:
         assert sleeps and all(d > 0 for d in sleeps)
         view = registry.view("carol")
         for path, blob in blobs.items():
-            assert restore_file(view, path) == blob
+            assert TenantFiles(view).restore(path) == blob
 
     def test_rejection_past_max_delay(self, registry):
         tenant = registry.register("carol", rate_bytes=10.0, burst_bytes=10.0)

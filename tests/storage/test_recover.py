@@ -53,7 +53,7 @@ def restore_all(backend):
     meter = DiskModel()
     fms = FileManifestStore(backend, meter)
     chunks = DiskChunkStore(backend, meter)
-    return {fid: fms.get(fid).restore(chunks) for fid in fms.list_ids()}
+    return {fid: b"".join(fms.get(fid).iter_restore(chunks)) for fid in fms.list_ids()}
 
 
 class TestCleanStore:

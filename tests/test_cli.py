@@ -153,6 +153,30 @@ class TestPersistentStore:
         main(["run", *FAST, "--store-dir", store])
         assert main(["restore", "--store-dir", store, "no/such/file"]) == 1
 
+    def test_failed_restore_leaves_no_file(self, tmp_path):
+        """A restore that fails part-way — a container lost behind the
+        file's first extent — leaves nothing under the target name."""
+        from repro.core import DedupConfig
+        from repro.registry import resolve
+        from repro.storage import DirectoryBackend, DiskModel
+        from repro.storage.file_manifest import file_object_ids
+        from repro.workloads import BackupFile
+
+        rng = np.random.default_rng(5)
+        shared, head = rng.bytes(1 << 16), rng.bytes(1 << 16)
+        backend = DirectoryBackend(tmp_path / "store")
+        dedup = resolve("cdc")(DedupConfig(ecs=1024, sd=8), backend=backend)
+        dedup.process([BackupFile("shared", shared), BackupFile("late", head + shared)])
+        lost = file_object_ids("shared")[0]
+        assert lost in [e.container_id for e in dedup.file_manifests.get("late").extents[1:]]
+        assert backend.delete(DiskModel.CHUNK, lost)
+
+        outdir = tmp_path / "out"
+        args = ["restore", "--store-dir", str(tmp_path / "store"), "--output-dir", str(outdir)]
+        with pytest.raises(KeyError):
+            main([*args, "late"])
+        assert list(outdir.iterdir()) == []
+
 
 class TestGC:
     def test_gc_expires_generation(self, tmp_path, capsys):

@@ -94,7 +94,7 @@ def reopen_recover_check(store_dir):
     chunks = DiskChunkStore(backend, meter)
     survivors = fms.list_ids()
     for fid in survivors:
-        assert fms.get(fid).restore(chunks) == FILES[fid], f"{fid} corrupted"
+        assert b"".join(fms.get(fid).iter_restore(chunks)) == FILES[fid], f"{fid} corrupted"
     return survivors
 
 
