@@ -92,7 +92,7 @@ class Telemetry:
         be merged.
 
     The span *stack* (parentage) is single-threaded by design — one
-    telemetry object belongs to one run or one session lane.  Id
+    telemetry object belongs to one run or one service session.  Id
     allocation and sink emission are lock-protected, so other threads
     (e.g. the server's event loop) may safely report after-the-fact
     :meth:`closed_span` events into the same trace.  The I/O sampler
@@ -156,7 +156,7 @@ class Telemetry:
 
         Thread-safe and stack-free: the service's event loop uses it to
         attribute waits — lock acquisition, rate-limit sleeps, queue
-        back-pressure — to a session trace whose stack lives on a lane
+        back-pressure — to a session trace whose stack lives on a fleet
         thread.  Returns the new span's id, or -1 when tracing is off.
         """
         if not self.sinks:

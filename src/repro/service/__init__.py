@@ -8,13 +8,11 @@ service without touching the algorithms:
   of one shared backend (:class:`TenantRegistry`);
 * :mod:`~repro.service.quotas` — per-tenant byte/file quotas and
   token-bucket rate limits (:class:`TenantQuota`, :class:`TokenBucket`);
-* :mod:`~repro.service.session` — the explicit open → write* →
+* :mod:`~repro.service.session` — the explicit open → (admit, write)* →
   commit/abort lifecycle with crash-safe abort (:class:`DedupSession`);
-* :mod:`~repro.service.lanes` — per-session FIFO lanes over the
-  server's shared thread pool (:class:`SerialLane`,
-  :class:`FleetExecutor`);
 * :mod:`~repro.service.server` — the asyncio front end: JSON-lines
-  ingest protocol plus live HTTP ``/metrics`` (:class:`DedupServer`);
+  ingest protocol plus live HTTP ``/metrics`` (:class:`DedupServer`),
+  with one FIFO per connection over the fleet pool;
 * :mod:`~repro.service.client` — the blocking protocol client
   (:class:`ServiceClient`).
 
@@ -22,7 +20,6 @@ See ``docs/SERVICE.md`` for the protocol and operational semantics.
 """
 
 from .client import ServiceClient
-from .lanes import FleetExecutor, SerialLane
 from .quotas import (
     QuotaExceeded,
     QuotaLedger,
@@ -39,11 +36,9 @@ from .tenancy import Tenant, TenantFiles, TenantRegistry, tenant_namespace_prefi
 __all__ = [
     "DedupServer",
     "DedupSession",
-    "FleetExecutor",
     "QuotaExceeded",
     "QuotaLedger",
     "RateLimited",
-    "SerialLane",
     "ServiceClient",
     "ServiceError",
     "SessionClosed",

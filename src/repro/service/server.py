@@ -27,22 +27,24 @@ Refusals carry machine-readable codes: ``{"ok": false, "error":
 "retry_after": 1.25}`` — the 429 analogue.
 
 **Execution model.**  The event loop never runs dedup work — and,
-just as important, fleet threads never *wait*.  Each session gets a
-:class:`~repro.service.lanes.SerialLane` on the server's shared
-:class:`~repro.service.lanes.FleetExecutor` — lanes keep one session's
-operations ordered while different sessions (hence tenants) proceed
-concurrently.  Everything that can block sits on the event loop
-instead of the pool: an ``open`` contending for a busy tenant's
-session lock waits asynchronously (up to ``open_wait``, then a
-``busy``/``retry_after`` refusal), and rate-limit back-pressure is an
-``asyncio.sleep`` before the payload is dispatched (bounded by
-``max_rate_delay``, then a ``rate_limited`` refusal).  Otherwise
-``workers`` blocked opens or throttled puts would occupy every pool
-thread while the tasks that could unblock them starve — a service-wide
-deadlock.  Each session also gets a bounded admission semaphore: the
-connection handler stops reading its socket while the session's queue
-is full, so a fast client is slowed by TCP back-pressure long before
-memory fills.
+just as important, fleet threads never *wait*.  Dedup work runs on
+one shared thread pool (threads named ``fleet-N``).  Each connection
+keeps one FIFO of admitted puts, drained by one task it owns: that
+task runs the writes on the pool one at a time and sends each reply
+as it completes, and every other op waits for the FIFO to drain
+first.  So one session's operations run in order, one at a time,
+while different sessions (hence tenants) proceed concurrently.
+Everything that can block sits on the event loop instead of the pool:
+an ``open`` contending for a busy tenant's session lock waits
+asynchronously (up to ``open_wait``, then a ``busy``/``retry_after``
+refusal), and rate-limit back-pressure is an ``asyncio.sleep`` before
+the put enters the FIFO (bounded by ``max_rate_delay``, then a
+``rate_limited`` refusal).  Otherwise ``workers`` blocked opens or
+throttled puts would occupy every pool thread while the tasks that
+could unblock them starve — a service-wide deadlock.  At most
+``queue_depth`` writes sit in the FIFO or run; past that the handler
+stops reading its socket, so a fast client is slowed by TCP
+back-pressure long before memory fills.
 
 **Crash safety.**  A connection that drops with an open session —
 client crash, network cut — aborts the session, which repairs the
@@ -58,7 +60,7 @@ import json
 import logging
 import time
 from collections.abc import Callable, Iterator
-from concurrent.futures import Future
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any
 
@@ -70,7 +72,6 @@ from ..obs.telemetry import HeartbeatEvent
 from ..registry import resolve
 from ..storage import StorageBackend
 from ..storage.file_manifest import RESTORE_PIECE_SIZE
-from .lanes import FleetExecutor, SerialLane
 from .quotas import ServiceError, TenantBusy, TenantQuota
 from .session import DedupSession, SessionClosed
 from .tenancy import Tenant, TenantRegistry, validate_tenant_id
@@ -140,8 +141,8 @@ class DedupServer:
     workers:
         Fleet thread-pool size (``None``: CPU count + 4, capped at 32).
     queue_depth:
-        Bounded per-session queue: how many ``put`` payloads may sit
-        admitted-but-unprocessed before the handler stops reading the
+        Bound on a connection's FIFO: how many admitted ``put`` writes
+        may sit queued or running before the handler stops reading the
         client's socket.
     max_rate_delay:
         Longest back-pressure sleep per ``put`` before the 429-style
@@ -191,7 +192,9 @@ class DedupServer:
             default_rate_bytes=default_rate_bytes,
             default_burst_bytes=default_burst_bytes,
         )
-        self.fleet = FleetExecutor(workers)
+        #: The pool every connection's dedup work runs on; the
+        #: ``fleet`` thread names are what ``profile --threads`` matches.
+        self.fleet = ThreadPoolExecutor(workers, thread_name_prefix="fleet")
         #: Service-global (unlabeled) metrics: connections, HTTP hits.
         self.metrics = MetricsRegistry()
         self.slo = SLOEngine()
@@ -267,9 +270,9 @@ class DedupServer:
 
         Never on a fleet thread: if ``open`` waited for the lock inside
         the pool, ``workers`` concurrent opens of one busy tenant would
-        occupy every thread while the lock holder's own queued lane
-        tasks — the writes and commit that would *release* the lock —
-        could never get one: a permanent, service-wide deadlock.
+        occupy every thread while the lock holder's own queued writes
+        and commit — the work that would *release* the lock — could
+        never get one: a permanent, service-wide deadlock.
         Polling with backoff here keeps pool capacity for actual dedup
         work; past ``open_wait`` seconds the open is refused with a
         ``busy``/``retry_after`` error instead of queueing forever.
@@ -398,6 +401,10 @@ def _too_long_payload() -> bytes:
     ).encode()
 
 
+#: A queued write: runs on a fleet thread, returns the put's reply.
+_Put = Callable[[], dict[str, Any]]
+
+
 class _Connection:
     """One JSON-lines protocol connection (at most one open session)."""
 
@@ -411,11 +418,14 @@ class _Connection:
         self.reader = reader
         self.writer = writer
         self.session: DedupSession | None = None
-        self.lane: SerialLane | None = None
-        #: Bounded per-session admission queue (see ``queue_depth``).
-        self.slots: asyncio.Semaphore | None = None
-        #: In-order responses for pipelined puts awaiting their result.
-        self.pending: list[asyncio.Future[dict[str, Any]]] = []
+        #: Admitted puts in arrival order: a write to run on the fleet, or
+        #: a reply already known (a refusal).  ``None`` ends the drain.
+        self.puts: asyncio.Queue[_Put | dict[str, Any] | None] = asyncio.Queue()
+        #: One per write queued or running (see ``queue_depth``).  A
+        #: bounded queue would not count the write in flight, so it
+        #: would hold one more payload.
+        self.slots = asyncio.Semaphore(server.queue_depth)
+        self._drainer = asyncio.create_task(self._drain_puts())
         #: Session-latency bookkeeping for the SLO engine.
         self._session_t0 = 0.0
         self._slo_recorded = True  # no session yet — nothing to record
@@ -436,33 +446,35 @@ class _Connection:
 
     # -- plumbing ---------------------------------------------------------
 
-    async def _run_in_lane(self, fn: Callable[[], object]) -> Any:
-        assert self.lane is not None
-        return await asyncio.wrap_future(self.lane.submit(fn))
-
     async def _run_in_fleet(self, fn: Callable[[], object]) -> Any:
-        return await asyncio.wrap_future(self.server.fleet.submit(fn))
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(self.server.fleet, fn)
 
     def _send(self, obj: dict[str, Any]) -> None:
         self.writer.write(json.dumps(obj, separators=(",", ":")).encode() + b"\n")
 
-    async def _flush_pending(self) -> None:
-        """Send every queued put response, in submission order."""
-        pending, self.pending = self.pending, []
-        for fut in pending:
-            self._send(await _as_response(fut))
-        await self.writer.drain()
+    async def _drain_puts(self) -> None:
+        """Run the queued writes one at a time, sending each reply as it
+        is known; returns at the ``None`` :meth:`cleanup` queues."""
+        while (item := await self.puts.get()) is not None:
+            try:
+                self._send(item if isinstance(item, dict) else await self._run_write(item))
+            finally:
+                self.puts.task_done()
 
-    def _flush_ready(self) -> None:
-        """Send completed put responses at the head of the queue.
-
-        Runs on the event loop whenever a put finishes, so a
-        synchronous client (one put, one read) gets its answer without
-        needing a follow-up request; order is preserved by only ever
-        draining the head.
-        """
-        while self.pending and self.pending[0].done():
-            self._send(self.pending.pop(0).result())
+    async def _run_write(self, work: _Put) -> dict[str, Any]:
+        """One queued write on the fleet; a failure becomes its reply."""
+        try:
+            reply: dict[str, Any] = await self._run_in_fleet(work)
+        except Exception as e:  # noqa: BLE001 - answered as a reply
+            # A failed write aborts the session server-side; that is
+            # the error outcome the SLO engine should see.
+            if self.session is not None and self.session.state != "open":
+                self._record_session_slo(ok=False)
+            reply = _error_payload(e)
+        finally:
+            self.slots.release()
+        return reply
 
     # -- main loop --------------------------------------------------------
 
@@ -494,8 +506,8 @@ class _Connection:
             try:
                 if op == "put":
                     await self._op_put(request)
-                    continue  # response is deferred (pipelined)
-                await self._flush_pending()
+                    continue  # the drain task replies (pipelined)
+                await self.puts.join()
                 if op == "open":
                     response = await self._op_open(request)
                 elif op == "commit":
@@ -535,21 +547,18 @@ class _Connection:
             await self.writer.drain()
 
     async def cleanup(self) -> None:
-        """Abort an abandoned session (disconnect mid-push)."""
-        for fut in self.pending:
-            try:
-                await fut
-            except asyncio.CancelledError:
-                # Loop teardown mid-drain.  Write futures never carry
-                # exceptions otherwise: _finish_put converts failures
-                # to error payloads before completing them.
-                pass
-        self.pending = []
+        """Abort an abandoned session (disconnect mid-push).
+
+        The queued writes run out first, so no session is ever touched
+        by two threads at once.
+        """
+        self.puts.put_nowait(None)
+        await self._drainer
         self._record_session_slo(ok=False)  # no-op unless still unrecorded
         session = self.session
         self.session = None
         if session is not None and session.state == "open":
-            await self._run_in_lane(session.close)
+            await self._run_in_fleet(session.close)
 
     # -- session ops ------------------------------------------------------
 
@@ -631,16 +640,15 @@ class _Connection:
             self.server.slo.record_admission(tenant_id, rejected=True)
             raise
         lock_wait = time.perf_counter() - lock_t0
-        self.lane = self.server.fleet.lane()
-        self.slots = asyncio.Semaphore(self.server.queue_depth)
+        loop = asyncio.get_running_loop()
         try:
-            fut = self.lane.submit(lambda: session.open(locked=True))
+            opened = loop.run_in_executor(self.server.fleet, lambda: session.open(locked=True))
         except BaseException:
             # Submission failed (fleet shut down): open() never ran,
             # so the lock we took above is still ours to give back.
             tenant.lock.release()
             raise
-        await asyncio.wrap_future(fut)
+        await opened
         if lock_wait >= _WAIT_SPAN_FLOOR:
             session.record_wait("wait.tenant_lock", lock_wait)
         self.session = session
@@ -657,15 +665,6 @@ class _Connection:
             response["trace_id"] = session.trace_id
         return response
 
-    def _defer_response(self, obj: dict[str, Any]) -> None:
-        """Queue an already-known put response, preserving reply order."""
-        fut: asyncio.Future[dict[str, Any]] = (
-            asyncio.get_running_loop().create_future()
-        )
-        fut.set_result(obj)
-        self.pending.append(fut)
-        self._flush_ready()
-
     async def _op_put(self, request: dict[str, Any]) -> None:
         path = self._require(request, "path", str)
         size = self._require(request, "size", int)
@@ -675,75 +674,47 @@ class _Connection:
         session = self.session
         if session is None or session.state != "open":
             # Payload already consumed; answer in order like any put.
-            self._defer_response(dict(_NO_SESSION))
+            self.puts.put_nowait(dict(_NO_SESSION))
             return
-        assert self.slots is not None and self.lane is not None
         # Admission runs here on the event loop: the quota pre-check
         # and token-bucket reservation are quick, and the back-pressure
         # delay must be an asyncio.sleep — a session sleeping out its
         # rate limit on a fleet thread would hold pool capacity that
-        # every other session's lane tasks need.
+        # every other session's writes need.
         tenant_id = session.tenant.tenant_id
         try:
             delay = session.admit(size)
         except ServiceError as e:
             # Refused; still answered in submission order.
             self.server.slo.record_admission(tenant_id, rejected=True)
-            self._defer_response(_error_payload(e))
+            self.puts.put_nowait(_error_payload(e))
             return
         except SessionClosed as e:
             # The session aborted under a queued put — not an
             # admission-control refusal, so no SLO rejection.
-            self._defer_response(_error_payload(e))
+            self.puts.put_nowait(_error_payload(e))
             return
         self.server.slo.record_admission(tenant_id)
         if delay > 0:
             await asyncio.sleep(delay)
             session.record_wait("wait.rate", delay)
-        # Bounded admission: while the session's queue is full this
-        # coroutine parks here, the socket goes unread, and the client
-        # feels TCP back-pressure.
+        # Bounded admission: while ``queue_depth`` writes are queued or
+        # running this coroutine parks here, the socket goes unread,
+        # and the client feels TCP back-pressure.
         queue_t0 = time.perf_counter()
         await self.slots.acquire()
         queue_wait = time.perf_counter() - queue_t0
         if queue_wait >= _WAIT_SPAN_FLOOR:
             session.record_wait("wait.queue", queue_wait)
-        loop = asyncio.get_running_loop()
-        result: asyncio.Future[dict[str, Any]] = loop.create_future()
-        submitted = time.perf_counter()
+        queued = time.perf_counter()
 
         def work() -> dict[str, Any]:
-            lane_wait = time.perf_counter() - submitted
+            lane_wait = time.perf_counter() - queued
             if lane_wait >= _WAIT_SPAN_FLOOR:
                 session.record_wait("wait.lane", lane_wait)
-            store_id = session.write(path, payload, preadmitted=True)
-            return {"ok": True, "store_id": store_id}
+            return {"ok": True, "store_id": session.write(path, payload)}
 
-        fut = self.lane.submit(work)
-
-        def done(f: Future[Any]) -> None:
-            loop.call_soon_threadsafe(self._finish_put, f, result)
-
-        fut.add_done_callback(done)
-        self.pending.append(result)
-
-    def _finish_put(
-        self, fut: Future[Any], result: asyncio.Future[dict[str, Any]]
-    ) -> None:
-        assert self.slots is not None
-        self.slots.release()
-        if result.cancelled():
-            return
-        exc = fut.exception()
-        if exc is None:
-            result.set_result(fut.result())
-        else:
-            result.set_result(_error_payload(exc))
-            # A failed write aborts the session server-side; that is
-            # the error outcome the SLO engine should see.
-            if self.session is not None and self.session.state != "open":
-                self._record_session_slo(ok=False)
-        self._flush_ready()
+        self.puts.put_nowait(work)
 
     async def _op_commit(self) -> dict[str, Any]:
         session = self.session
@@ -751,7 +722,7 @@ class _Connection:
             self.session = None
             return dict(_NO_SESSION)
         try:
-            stats = await self._run_in_lane(session.commit)
+            stats = await self._run_in_fleet(session.commit)
         except BaseException:
             self._record_session_slo(ok=False)
             raise
@@ -770,7 +741,7 @@ class _Connection:
             self.session = None
             return dict(_NO_SESSION)
         try:
-            report = await self._run_in_lane(session.abort)
+            report = await self._run_in_fleet(session.abort)
         finally:
             self._record_session_slo(ok=False)
         self.session = None
@@ -854,6 +825,3 @@ def _next_batch(pieces: Iterator[bytes]) -> list[bytes]:
             break
     return batch
 
-
-async def _as_response(fut: asyncio.Future[dict[str, Any]]) -> dict[str, Any]:
-    return await fut

@@ -5,9 +5,9 @@ object: construct, ``process()`` a corpus, read the stats.  A service
 needs the same machinery with an explicit lifecycle it can drive from a
 network protocol and abandon safely mid-way::
 
-    open  ──►  write(path, data)*  ──►  commit  ──►  (stats)
-                      │
-                      └──────────►  abort  ──►  (store repaired)
+    open  ──►  (admit, write(path, data))*  ──►  commit  ──►  (stats)
+                        │
+                        └──────►  abort  ──►  (store repaired)
 
 :class:`DedupSession` provides exactly that.  ``open()`` takes the
 tenant's session lock (one writer per tenant keyspace at a time),
@@ -17,13 +17,17 @@ builds a deduplicator over the tenant's
 tenant stored before — the incremental re-push path: unchanged files
 cost (almost) nothing, only deltas pay.
 
-Every ``write()`` runs under admission control: the tenant's
-:class:`~repro.service.quotas.QuotaLedger` is checked optimistically
-before any byte moves and charged authoritatively per chunk batch by
-the session's :class:`~repro.core.protocols.IngestObserver`, and the
-tenant's token bucket meters bytes/second — back-pressure (a bounded
-sleep) while the debt is payable, :class:`~repro.service.quotas.RateLimited`
-with a ``retry_after`` once it is not.
+Admission is its own step, :meth:`DedupSession.admit`, run before
+each ``write()``: it checks the tenant's
+:class:`~repro.service.quotas.QuotaLedger` optimistically before any
+byte moves, and reserves from the tenant's token bucket, which meters
+bytes/second — it returns a back-pressure delay for the caller to sleep
+while the debt is payable, and raises
+:class:`~repro.service.quotas.RateLimited` with a ``retry_after`` once
+it is not.  ``write()`` itself only ingests; the session's
+:class:`~repro.core.protocols.IngestObserver` charges the ledger
+authoritatively per chunk batch, so a write past the quota is cut off
+mid-stream whatever was admitted.
 
 ``abort()`` — explicit, or implicit when a write raises — discards the
 in-flight deduplicator and repairs the tenant's keyspace with
@@ -42,10 +46,8 @@ resolves a bare path to its newest generation.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable
 from pathlib import Path
-from typing import BinaryIO
 
 from ..core.base import Deduplicator, DedupStats
 from ..core.config import DedupConfig
@@ -107,19 +109,13 @@ class DedupSession:
     config:
         Dedup configuration; defaults to :class:`DedupConfig`'s.
     max_rate_delay:
-        Longest back-pressure sleep a single ``write`` will absorb
-        before refusing with :class:`RateLimited`.
+        Longest back-pressure delay :meth:`admit` hands out before
+        refusing with :class:`RateLimited`.
     open_wait:
         Longest :meth:`open` waits for the tenant's session lock
         before refusing with :class:`TenantBusy`.  The wait is always
         bounded — an untimed lock acquire on a fleet thread is the
         PR 6 pool-starvation deadlock (and DDC102 bans it).
-    sleep:
-        Injectable sleep (tests pass a recorder) used only by the
-        library's blocking :meth:`write` path.  The server never
-        sleeps on a worker thread: it calls :meth:`admit` on the
-        event loop and absorbs the delay with ``asyncio.sleep``
-        before dispatching the pre-admitted write.
     trace_dir:
         When set, :meth:`open` writes the session's spans to
         ``trace-<session id>.jsonl`` in this directory — created only
@@ -145,7 +141,6 @@ class DedupSession:
         config: DedupConfig | None = None,
         max_rate_delay: float = 5.0,
         open_wait: float = 300.0,
-        sleep: Callable[[float], None] = time.sleep,
         trace_dir: str | Path | None = None,
         trace_id: str = "",
         parent_ref: str = "",
@@ -156,7 +151,6 @@ class DedupSession:
         self.config = config or DedupConfig()
         self.max_rate_delay = max_rate_delay
         self.open_wait = open_wait
-        self._sleep = sleep
         self._trace_dir = Path(trace_dir) if trace_dir is not None else None
         self._trace_id = trace_id
         self._parent_ref = parent_ref
@@ -264,11 +258,14 @@ class DedupSession:
         """Attribute a measured wait to this session's trace.
 
         Thread-safe and stack-free (a closed span parented on the
-        session root), so the server's event loop can report the waits
-        it absorbs on the session's behalf — ``wait.tenant_lock``
-        (reported once :meth:`open` returns), ``wait.rate``,
-        ``wait.queue``, ``wait.lane`` — while the lane thread owns the
-        span stack.  A no-op unless the session is open and traced.
+        session root), so the server can report the waits it absorbs on
+        the session's behalf while a fleet thread owns the span stack:
+        ``wait.tenant_lock`` (the open's wait for the tenant lock,
+        reported once :meth:`open` returns), ``wait.rate`` (the
+        rate-limit sleep), ``wait.queue`` (a put waiting for room in its
+        connection's FIFO) and ``wait.lane`` (a queued write waiting
+        behind the connection's earlier writes and for a fleet thread).
+        A no-op unless the session is open and traced.
         """
         if seconds <= 0.0:
             return
@@ -293,16 +290,16 @@ class DedupSession:
         """Admission control alone: quota pre-check + rate reservation.
 
         Returns the back-pressure delay (seconds) the caller must
-        absorb before streaming the payload — raising ``RateLimited``
+        absorb before calling :meth:`write` — raising ``RateLimited``
         (tokens refunded) when that delay exceeds ``max_rate_delay``,
         ``QuotaExceeded`` when the declared size cannot fit.  Charges
         nothing; the per-batch ledger path stays authoritative.
 
-        Split from :meth:`write` so the server can run admission on
-        the event loop and sleep the delay with ``asyncio.sleep`` —
-        a rate-limited session must never park a fleet thread, or a
-        handful of throttled clients would starve every tenant's lane
-        tasks of pool capacity.
+        A step of its own so the server can run admission on the event
+        loop and sleep the delay with ``asyncio.sleep`` — a
+        rate-limited session must never park a fleet thread, or a
+        handful of throttled clients would starve every tenant's writes
+        of pool capacity.
         """
         self._require_open()
         tid = self.tenant.tenant_id
@@ -316,47 +313,16 @@ class DedupSession:
             self.tenant.inc_metric("service_rate_delay_ms", int(delay * 1000))
         return delay
 
-    def write(self, path: str, data: bytes, preadmitted: bool = False) -> str:
+    def write(self, path: str, data: bytes) -> str:
         """Ingest one in-memory file; returns its store id.
 
-        Admission order: quota pre-check (no charge) → token-bucket
-        reservation (sleep ≤ ``max_rate_delay``, else ``RateLimited``
-        with the tokens refunded) → ingest, with the ledger charged
-        batch-by-batch.  Any ingest failure — quota crossed mid-stream
-        included — aborts the whole session and repairs the store
-        before re-raising.
-
-        ``preadmitted=True`` skips the admission step: the caller
-        already ran :meth:`admit` and slept the returned delay itself.
+        The ingest step only: call :meth:`admit` first.  The ledger is
+        charged batch by batch, and any ingest failure — quota crossed
+        mid-stream included — aborts the whole session and repairs the
+        store before re-raising.
         """
-        file = BackupFile(file_id=self.store_id_for(path), data=data)
-        return self._ingest(path, len(data), file, preadmitted)
-
-    def write_stream(
-        self,
-        path: str,
-        source: Callable[[], BinaryIO],
-        size_hint: int,
-        preadmitted: bool = False,
-    ) -> str:
-        """Ingest a source-backed file (content streamed on demand).
-
-        ``size_hint`` is the quota admission *claim*; if the stream
-        turns out longer, the per-batch ledger charge is authoritative
-        and cuts the ingest off mid-file (session aborted, store
-        repaired) the moment the quota is actually crossed.
-        """
-        file = BackupFile(file_id=self.store_id_for(path), source=source, size_hint=size_hint)
-        return self._ingest(path, size_hint, file, preadmitted)
-
-    def _ingest(
-        self, path: str, declared_bytes: int, file: BackupFile, preadmitted: bool
-    ) -> str:
         dedup = self._require_open()
-        if not preadmitted:
-            delay = self.admit(declared_bytes)
-            if delay > 0:
-                self._sleep(delay)
+        file = BackupFile(file_id=self.store_id_for(path), data=data)
         try:
             dedup.ingest(file)
         except BaseException:

@@ -192,7 +192,7 @@ class Tenant:
     #: concurrent code — use the locked helpers below.
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     lock: threading.Lock = field(default_factory=threading.Lock)
-    #: Guards :attr:`metrics` (session lane threads increment while the
+    #: Guards :attr:`metrics` (fleet threads increment while the
     #: event loop renders ``/metrics``).
     metrics_lock: threading.Lock = field(default_factory=threading.Lock)
     #: Monotonic per-tenant session counter (session id suffix).
@@ -395,7 +395,7 @@ class TenantRegistry:
     def metrics_by_tenant(self) -> list[tuple[str, MetricsRegistry]]:
         """(tenant_id, registry snapshot) pairs for ``/metrics``.
 
-        Snapshots, not live registries: session lane threads keep
+        Snapshots, not live registries: fleet threads keep
         mutating tenant metrics while the exposition renders, so each
         tenant's state is copied under its ``metrics_lock`` first.
         """

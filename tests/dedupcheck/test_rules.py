@@ -115,6 +115,13 @@ def test_pr6_deadlock_revert_is_caught():
     assert any("Session.open" in v.message for v in violations)
 
 
+def test_deadlock_through_run_in_executor_is_caught():
+    """The same deadlock handed to the pool by ``loop.run_in_executor``."""
+    violations = run("ddc102_executor_bad.py", "src/repro/service/server.py")
+    assert {v.code for v in violations} == {"DDC102"}
+    assert any("Session.open" in v.message for v in violations)
+
+
 def test_violation_rendering():
     """Output lines follow the path:line:col: CODE message shape."""
     (violation, *_rest) = run("ddc005_bad.py", "src/repro/storage/x.py")

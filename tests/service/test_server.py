@@ -21,6 +21,7 @@ from repro.core import DedupConfig
 from repro.registry import resolve
 from repro.service import (
     DedupServer,
+    DedupSession,
     QuotaExceeded,
     RateLimited,
     ServiceClient,
@@ -74,9 +75,17 @@ class ServerHarness:
 
     def stop(self):
         asyncio.run_coroutine_threadsafe(self.server.stop(), self.loop).result(30)
+        leaked = asyncio.run_coroutine_threadsafe(_other_tasks(), self.loop).result(10)
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(timeout=10)
         self.loop.close()
+        assert not leaked, f"tasks still pending after stop(): {leaked}"
+
+
+async def _other_tasks():
+    """Every task on the running loop that is not done, bar this one."""
+    me = asyncio.current_task()
+    return [t for t in asyncio.all_tasks() if t is not me and not t.done()]
 
 
 @pytest.fixture
@@ -403,6 +412,95 @@ class TestPoolStarvation:
                 assert client.get("alice", "slow.img") == blob
         finally:
             harness.stop()
+
+
+class TestPutQueue:
+    """A connection's puts: bounded admission, one write at a time, in
+    order, replies in order."""
+
+    @pytest.mark.parametrize("queue_depth", [1, 3])
+    def test_backpressure_order_and_no_overlap(self, tmp_path, monkeypatch, queue_depth):
+        """With the first write held, the server admits the writes that
+        fit ``queue_depth`` plus the one waiting for room, and stops
+        reading; once released, the writes run one at a time in order."""
+        release = threading.Event()
+        lock = threading.Lock()
+        admitted, entered = [], []
+        active = [0, 0]  # running writes, most ever at once
+        real_admit, real_write = DedupSession.admit, DedupSession.write
+
+        def admit(self, declared_bytes):
+            admitted.append(declared_bytes)
+            return real_admit(self, declared_bytes)
+
+        def write(self, path, data, **kwargs):
+            with lock:
+                entered.append(path)
+                active[0] += 1
+                active[1] = max(active)
+            try:
+                if path == "p0":
+                    assert release.wait(30), "p0 was never released"
+                return real_write(self, path, data, **kwargs)
+            finally:
+                with lock:
+                    active[0] -= 1
+
+        monkeypatch.setattr(DedupSession, "admit", admit)
+        monkeypatch.setattr(DedupSession, "write", write)
+        files = [(f"p{i}", rand(64 << 10, 60 + i)) for i in range(8)]
+        harness = ServerHarness(tmp_path, workers=4, queue_depth=queue_depth)
+        client = harness.client()
+        try:
+            client.open("alice")
+
+            def send_all():
+                for path, data in files:
+                    client._send({"op": "put", "path": path, "size": len(data)}, data)
+
+            sender = threading.Thread(target=send_all)
+            sender.start()
+            time.sleep(0.5)
+            try:
+                assert len(admitted) == queue_depth + 1
+                assert entered == ["p0"]
+            finally:
+                release.set()
+            sender.join(timeout=30)
+            replies = [client._recv() for _ in files]
+            assert entered == [path for path, _ in files]
+            assert active[1] == 1
+            assert [r["store_id"] for r in replies] == [f"g000000/{p}" for p, _ in files]
+            client.commit()
+        finally:
+            release.set()
+            client.close()
+            harness.stop()
+
+    def test_failed_write_is_answered_in_place(self, harness, monkeypatch):
+        """A write that raises on its fleet thread is answered as
+        ``failed`` in its place, and the puts queued behind it still run."""
+        real_write = DedupSession.write
+
+        def write(self, path, data, **kwargs):
+            if path == "bad.img":
+                raise RuntimeError("boom")
+            return real_write(self, path, data, **kwargs)
+
+        monkeypatch.setattr(DedupSession, "write", write)
+        names = ["a.img", "bad.img", "c.img"]
+        files = [(name, rand(8_000, 70 + i)) for i, name in enumerate(names)]
+        with harness.client() as client:
+            client.open("alice")
+            replies = client.push_many(files)
+            assert [r["ok"] for r in replies] == [True, False, True]
+            assert replies[1]["error"] == "failed" and "boom" in replies[1]["message"]
+            client.commit()
+            assert sorted(client.list_files("alice")) == ["a.img", "c.img"]
+
+    def test_rejects_bad_worker_count(self, tmp_path):
+        with pytest.raises(ValueError):
+            DedupServer(DirectoryBackend(tmp_path / "store"), workers=0)
 
 
 def open_files_under(directory):

@@ -5,7 +5,6 @@ cleanly, aborted stores pass fsck, re-pushes pay only the delta, and a
 rate-limited session still produces byte-identical restores.
 """
 
-import io
 import sys
 import threading
 import time
@@ -294,14 +293,23 @@ class TestKeptListing:
         assert not any(t.is_alive() for t in readers)
 
 
+def admit_write(session, path, data):
+    """Admission, its back-pressure sleep, then ingest: what the server
+    does for one put.  Returns the delay slept."""
+    delay = session.admit(len(data))
+    time.sleep(delay)
+    session.write(path, data)
+    return delay
+
+
 class TestQuota:
     def test_precheck_refusal_keeps_session_open(self, registry):
         tenant = registry.register("bob", quota=TenantQuota(max_bytes=10_000))
         session = DedupSession(tenant, config=CFG).open()
         with pytest.raises(QuotaExceeded):
-            session.write("big.img", rand(20_000, 4))
+            admit_write(session, "big.img", rand(20_000, 4))
         assert session.state == "open"  # nothing moved, nothing to repair
-        session.write("small.img", rand(5_000, 5))
+        admit_write(session, "small.img", rand(5_000, 5))
         session.commit()
 
     def test_midstream_quota_aborts_cleanly(self, registry):
@@ -313,10 +321,11 @@ class TestQuota:
         with DedupSession(tenant, config=CFG) as s0:
             s0.write("ok.img", committed)
 
-        big = rand(200_000, 7)  # way past the quota; claims to be tiny
+        big = rand(200_000, 7)  # way past the quota; admitted as tiny
         session = DedupSession(tenant, config=CFG).open()
+        assert session.admit(1_000) == 0.0
         with pytest.raises(QuotaExceeded):
-            session.write_stream("liar.img", lambda: io.BytesIO(big), 1_000)
+            session.write("liar.img", big)
         assert session.state == "aborted"
         assert session.recovery is not None
 
@@ -334,9 +343,9 @@ class TestQuota:
         byte moves, so the session survives and can still commit."""
         tenant = registry.register("bob", quota=TenantQuota(max_files=1))
         session = DedupSession(tenant, config=CFG).open()
-        session.write("a.img", rand(2_000, 8))
+        admit_write(session, "a.img", rand(2_000, 8))
         with pytest.raises(QuotaExceeded):
-            session.write("b.img", rand(2_000, 9))
+            admit_write(session, "b.img", rand(2_000, 9))
         assert session.state == "open"
         session.commit()
         assert fsck_ok(registry.view("bob"))
@@ -344,23 +353,23 @@ class TestQuota:
 
 
 class TestLoopSideAdmission:
-    """The server-facing split: ``admit()`` runs on the event loop and
-    returns the back-pressure delay; ``write(preadmitted=True)`` then
-    skips admission on the pool thread.  Regression for the fleet
-    starvation bug — a throttled session must never sleep (or wait)
-    while holding a pool thread."""
+    """``admit()`` is the one admission step: it returns the
+    back-pressure delay and never sleeps, so the server can run it on
+    the event loop; ``write()`` then only ingests on the pool thread.
+    Regression for the fleet starvation bug — a throttled session must
+    never sleep (or wait) while holding a pool thread."""
 
     def test_admit_returns_delay_without_sleeping(self, registry):
         tenant = registry.register("alice", rate_bytes=1000.0, burst_bytes=1000.0)
-        slept = []
-        session = DedupSession(
-            tenant, config=CFG, max_rate_delay=10.0, sleep=slept.append
-        ).open()
+        session = DedupSession(tenant, config=CFG, max_rate_delay=10.0).open()
+        t0 = time.monotonic()
         delay = session.admit(3000)  # 2000-token debt at 1000 B/s
         assert delay == pytest.approx(2.0)
-        assert slept == []  # the caller owns the sleep now
-        session.write("a", b"x" * 3000, preadmitted=True)
-        assert slept == []  # and no second reservation happened
+        debt = tenant.bucket.tokens
+        session.write("a", b"x" * 3000)
+        assert time.monotonic() - t0 < 1.0  # the caller owns the sleep
+        # No second reservation: the debt only shrank as tokens refilled.
+        assert tenant.bucket.tokens >= debt
         session.commit()
 
     def test_admit_refuses_past_max_delay_and_refunds(self, registry):
@@ -391,30 +400,25 @@ class TestLoopSideAdmission:
 
 class TestRateLimit:
     def test_backpressure_sleeps_then_finishes_identical(self, registry):
-        """A rate-limited session is slowed, not corrupted: writes sleep
-        for the bucket's delay and every restore is still byte-identical."""
+        """A rate-limited session is slowed, not corrupted: each write
+        sleeps the delay admission hands out and every restore is still
+        byte-identical."""
         tenant = registry.register("carol", rate_bytes=1e9, burst_bytes=10_000.0)
-        sleeps = []
-        session = DedupSession(
-            tenant, config=CFG, max_rate_delay=60.0, sleep=sleeps.append
-        )
+        session = DedupSession(tenant, config=CFG, max_rate_delay=60.0)
         blobs = {f"f{i}.img": rand(30_000, 10 + i) for i in range(3)}
         with session:
-            for path, blob in blobs.items():
-                session.write(path, blob)
-        assert sleeps and all(d > 0 for d in sleeps)
+            delays = [admit_write(session, path, blob) for path, blob in blobs.items()]
+        assert all(d > 0 for d in delays)
         view = registry.view("carol")
         for path, blob in blobs.items():
             assert TenantFiles(view).restore(path) == blob
 
     def test_rejection_past_max_delay(self, registry):
         tenant = registry.register("carol", rate_bytes=10.0, burst_bytes=10.0)
-        session = DedupSession(
-            tenant, config=CFG, max_rate_delay=0.5, sleep=lambda _d: None
-        )
+        session = DedupSession(tenant, config=CFG, max_rate_delay=0.5)
         session.open()
         with pytest.raises(RateLimited) as exc_info:
-            session.write("big.img", rand(20_000, 14))
+            admit_write(session, "big.img", rand(20_000, 14))
         assert exc_info.value.retry_after > 0.5
         # Refusal happened before any byte moved: session still open,
         # and the refunded tokens let a small write through.

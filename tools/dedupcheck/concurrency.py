@@ -1,18 +1,19 @@
 """The DDC1xx concurrency rule pack.
 
 PR 6 turned the reproduction into a concurrent system — an asyncio
-JSON-lines server over a :class:`~repro.service.lanes.FleetExecutor` thread
-fleet — and its first review found a pool-starvation deadlock: a fleet
-thread blocking on a tenant lock while the lane tasks that would
-release it starved.  The fix established invariants that, until this
-rule pack, lived only in docstrings and review memory:
+JSON-lines server over a thread fleet — and its first review found a
+pool-starvation deadlock: a fleet thread blocking on a tenant lock
+while the queued tasks that would release it starved.  The fix
+established invariants that, until this rule pack, lived only in
+docstrings and review memory:
 
 ======  ==============================================================
 DDC101  coroutines never block the event loop (no ``time.sleep``,
         sync sockets/file I/O, untimed lock acquires, ``subprocess``
         or ``requests``-style calls inside ``async def``)
 DDC102  fleet threads never *wait*: functions reachable from a
-        ``SerialLane``/``FleetExecutor`` submission may not block on
+        fleet-pool submission (``submit``, ``run_in_executor``, a
+        write queued on a connection's FIFO) may not block on
         locks/conditions/queues/futures without a timeout
 DDC103  no ``await`` while holding a non-async (threading) lock
 DDC104  tenant metrics registries are touched only through the locked
@@ -208,9 +209,9 @@ class FleetThreadWaitBan:
 
     *The* PR 6 deadlock class: ``workers`` fleet threads all parked on
     an untimed wait (a busy tenant's session lock) while the queued
-    lane tasks that would release it could never get a thread.  Any
-    function reachable from a ``SerialLane``/``FleetExecutor``
-    submission site therefore may not call ``acquire``/``wait``/
+    tasks that would release it could never get a thread.  Any
+    function reachable from a fleet-pool submission site therefore
+    may not call ``acquire``/``wait``/
     ``wait_for`` without a timeout, ``Future.result()``/queue
     ``get()``/thread ``join()`` untimed, or ``time.sleep``.  Bounded
     critical sections (``with lock:``) stay legal — the ban is on
@@ -218,7 +219,7 @@ class FleetThreadWaitBan:
     """
 
     code = "DDC102"
-    summary = "untimed blocking wait on a fleet/lane-thread code path"
+    summary = "untimed blocking wait on a fleet-thread code path"
     needs_context = True
 
     #: Receiver-name hints for queue-like and thread-like objects
@@ -249,7 +250,7 @@ class FleetThreadWaitBan:
                     node.col_offset,
                     self.code,
                     f"{message} in {info.qualname!r}, which runs on a fleet "
-                    "thread (reachable from a lane/fleet submission); fleet "
+                    "thread (reachable from a fleet submission); fleet "
                     "threads must never wait without a timeout",
                 )
 

@@ -15,8 +15,9 @@ Two engine layers sit under the rules:
   which names the module imported from ``time``) plus a
   :class:`ProjectContext` built over *every* file in the run: a
   function table and a small name-based call graph rooted at
-  fleet-submission sites (``lane.submit(...)``, ``fleet.submit(...)``,
-  ``pool.submit(...)``, ``_run_in_lane`` / ``_run_in_fleet`` wrappers,
+  fleet-submission sites (``pool.submit(...)``,
+  ``loop.run_in_executor(pool, ...)``, the ``_run_in_fleet`` wrapper,
+  ``puts.put_nowait(...)`` handing a write to a connection's FIFO,
   ``add_done_callback``), so concurrency rules can ask "does this
   function run on a fleet thread?" across module boundaries.
 
@@ -101,13 +102,21 @@ def _normalize(path: str) -> str:
 # -- analysis context ------------------------------------------------------
 
 #: Callables whose *arguments* start running on a fleet/pool thread.
-#: ``submit`` covers ``SerialLane`` / ``FleetExecutor`` /
-#: ``ThreadPoolExecutor``; the ``_run_in_*`` names are the service's
-#: thin wrappers that forward their argument to a lane/fleet submit;
-#: ``add_done_callback`` callbacks run on whichever thread completes
-#: the future (for lane futures: the fleet thread).
+#: ``submit`` and ``run_in_executor`` hand a callable to an executor;
+#: the ``_run_in_*`` names are the service's thin wrappers around them;
+#: ``put_nowait`` is how the server queues a write on a connection's
+#: FIFO, whose drain task runs it on the fleet; ``add_done_callback``
+#: callbacks run on whichever thread completes the future (for pool
+#: futures: the fleet thread).
 _SUBMIT_CALLEES = frozenset(
-    {"submit", "_run_in_lane", "_run_in_fleet", "add_done_callback"}
+    {
+        "submit",
+        "run_in_executor",
+        "_run_in_lane",
+        "_run_in_fleet",
+        "put_nowait",
+        "add_done_callback",
+    }
 )
 
 
@@ -176,7 +185,7 @@ class ProjectContext:
     def __init__(self) -> None:
         #: Bare function name → every definition carrying it.
         self.functions: dict[str, list[FunctionInfo]] = {}
-        #: Names submitted to fleet/lane pools anywhere in the run.
+        #: Names submitted to the fleet pool anywhere in the run.
         self.root_names: set[str] = set()
         #: Submitted lambdas (fleet roots with no name to look up).
         self.root_lambdas: list[FunctionInfo] = []
