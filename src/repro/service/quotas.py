@@ -82,8 +82,9 @@ class TenantBusy(ServiceError):
     """Another session holds the tenant's lock; retry the ``open`` later.
 
     Raised by the server instead of queueing an ``open`` indefinitely:
-    waiting must never occupy a fleet thread (that is how thread-pool
-    starvation deadlocks start), so past ``open_wait`` the service
+    an ``open`` waits for the tenant's lock on the event loop, in
+    arrival order, never on a fleet thread (that is how thread-pool
+    starvation deadlocks start), and past ``open_wait`` the service
     refuses with a 429-style retry hint.
     """
 

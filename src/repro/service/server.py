@@ -35,11 +35,14 @@ as it completes, and every other op waits for the FIFO to drain
 first.  So one session's operations run in order, one at a time,
 while different sessions (hence tenants) proceed concurrently.
 Everything that can block sits on the event loop instead of the pool:
-an ``open`` contending for a busy tenant's session lock waits
-asynchronously (up to ``open_wait``, then a ``busy``/``retry_after``
-refusal), and rate-limit back-pressure is an ``asyncio.sleep`` before
-the put enters the FIFO (bounded by ``max_rate_delay``, then a
-``rate_limited`` refusal).  Otherwise ``workers`` blocked opens or
+an ``open`` contending for a busy tenant waits on the tenant's
+:class:`asyncio.Lock`, in arrival order (up to ``open_wait``, then a
+``busy``/``retry_after`` refusal), and rate-limit back-pressure is an
+``asyncio.sleep`` before the put enters the FIFO (bounded by
+``max_rate_delay``, then a ``rate_limited`` refusal).  The connection
+that took a tenant's lock releases it, on the loop, once its session
+has committed or aborted — never while a fleet thread may still use
+the session.  Otherwise ``workers`` blocked opens or
 throttled puts would occupy every pool thread while the tasks that
 could unblock them starve — a service-wide deadlock.  At most
 ``queue_depth`` writes sit in the FIFO or run; past that the handler
@@ -272,20 +275,15 @@ class DedupServer:
         the pool, ``workers`` concurrent opens of one busy tenant would
         occupy every thread while the lock holder's own queued writes
         and commit — the work that would *release* the lock — could
-        never get one: a permanent, service-wide deadlock.
-        Polling with backoff here keeps pool capacity for actual dedup
-        work; past ``open_wait`` seconds the open is refused with a
+        never get one: a permanent, service-wide deadlock (the PR 6
+        review's find).  Waiters are granted in arrival order; past
+        ``open_wait`` seconds the open is refused with a
         ``busy``/``retry_after`` error instead of queueing forever.
         """
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.open_wait
-        delay = 0.005
-        while not tenant.lock.acquire(blocking=False):
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                raise TenantBusy(tenant.tenant_id, _BUSY_RETRY_AFTER)
-            await asyncio.sleep(min(delay, remaining))
-            delay = min(delay * 2, 0.1)
+        try:
+            await asyncio.wait_for(tenant.lock.acquire(), self.open_wait)
+        except asyncio.TimeoutError:  # not the builtin TimeoutError before 3.11
+            raise TenantBusy(tenant.tenant_id, _BUSY_RETRY_AFTER) from None
 
     # ---- connection handling -------------------------------------------
 
@@ -426,23 +424,27 @@ class _Connection:
         #: would hold one more payload.
         self.slots = asyncio.Semaphore(server.queue_depth)
         self._drainer = asyncio.create_task(self._drain_puts())
-        #: Session-latency bookkeeping for the SLO engine.
+        #: When the session opened, for the SLO engine.
         self._session_t0 = 0.0
-        self._slo_recorded = True  # no session yet — nothing to record
 
-    def _record_session_slo(self, ok: bool) -> None:
-        """Report the current session's latency + outcome once.
+    def _end_session(self) -> None:
+        """Once the session has left ``open``, let it go: report its
+        latency and outcome to the SLO engine and release its tenant's
+        lock, exactly once.
 
-        Called at every point the connection observes its session
-        leaving the ``open`` state: commit, abort, a put that aborted
-        it server-side, or connection teardown.
+        Called after each fleet call that can end the session — a
+        commit, an abort, a write or commit that aborted it, the
+        teardown close — so no fleet thread is still using it.  A
+        no-op while the session is open or when there is none.
         """
         session = self.session
-        if session is None or self._slo_recorded:
+        if session is None or session.state == "open":
             return
-        self._slo_recorded = True
+        self.session = None
         elapsed = time.perf_counter() - self._session_t0
+        ok = session.state == "committed"
         self.server.slo.record_session(session.tenant.tenant_id, elapsed, ok=ok)
+        session.tenant.lock.release()
 
     # -- plumbing ---------------------------------------------------------
 
@@ -467,10 +469,7 @@ class _Connection:
         try:
             reply: dict[str, Any] = await self._run_in_fleet(work)
         except Exception as e:  # noqa: BLE001 - answered as a reply
-            # A failed write aborts the session server-side; that is
-            # the error outcome the SLO engine should see.
-            if self.session is not None and self.session.state != "open":
-                self._record_session_slo(ok=False)
+            self._end_session()  # the write may have aborted the session
             reply = _error_payload(e)
         finally:
             self.slots.release()
@@ -554,11 +553,11 @@ class _Connection:
         """
         self.puts.put_nowait(None)
         await self._drainer
-        self._record_session_slo(ok=False)  # no-op unless still unrecorded
-        session = self.session
-        self.session = None
-        if session is not None and session.state == "open":
-            await self._run_in_fleet(session.close)
+        if self.session is not None:
+            try:
+                await self._run_in_fleet(self.session.close)
+            finally:
+                self._end_session()
 
     # -- session ops ------------------------------------------------------
 
@@ -583,7 +582,7 @@ class _Connection:
         return value
 
     async def _op_open(self, request: dict[str, Any]) -> dict[str, Any]:
-        if self.session is not None and self.session.state == "open":
+        if self.session is not None:
             raise _ProtocolError("a session is already open on this connection")
         tenant_id = self._tenant_arg(request)
         algorithm = request.get("algorithm") or self.server.algorithm
@@ -612,12 +611,18 @@ class _Connection:
         parent_span = request.get("parent_span", "")
         if not isinstance(trace_id, str) or not isinstance(parent_span, str):
             raise _ProtocolError("'trace_id'/'parent_span' must be str")
+        registry = self.server.registry
+        register = functools.partial(
+            registry.register,
+            tenant_id,
+            quota=quota,
+            rate_bytes=float(rate) if rate is not None else None,
+        )
         try:
-            tenant = self.server.registry.register(
-                tenant_id,
-                quota=quota,
-                rate_bytes=float(rate) if rate is not None else None,
-            )
+            if tenant_id in registry.registered():
+                tenant = register()
+            else:  # a first registration walks the store: not on the loop
+                tenant = await self._run_in_fleet(register)
         except ValueError as e:
             raise _ProtocolError(str(e)) from None
         session = DedupSession(
@@ -630,9 +635,8 @@ class _Connection:
             parent_ref=parent_span,
             heartbeat=functools.partial(self.server._heartbeat, tenant_id),
         )
-        # The only part of open() that can block — waiting out another
-        # session of the same tenant — happens here on the event loop;
-        # the fleet thread below only ever does the warm start.
+        # Waiting out another session of the same tenant happens here
+        # on the event loop; the fleet thread only does the warm start.
         lock_t0 = time.perf_counter()
         try:
             await self.server.acquire_tenant_lock(tenant)
@@ -640,20 +644,15 @@ class _Connection:
             self.server.slo.record_admission(tenant_id, rejected=True)
             raise
         lock_wait = time.perf_counter() - lock_t0
-        loop = asyncio.get_running_loop()
         try:
-            opened = loop.run_in_executor(self.server.fleet, lambda: session.open(locked=True))
+            await self._run_in_fleet(session.open)
         except BaseException:
-            # Submission failed (fleet shut down): open() never ran,
-            # so the lock we took above is still ours to give back.
             tenant.lock.release()
             raise
-        await opened
         if lock_wait >= _WAIT_SPAN_FLOOR:
             session.record_wait("wait.tenant_lock", lock_wait)
         self.session = session
         self._session_t0 = time.perf_counter()
-        self._slo_recorded = False
         self.server.slo.record_admission(tenant_id)
         response = {
             "ok": True,
@@ -718,16 +717,12 @@ class _Connection:
 
     async def _op_commit(self) -> dict[str, Any]:
         session = self.session
-        if session is None or session.state != "open":
-            self.session = None
+        if session is None:
             return dict(_NO_SESSION)
         try:
             stats = await self._run_in_fleet(session.commit)
-        except BaseException:
-            self._record_session_slo(ok=False)
-            raise
-        self._record_session_slo(ok=True)
-        self.session = None
+        finally:
+            self._end_session()
         return {
             "ok": True,
             "session": session.session_id,
@@ -737,14 +732,12 @@ class _Connection:
 
     async def _op_abort(self) -> dict[str, Any]:
         session = self.session
-        if session is None or session.state != "open":
-            self.session = None
+        if session is None:
             return dict(_NO_SESSION)
         try:
             report = await self._run_in_fleet(session.abort)
         finally:
-            self._record_session_slo(ok=False)
-        self.session = None
+            self._end_session()
         return {"ok": True, "repairs": report.repairs, "actions": report.actions}
 
     # -- sessionless ops --------------------------------------------------

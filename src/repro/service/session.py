@@ -9,13 +9,18 @@ network protocol and abandon safely mid-way::
                         │
                         └──────►  abort  ──►  (store repaired)
 
-:class:`DedupSession` provides exactly that.  ``open()`` takes the
-tenant's session lock (one writer per tenant keyspace at a time),
-builds a deduplicator over the tenant's
+:class:`DedupSession` provides exactly that.  ``open()`` builds a
+deduplicator over the tenant's
 :class:`~repro.storage.backend.PrefixedBackend` view and
 ``warm_start()``\\ s it so this push deduplicates against everything the
 tenant stored before — the incremental re-push path: unchanged files
 cost (almost) nothing, only deltas pay.
+
+A session takes no lock.  The store layout assumes one writer per
+tenant keyspace at a time, so whoever drives sessions serialises them
+per tenant: the server holds ``Tenant.lock`` from before ``open()``
+until the session has committed or aborted; a library caller runs one
+session of a tenant at a time.
 
 Admission is its own step, :meth:`DedupSession.admit`, run before
 each ``write()``: it checks the tenant's
@@ -57,7 +62,7 @@ from ..obs.trace import Span
 from ..registry import resolve
 from ..storage.recover import RecoveryReport, recover
 from ..workloads.machine import BackupFile
-from .quotas import RateLimited, TenantBusy
+from .quotas import RateLimited
 from .tenancy import Tenant, latest_files, split_store_id
 
 __all__ = [
@@ -111,18 +116,13 @@ class DedupSession:
     max_rate_delay:
         Longest back-pressure delay :meth:`admit` hands out before
         refusing with :class:`RateLimited`.
-    open_wait:
-        Longest :meth:`open` waits for the tenant's session lock
-        before refusing with :class:`TenantBusy`.  The wait is always
-        bounded — an untimed lock acquire on a fleet thread is the
-        PR 6 pool-starvation deadlock (and DDC102 bans it).
     trace_dir:
         When set, :meth:`open` writes the session's spans to
         ``trace-<session id>.jsonl`` in this directory — created only
-        once the lock is held and the warm start has succeeded, so a
-        refused or failed open leaves no file.  The session's root
-        ``session`` span encloses the dedup core's ingest spans, all
-        stamped with the session's trace context.
+        once the warm start has succeeded, so a failed open leaves no
+        file.  The session's root ``session`` span encloses the dedup
+        core's ingest spans, all stamped with the session's trace
+        context.
     trace_id / parent_ref:
         Cross-process trace context received over the wire: the
         client's trace id (fresh one generated when empty) and the
@@ -140,7 +140,6 @@ class DedupSession:
         algorithm: str = "bf-mhd",
         config: DedupConfig | None = None,
         max_rate_delay: float = 5.0,
-        open_wait: float = 300.0,
         trace_dir: str | Path | None = None,
         trace_id: str = "",
         parent_ref: str = "",
@@ -150,7 +149,6 @@ class DedupSession:
         self.algorithm = algorithm
         self.config = config or DedupConfig()
         self.max_rate_delay = max_rate_delay
-        self.open_wait = open_wait
         self._trace_dir = Path(trace_dir) if trace_dir is not None else None
         self._trace_id = trace_id
         self._parent_ref = parent_ref
@@ -172,72 +170,50 @@ class DedupSession:
         """``new`` | ``open`` | ``committed`` | ``aborted``."""
         return self._state
 
-    def open(self, locked: bool = False) -> DedupSession:
-        """Acquire the tenant's session lock and warm-start a dedup run.
+    def open(self) -> DedupSession:
+        """Warm-start a dedup run over the tenant's view.
 
-        Waits (up to ``open_wait`` seconds, then :class:`TenantBusy`)
-        while another session of the *same* tenant is open — sessions
-        of different tenants proceed concurrently; the store layout
-        assumes one writer per keyspace at a time.  The wait is
-        deliberately never unbounded: the library ``open()`` runs on
-        whatever thread calls it, and an untimed lock acquire on a
-        fleet thread is exactly the pool-starvation deadlock the PR 6
-        review caught (machine-checked as DDC102 now).
-
-        ``locked=True`` means the caller already holds ``tenant.lock``
-        and this session takes ownership of it (released on
-        commit/abort, or here on failure).  The server uses this: it
-        waits for the lock on the event loop so a blocked ``open``
-        never occupies a fleet thread, then runs the (lock-free) heavy
-        part — warm start — on the pool.
+        Takes no lock: the caller runs one session of a tenant at a
+        time (the server holds ``Tenant.lock`` across the session).
+        A failed open leaves the session ``new``.
         """
         if self._state != "new":
-            if locked:  # ownership transferred on entry; give it back
-                self.tenant.lock.release()
             raise SessionClosed(f"cannot open a session in state {self._state!r}")
-        if not locked and not self.tenant.lock.acquire(timeout=self.open_wait):
-            raise TenantBusy(self.tenant.tenant_id, self.open_wait)
-        try:
-            self.tenant.sessions_opened += 1
-            self.session_id = (
-                f"{self.tenant.tenant_id}-{self.tenant.sessions_opened:04d}"
-            )
-            dedup_cls = resolve(self.algorithm)
-            dedup = dedup_cls(self.config, backend=self.tenant.view)
-            dedup.warm_start()
-            # Some path's newest store id carries the newest generation:
-            # only the first open (or first after an abort) reads the store.
-            gens = [split_store_id(i)[0] for i in self.tenant.files.latest().values()]
-            self.generation = max(gens, default=-1) + 1
-            # The trace file opens last, so a failed open leaves none.
-            tel = Telemetry(
-                sinks=(
-                    [JsonlTraceSink(str(self._trace_dir / f"trace-{self.session_id}.jsonl"))]
-                    if self._trace_dir is not None
-                    else []
-                ),
-                heartbeat=self._heartbeat,
-                trace_id=self._trace_id,
-                origin=f"server {self.session_id}",
-            )
-            dedup.telemetry = tel
-            dedup.ingest_observer = _QuotaObserver(self)
-            self._dedup = dedup
-            self._telemetry = tel
-            if tel.tracing:
-                attrs = {
-                    "tenant": self.tenant.tenant_id,
-                    "session": self.session_id,
-                    "generation": self.generation,
-                }
-                if self._parent_ref:
-                    attrs["remote_parent"] = self._parent_ref
-                root = tel.span("session", **attrs)
-                if isinstance(root, Span):
-                    self._root_span = root.__enter__()
-        except BaseException:
-            self.tenant.lock.release()
-            raise
+        self.tenant.sessions_opened += 1
+        self.session_id = f"{self.tenant.tenant_id}-{self.tenant.sessions_opened:04d}"
+        dedup_cls = resolve(self.algorithm)
+        dedup = dedup_cls(self.config, backend=self.tenant.view)
+        dedup.warm_start()
+        # Some path's newest store id carries the newest generation:
+        # only the first open (or first after an abort) reads the store.
+        gens = [split_store_id(i)[0] for i in self.tenant.files.latest().values()]
+        self.generation = max(gens, default=-1) + 1
+        # The trace file opens last, so a failed open leaves none.
+        tel = Telemetry(
+            sinks=(
+                [JsonlTraceSink(str(self._trace_dir / f"trace-{self.session_id}.jsonl"))]
+                if self._trace_dir is not None
+                else []
+            ),
+            heartbeat=self._heartbeat,
+            trace_id=self._trace_id,
+            origin=f"server {self.session_id}",
+        )
+        dedup.telemetry = tel
+        dedup.ingest_observer = _QuotaObserver(self)
+        self._dedup = dedup
+        self._telemetry = tel
+        if tel.tracing:
+            attrs = {
+                "tenant": self.tenant.tenant_id,
+                "session": self.session_id,
+                "generation": self.generation,
+            }
+            if self._parent_ref:
+                attrs["remote_parent"] = self._parent_ref
+            root = tel.span("session", **attrs)
+            if isinstance(root, Span):
+                self._root_span = root.__enter__()
         self._state = "open"
         self.tenant.inc_metric("service_sessions_opened")
         return self
@@ -260,8 +236,8 @@ class DedupSession:
         Thread-safe and stack-free (a closed span parented on the
         session root), so the server can report the waits it absorbs on
         the session's behalf while a fleet thread owns the span stack:
-        ``wait.tenant_lock`` (the open's wait for the tenant lock,
-        reported once :meth:`open` returns), ``wait.rate`` (the
+        ``wait.tenant_lock`` (the server's wait for the tenant lock
+        before :meth:`open`, reported once it returns), ``wait.rate`` (the
         rate-limit sleep), ``wait.queue`` (a put waiting for room in its
         connection's FIFO) and ``wait.lane`` (a queued write waiting
         behind the connection's earlier writes and for a fleet thread).
@@ -332,7 +308,7 @@ class DedupSession:
         return file.file_id
 
     def commit(self) -> DedupStats:
-        """Finalize the run, fold its metrics into the tenant's, unlock."""
+        """Finalize the run and fold its metrics into the tenant's."""
         dedup = self._require_open()
         tel = self._telemetry
         try:
@@ -353,7 +329,6 @@ class DedupSession:
         self._state = "committed"
         self._dedup = None
         self.tenant.files.add(self._written)
-        self.tenant.lock.release()
         return stats
 
     def abort(self) -> RecoveryReport:
@@ -375,7 +350,6 @@ class DedupSession:
         finally:
             self.tenant.files.drop()
             self.tenant.inc_metric("service_sessions_aborted")
-            self.tenant.lock.release()
         return self.recovery
 
     def close(self) -> None:

@@ -18,9 +18,10 @@ renders with ``tenant`` labels.
 
 **Thread safety.**  The registry's own table is locked, and the
 explicitly-locked pieces of tenant state —
-:class:`~repro.service.quotas.QuotaLedger`,
-:class:`~repro.service.quotas.TokenBucket`, ``Tenant.lock`` — are safe
-to touch from any thread.  The per-tenant
+:class:`~repro.service.quotas.QuotaLedger` and
+:class:`~repro.service.quotas.TokenBucket` — are safe to touch from
+any thread.  ``Tenant.lock`` is an :class:`asyncio.Lock`: only the
+server's event loop takes and releases it.  The per-tenant
 :class:`~repro.obs.metrics.MetricsRegistry` is *not* internally locked
 (by design: it is the same lock-free registry the dedup core uses
 process-locally), so every shared-tenant-registry access
@@ -33,6 +34,7 @@ snapshots, never from the live registry.
 
 from __future__ import annotations
 
+import asyncio
 import re
 import threading
 from collections.abc import Iterator
@@ -152,8 +154,8 @@ class TenantFiles:
         """The newest generation of ``path``: its size and its bytes in
         pieces; ``KeyError`` (here, not on the first piece) if unknown.
 
-        Reads only the store — no deduplicator needed, which is how the
-        service restores without holding the tenant's session lock.
+        Reads only the store — no deduplicator and no session, so a
+        ``get`` never waits for the tenant's session lock.
         """
         try:
             store_id = self.latest()[path]
@@ -172,11 +174,13 @@ class TenantFiles:
 class Tenant:
     """One tenant's control-plane state.
 
-    ``lock`` serialises sessions: the store layout (container ids
-    derived from file ids, warm-started RAM indexes) assumes one writer
-    per tenant keyspace at a time, so concurrent sessions for one
-    tenant queue on this lock while sessions of *different* tenants
-    proceed in parallel.
+    ``lock`` serialises the server's sessions: the store layout
+    (container ids derived from file ids, warm-started RAM indexes)
+    assumes one writer per tenant keyspace at a time, so opens of one
+    tenant queue on this lock in arrival order while sessions of
+    *different* tenants proceed in parallel.  The server's event loop
+    takes it before a session opens and releases it once the session
+    has committed or aborted; nothing else touches it.
     """
 
     tenant_id: str
@@ -191,7 +195,7 @@ class Tenant:
     #: The registry itself is lock-free; never touch it directly from
     #: concurrent code — use the locked helpers below.
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
-    lock: threading.Lock = field(default_factory=threading.Lock)
+    lock: asyncio.Lock = field(default_factory=asyncio.Lock)
     #: Guards :attr:`metrics` (fleet threads increment while the
     #: event loop renders ``/metrics``).
     metrics_lock: threading.Lock = field(default_factory=threading.Lock)
@@ -258,13 +262,10 @@ class TenantRegistry:
         registered later gets the same object as its ``files``.
         """
         with self._lock:
-            return self._files_locked(tenant_id)
-
-    def _files_locked(self, tenant_id: str) -> TenantFiles:
-        files = self._files.get(tenant_id)
-        if files is None:
-            files = self._files[tenant_id] = TenantFiles(self.view(tenant_id))
-        return files
+            files = self._files.get(tenant_id)
+            if files is None:
+                files = self._files[tenant_id] = TenantFiles(self.view(tenant_id))
+            return files
 
     def register(
         self,
@@ -291,20 +292,19 @@ class TenantRegistry:
         recoverable from a deduplicated store, so the stored footprint
         is the honest (dedup-favouring) lower bound, and it makes a
         service restart strictly *more* permissive than the live
-        accounting, never less.
+        accounting, never less.  That store walk runs outside the
+        registry's lock, so it holds up no other tenant's lookups, and
+        the server runs a first registration on its fleet, not on the
+        event loop.
         """
         validate_tenant_id(tenant_id)
         with self._lock:
-            existing = self._tenants.get(tenant_id)
-            if existing is not None:
-                self._check_limit_conflict(
-                    existing, quota, rate_bytes, burst_bytes
-                )
-                return existing
+            tenant = self._tenants.get(tenant_id)
+        if tenant is None:
             view = self.view(tenant_id)
             stored = sum(view.bytes_stored(ns) for ns in view.namespaces())
             files = view.object_count("file_manifest")
-            tenant = Tenant(
+            new = Tenant(
                 tenant_id=tenant_id,
                 view=view,
                 ledger=QuotaLedger(
@@ -316,10 +316,12 @@ class TenantRegistry:
                     rate_bytes if rate_bytes is not None else self.default_rate_bytes,
                     burst_bytes if burst_bytes is not None else self.default_burst_bytes,
                 ),
-                files=self._files_locked(tenant_id),
+                files=self.files(tenant_id),
             )
-            self._tenants[tenant_id] = tenant
-            return tenant
+            with self._lock:  # a racing first registration may have won
+                tenant = self._tenants.setdefault(tenant_id, new)
+        self._check_limit_conflict(tenant, quota, rate_bytes, burst_bytes)
+        return tenant
 
     @staticmethod
     def _check_limit_conflict(
@@ -384,10 +386,12 @@ class TenantRegistry:
     def active_sessions(self) -> int:
         """How many tenants have a session open right now.
 
-        A tenant's session lock is held exactly while a session is
-        open (``DedupSession.open`` takes it, commit/abort release
-        it), so the held-lock count *is* the live session count — the
-        figure the server's heartbeat log line reports.
+        The server holds a tenant's session lock from before its
+        session opens until the session has committed or aborted, so
+        the held-lock count *is* the live session count — the figure
+        the server's heartbeat log line reports.  (``locked()`` only
+        reads a flag, so the fleet thread that logs a heartbeat may
+        call this.)
         """
         with self._lock:
             return sum(1 for t in self._tenants.values() if t.lock.locked())

@@ -89,6 +89,19 @@ def test_ddc006_exempt_in_base():
     assert run("ddc006_bad.py", "src/repro/core/base.py") == []
 
 
+def test_ddc101_follows_the_sync_helpers_a_coroutine_calls():
+    """A blocking wait one or two calls below a coroutine still stalls
+    the loop: DDC101 flags it in the service's sync helpers, and only
+    there."""
+    violations = run("ddc101_helper_bad.py", "src/repro/service/newloop.py")
+    assert {v.code for v in violations} == {"DDC101"}
+    assert sorted(v.message.split(" (in ")[1] for v in violations) == [
+        "'Handler._admit', a sync helper a coroutine calls)",
+        "'Handler._throttle', a sync helper a coroutine calls)",
+    ]
+    assert run("ddc101_helper_bad.py", "src/repro/analysis/report.py") == []
+
+
 def test_ddc102_needs_a_submission_site():
     """The same waits are legal when nothing routes them to the fleet."""
     source = (FIXTURES / "ddc102_bad.py").read_text()

@@ -10,6 +10,7 @@ import io
 import json
 import os
 import re
+import select
 import socket
 import threading
 import time
@@ -23,6 +24,7 @@ from repro.service import (
     DedupServer,
     DedupSession,
     QuotaExceeded,
+    QuotaLedger,
     RateLimited,
     ServiceClient,
     ServiceError,
@@ -411,6 +413,153 @@ class TestPoolStarvation:
             with harness.client() as client:
                 assert client.get("alice", "slow.img") == blob
         finally:
+            harness.stop()
+
+
+def fail_once(monkeypatch, cls, name):
+    """Make ``cls.name`` raise ``RuntimeError("boom")`` on its first call only."""
+    real = getattr(cls, name)
+    failed = []
+
+    def flaky(self, *args, **kwargs):
+        if not failed:
+            failed.append(name)
+            raise RuntimeError("boom")
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, flaky)
+
+
+def end_by_commit(harness, monkeypatch):
+    with harness.client() as client:
+        client.open("alice")
+        client.put("a.img", rand(8_000, 80))
+        client.commit()
+
+
+def end_by_abort(harness, monkeypatch):
+    with harness.client() as client:
+        client.open("alice")
+        client.put("a.img", rand(8_000, 81))
+        client.abort()
+
+
+def end_by_quota_cut_write(harness, monkeypatch):
+    # Skip the pre-check, so the ingest's own per-batch charge cuts
+    # the write off mid-stream and aborts the session.
+    monkeypatch.setattr(QuotaLedger, "check_admit", lambda self, tenant_id, nbytes: None)
+    with harness.client() as client:
+        client.open("alice", max_bytes=10_000)
+        with pytest.raises(QuotaExceeded):
+            client.put("big.img", rand(40_000, 82))
+
+
+def end_by_failed_commit(harness, monkeypatch):
+    fail_once(monkeypatch, resolve("bf-mhd"), "finalize")
+    with harness.client() as client:
+        client.open("alice")
+        client.put("a.img", rand(8_000, 83))
+        with pytest.raises(ServiceError, match="boom"):
+            client.commit()
+
+
+def end_by_disconnect(harness, monkeypatch):
+    sock = socket.create_connection(("127.0.0.1", harness.port), timeout=10)
+    rfile = sock.makefile("rb")
+    sock.sendall(json.dumps({"op": "open", "tenant": "alice"}).encode() + b"\n")
+    assert json.loads(rfile.readline())["ok"]
+    sock.sendall(json.dumps({"op": "put", "path": "torn.img", "size": 50_000}).encode() + b"\n")
+    sock.sendall(rand(20_000, 84))
+    rfile.close()
+    sock.shutdown(socket.SHUT_RDWR)
+    sock.close()
+
+
+def end_by_failed_open(harness, monkeypatch):
+    fail_once(monkeypatch, resolve("bf-mhd"), "warm_start")
+    with harness.client() as client, pytest.raises(ServiceError, match="boom"):
+        client.open("alice")
+
+
+class SlowNamespaces(DirectoryBackend):
+    """A store whose namespace listing takes a second."""
+
+    def namespaces(self):
+        time.sleep(1.0)
+        return super().namespaces()
+
+
+class TestTenantOpen:
+    """The loop queues a busy tenant's opens on its lock in arrival
+    order, every way a session ends gives the lock back, and nothing
+    an open does stalls the loop."""
+
+    @pytest.mark.parametrize(
+        ("end", "sessions"),
+        [
+            pytest.param(end_by_commit, 1, id="commit"),
+            pytest.param(end_by_abort, 1, id="abort"),
+            pytest.param(end_by_quota_cut_write, 1, id="quota_cut_write"),
+            pytest.param(end_by_failed_commit, 1, id="failed_commit"),
+            pytest.param(end_by_disconnect, 1, id="disconnect"),
+            pytest.param(end_by_failed_open, 0, id="failed_open"),
+        ],
+    )
+    def test_every_session_end_releases_the_tenant(self, tmp_path, monkeypatch, end, sessions):
+        harness = ServerHarness(tmp_path, open_wait=5.0)
+        try:
+            end(harness, monkeypatch)
+            t0 = time.monotonic()
+            with harness.client() as client:
+                client.open("alice")  # would wait out a kept lock, then refuse busy
+                assert time.monotonic() - t0 < 1.0
+                client.abort()
+            assert harness.server.registry.active_sessions() == 0
+            # Each session that opened reported its outcome exactly once.
+            slo = harness.server.slo.snapshot()["tenants"]["alice"]
+            assert slo["latency"]["count"] == sessions + 1
+        finally:
+            harness.stop()
+
+    def test_busy_tenant_waiters_are_granted_in_arrival_order(self, tmp_path):
+        harness = ServerHarness(tmp_path, open_wait=30.0)
+        a, b, c = harness.client(), harness.client(), harness.client()
+        try:
+            a.open("alice")
+            b._send({"op": "open", "tenant": "alice"})
+            time.sleep(0.2)
+            c._send({"op": "open", "tenant": "alice"})
+            time.sleep(0.2)  # both opens now wait for alice's lock
+            a.commit()
+            assert b._recv()["ok"]
+            readable, _, _ = select.select([c._sock], [], [], 0.3)
+            assert not readable, "c was granted the lock while b held it"
+            b.commit()
+            assert c._recv()["ok"]
+            c.abort()
+        finally:
+            for client in (a, b, c):
+                client.close()
+            harness.stop()
+
+    def test_first_registration_walks_the_store_off_the_loop(self, tmp_path):
+        """A new tenant's ledger is seeded from a walk of the store; a
+        walk on the event loop would stall every other connection."""
+        harness = ServerHarness(tmp_path, backend=SlowNamespaces(tmp_path / "store"))
+        opener = harness.client()
+        try:
+            with harness.client() as pinger:
+                opening = threading.Thread(target=opener.open, args=("alice",))
+                opening.start()
+                time.sleep(0.2)  # the open is registering alice now
+                t0 = time.monotonic()
+                assert pinger.ping()
+                assert time.monotonic() - t0 < 0.3
+            opening.join(timeout=30)
+            assert not opening.is_alive()
+            opener.abort()
+        finally:
+            opener.close()
             harness.stop()
 
 

@@ -18,7 +18,6 @@ from repro.service import (
     QuotaExceeded,
     RateLimited,
     SessionClosed,
-    TenantBusy,
     TenantFiles,
     TenantQuota,
     TenantRegistry,
@@ -78,35 +77,6 @@ class TestLifecycle:
         session.commit()
         with pytest.raises(SessionClosed):
             session.write("b", b"y" * 2000)
-
-    def test_sessions_serialize_per_tenant(self, registry):
-        tenant = registry.register("alice")
-        with DedupSession(tenant, config=CFG) as first:
-            first.write("a", b"x" * 2000)
-            # The tenant lock is held: a second open() would block, which
-            # we can observe without deadlocking via the lock itself.
-            assert tenant.lock.locked()
-        assert not tenant.lock.locked()
-
-    def test_open_refuses_busy_tenant_after_open_wait(self, registry):
-        """open() waits a *bounded* time for the tenant lock, then
-        refuses with TenantBusy — never an unbounded acquire (the PR 6
-        pool-starvation shape, now also machine-checked as DDC102)."""
-        tenant = registry.register("alice")
-        tenant.lock.acquire()  # another session of this tenant is live
-        try:
-            session = DedupSession(tenant, config=CFG, open_wait=0.05)
-            with pytest.raises(TenantBusy) as exc_info:
-                session.open()
-            assert exc_info.value.tenant_id == "alice"
-            assert session.state == "new"  # refusal leaves it reopenable
-            assert tenant.lock.locked()  # the holder keeps the lock
-        finally:
-            tenant.lock.release()
-        # Once the holder is gone the same session opens fine.
-        session.open()
-        session.write("a", b"x" * 2000)
-        session.commit()
 
     def test_context_manager_aborts_on_error(self, registry):
         tenant = registry.register("alice")
@@ -380,22 +350,6 @@ class TestLoopSideAdmission:
         # Tokens were given back: a payable reservation still succeeds.
         assert session.admit(50) == pytest.approx(0.0, abs=0.6)
         session.abort()
-
-    def test_open_locked_takes_ownership_of_preacquired_lock(self, registry):
-        tenant = registry.register("carol")
-        tenant.lock.acquire()
-        session = DedupSession(tenant, config=CFG).open(locked=True)
-        assert tenant.lock.locked()
-        session.write("a", b"x" * 2000)
-        session.commit()
-        assert not tenant.lock.locked()
-
-    def test_open_locked_releases_on_failure(self, registry):
-        tenant = registry.register("dave")
-        tenant.lock.acquire()
-        with pytest.raises(ValueError, match="unknown algorithm"):
-            DedupSession(tenant, algorithm="nope", config=CFG).open(locked=True)
-        assert not tenant.lock.locked()
 
 
 class TestRateLimit:

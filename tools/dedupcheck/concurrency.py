@@ -10,7 +10,8 @@ docstrings and review memory:
 ======  ==============================================================
 DDC101  coroutines never block the event loop (no ``time.sleep``,
         sync sockets/file I/O, untimed lock acquires, ``subprocess``
-        or ``requests``-style calls inside ``async def``)
+        or ``requests``-style calls inside ``async def``, nor in the
+        service's sync helpers a coroutine calls)
 DDC102  fleet threads never *wait*: functions reachable from a
         fleet-pool submission (``submit``, ``run_in_executor``, a
         write queued on a connection's FIFO) may not block on
@@ -25,8 +26,9 @@ DDC106  protocol handlers never except-and-drop: every caught error
 ======  ==============================================================
 
 Every rule decides applicability from the posix-normalised path, like
-the DDC0xx pack; DDC102 additionally consults the
-:class:`~tools.dedupcheck.engine.ProjectContext` fleet call graph.
+the DDC0xx pack; DDC101 and DDC102 additionally consult the
+:class:`~tools.dedupcheck.engine.ProjectContext` call graph (what the
+event loop runs, what the fleet runs).
 """
 
 from __future__ import annotations
@@ -89,11 +91,15 @@ def _body_walk(node: ast.AST) -> Iterator[ast.AST]:
 
 
 def _awaited_calls(func: ast.AST) -> set[int]:
-    """ids of Call nodes that sit directly under an ``await``."""
+    """ids of Call nodes an ``await`` waits on: the call directly under
+    it, or the one it bounds as ``await asyncio.wait_for(call, timeout)``."""
     awaited: set[int] = set()
     for node in ast.walk(func):
         if isinstance(node, ast.Await) and isinstance(node.value, ast.Call):
-            awaited.add(id(node.value))
+            call = node.value
+            awaited.add(id(call))
+            if _tail(call.func) == "wait_for" and call.args:
+                awaited.add(id(call.args[0]))
     return awaited
 
 
@@ -115,19 +121,22 @@ class NoBlockingInCoroutine:
     any ``async def`` (not its nested sync helpers): ``time.sleep``,
     synchronous socket construction/connection, sync file ``open``,
     un-awaited ``.acquire()`` without a timeout, ``subprocess`` use
-    and ``requests``/``urllib`` HTTP calls.
+    and ``requests``/``urllib`` HTTP calls.  The same ban covers the
+    sync functions under ``repro/service/`` that a coroutine calls,
+    directly or through each other (``DedupSession.admit``,
+    ``TokenBucket.reserve`` …): they run on the loop too.
     """
 
     code = "DDC101"
-    summary = "blocking call inside a coroutine (async def)"
+    summary = "blocking call on the event loop (a coroutine or a service helper it calls)"
     needs_context = True
 
     #: (receiver-or-module, attr) calls that park the calling thread.
     _BLOCKING_ATTRS = {
         ("time", "sleep"): "time.sleep() blocks the event loop; use asyncio.sleep",
-        ("socket", "socket"): "sync socket in a coroutine; use asyncio streams",
+        ("socket", "socket"): "sync socket on the event loop; use asyncio streams",
         ("socket", "create_connection"): (
-            "sync connect in a coroutine; use asyncio.open_connection"
+            "sync connect on the event loop; use asyncio.open_connection"
         ),
         ("subprocess", "run"): (
             "subprocess.run() blocks; use asyncio.create_subprocess_exec"
@@ -141,23 +150,28 @@ class NoBlockingInCoroutine:
         ("subprocess", "call"): (
             "subprocess.call() blocks; use asyncio subprocesses"
         ),
-        ("requests", "get"): "sync HTTP in a coroutine",
-        ("requests", "post"): "sync HTTP in a coroutine",
-        ("requests", "request"): "sync HTTP in a coroutine",
-        ("urllib", "urlopen"): "sync HTTP in a coroutine",
-        ("request", "urlopen"): "sync HTTP in a coroutine",
+        ("requests", "get"): "sync HTTP on the event loop",
+        ("requests", "post"): "sync HTTP on the event loop",
+        ("requests", "request"): "sync HTTP on the event loop",
+        ("urllib", "urlopen"): "sync HTTP on the event loop",
+        ("request", "urlopen"): "sync HTTP on the event loop",
     }
 
     def check(
         self, tree: ast.Module, path: str, ctx: FileContext
     ) -> Iterator[Violation]:
-        """Scan every ``async def`` body for blocking primitives."""
+        """Scan every ``async def`` body, and every loop-run sync
+        helper defined here, for blocking primitives."""
         for node in ast.walk(tree):
             if isinstance(node, ast.AsyncFunctionDef):
-                yield from self._check_coroutine(node, path, ctx)
+                yield from self._check_body(node, path, ctx, f"coroutine {node.name!r}")
+        for info in ctx.project.loop_functions():
+            if info.path == path:
+                where = f"{info.qualname!r}, a sync helper a coroutine calls"
+                yield from self._check_body(info.node, path, ctx, where)
 
-    def _check_coroutine(
-        self, func: ast.AsyncFunctionDef, path: str, ctx: FileContext
+    def _check_body(
+        self, func: ast.AST, path: str, ctx: FileContext, where: str
     ) -> Iterator[Violation]:
         awaited = _awaited_calls(func)
         for node in _body_walk(func):
@@ -166,11 +180,7 @@ class NoBlockingInCoroutine:
             message = self._blocking_message(node, ctx, awaited)
             if message is not None:
                 yield Violation(
-                    path,
-                    node.lineno,
-                    node.col_offset,
-                    self.code,
-                    f"{message} (in coroutine {func.name!r})",
+                    path, node.lineno, node.col_offset, self.code, f"{message} (in {where})"
                 )
 
     def _blocking_message(
@@ -189,18 +199,18 @@ class NoBlockingInCoroutine:
                 and not _acquire_is_bounded(call)
             ):
                 return (
-                    "untimed blocking acquire() in a coroutine; await an "
+                    "untimed blocking acquire() on the event loop; await an "
                     "asyncio primitive or pass blocking=False/timeout="
                 )
             return None
         if isinstance(func, ast.Name):
             origin = ctx.from_imports.get(func.id, "")
             if func.id == "open" or origin == "builtins.open":
-                return "sync file open() in a coroutine; do file I/O on the fleet"
+                return "sync file open() on the event loop; do file I/O on the fleet"
             if origin in ("time.sleep",):
                 return "time.sleep() blocks the event loop; use asyncio.sleep"
             if origin in ("urllib.request.urlopen", "requests.get", "requests.post"):
-                return "sync HTTP in a coroutine"
+                return "sync HTTP on the event loop"
         return None
 
 

@@ -19,7 +19,9 @@ Two engine layers sit under the rules:
   ``loop.run_in_executor(pool, ...)``, the ``_run_in_fleet`` wrapper,
   ``puts.put_nowait(...)`` handing a write to a connection's FIFO,
   ``add_done_callback``), so concurrency rules can ask "does this
-  function run on a fleet thread?" across module boundaries.
+  function run on a fleet thread?" across module boundaries — and,
+  from the coroutines, "does this service helper run on the event
+  loop?"
 
 * **Suppressions.**  A source line may carry
   ``# ddc: ignore[DDC101]`` (comma-separate multiple codes) to
@@ -33,7 +35,7 @@ from __future__ import annotations
 import ast
 import os
 import re
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Protocol, Union
 
@@ -100,6 +102,10 @@ def _normalize(path: str) -> str:
 
 
 # -- analysis context ------------------------------------------------------
+
+#: Where the sync helpers that run on the event loop live: a coroutine
+#: reaching a function by name elsewhere is too loose an edge to police.
+_LOOP_HELPERS = "repro/service/"
 
 #: Callables whose *arguments* start running on a fleet/pool thread.
 #: ``submit`` and ``run_in_executor`` hand a callable to an executor;
@@ -190,12 +196,13 @@ class ProjectContext:
         #: Submitted lambdas (fleet roots with no name to look up).
         self.root_lambdas: list[FunctionInfo] = []
         self._reachable: set[int] | None = None
+        self._loop_reachable: set[int] | None = None
 
     # -- construction ----------------------------------------------------
 
     def add_module(self, tree: ast.Module, path: str) -> None:
         """Index one module's functions and fleet-submission sites."""
-        self._reachable = None
+        self._reachable = self._loop_reachable = None
         for info in self._collect_functions(tree, path):
             self.functions.setdefault(info.node.name, []).append(info)
         for node in ast.walk(tree):
@@ -260,6 +267,29 @@ class ProjectContext:
         ]
         return out
 
+    def loop_functions(self) -> list[FunctionInfo]:
+        """Sync functions under ``repro/service/`` that a coroutine
+        reaches by name, directly or through each other: the event
+        loop runs them."""
+        if self._loop_reachable is None:
+            coroutine_calls = [
+                name
+                for infos in self.functions.values()
+                for info in infos
+                if info.is_async
+                for name in info.calls
+            ]
+            self._loop_reachable = self._reach(
+                coroutine_calls,
+                lambda info: not info.is_async and _LOOP_HELPERS in info.path,
+            )
+        return [
+            info
+            for infos in self.functions.values()
+            for info in infos
+            if id(info.node) in self._loop_reachable
+        ]
+
     def is_fleet_reachable(self, node: _FunctionNode) -> bool:
         """Whether this def runs (transitively) on a fleet thread."""
         if self._reachable is None:
@@ -268,11 +298,18 @@ class ProjectContext:
         return id(node) in self._reachable
 
     def _compute_reachable(self) -> None:
-        reachable: set[int] = set()
         frontier: list[str] = list(self.root_names)
         for lam in self.root_lambdas:
-            reachable.add(id(lam.node))
             frontier.extend(lam.calls)
+        reachable = self._reach(frontier, lambda info: True)
+        self._reachable = reachable | {id(lam.node) for lam in self.root_lambdas}
+
+    def _reach(
+        self, frontier: list[str], follow: Callable[[FunctionInfo], bool]
+    ) -> set[int]:
+        """ids of the functions ``follow`` admits that the names in
+        ``frontier`` reach, through calls of admitted functions."""
+        reachable: set[int] = set()
         seen_names: set[str] = set()
         while frontier:
             name = frontier.pop()
@@ -280,11 +317,11 @@ class ProjectContext:
                 continue
             seen_names.add(name)
             for info in self.functions.get(name, ()):
-                if id(info.node) in reachable:
+                if id(info.node) in reachable or not follow(info):
                     continue
                 reachable.add(id(info.node))
                 frontier.extend(info.calls)
-        self._reachable = reachable
+        return reachable
 
 
 @dataclass
