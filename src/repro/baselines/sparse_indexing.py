@@ -29,9 +29,9 @@ from collections import Counter
 
 from ..chunking import VectorizedChunker
 from ..hashing import Digest, sha1
-from ..storage import FileManifest, allocate_id
+from ..storage import FileManifest
 from ..storage.disk_model import DiskModel
-from ..storage.multi_manifest import MultiEntry, MultiManifest, MultiManifestStore
+from ..storage.multi_manifest import MultiEntry, MultiManifest
 from ..workloads.machine import BackupFile
 from ..core.base import Deduplicator
 from ..core.manifest_cache import ManifestCache
@@ -68,8 +68,7 @@ class SparseIndexingDeduplicator(Deduplicator):
         # confirmation by disk look-up is needed").
         self.bloom = None
         self.chunker = VectorizedChunker(self.config.small_chunker_config())
-        self.multi_store = MultiManifestStore(self.backend, self.meter)
-        self.cache = ManifestCache(self.multi_store, self.config.cache_manifests)
+        self.cache = ManifestCache(self.manifests, self.config.cache_manifests)
         # The in-RAM sparse index: hook digest -> up to 5 manifest ids,
         # most recent last.
         self._sparse: dict[Digest, list[Digest]] = {}
@@ -119,7 +118,7 @@ class SparseIndexingDeduplicator(Deduplicator):
     def _dedup_segment(self, file_id: str, segment: list[tuple], fm: FileManifest) -> None:
         # One id names the segment's container and its manifest.
         first = sha1(f"{file_id}|seg{self._segment_serial}".encode())
-        seg_id = allocate_id(self.backend, first, DiskModel.CHUNK, DiskModel.MANIFEST)
+        seg_id = self.store.allocate_id(first, DiskModel.CHUNK, DiskModel.MANIFEST)
         self._segment_serial += 1
         hooks = [d for d, _ in segment if self._is_hook(d)]
 
@@ -147,7 +146,7 @@ class SparseIndexingDeduplicator(Deduplicator):
             fm.append(*extent)
         if writer is not None:
             writer.close()
-        self.multi_store.put(manifest)
+        self.manifests.put(manifest)
         self.cache.add(manifest)
         self.cache.reindex(manifest)
 
@@ -185,8 +184,7 @@ class SparseIndexingDeduplicator(Deduplicator):
         enumeration order.
         """
         count = super().warm_start()
-        for raw in sorted(self.backend.keys(DiskModel.HOOK)):
-            hook = Digest(raw)
+        for hook in sorted(self.store.ids(DiskModel.HOOK)):
             mid = self.hooks.get(hook)
             ids = self._sparse.setdefault(hook, [])
             if mid not in ids:

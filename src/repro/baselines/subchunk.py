@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from ..chunking import VectorizedChunker
 from ..hashing import Digest, sha1, sha1_many
-from ..storage import DiskModel, FileManifest, allocate_id, file_object_ids
-from ..storage.multi_manifest import MultiEntry, MultiManifest, MultiManifestStore
+from ..storage import DiskModel, FileManifest, file_object_ids
+from ..storage.multi_manifest import MultiEntry, MultiManifest
 from ..workloads.machine import BackupFile
 from ..core.base import Deduplicator
 from ..core.manifest_cache import ManifestCache
@@ -46,8 +46,7 @@ class SubChunkDeduplicator(Deduplicator):
         super().__init__(config, backend)
         self.big_chunker = VectorizedChunker(self.config.big_chunker_config())
         self.small_chunker = VectorizedChunker(self.config.small_chunker_config())
-        self.multi_store = MultiManifestStore(self.backend, self.meter)
-        self.cache = ManifestCache(self.multi_store, self.config.cache_manifests)
+        self.cache = ManifestCache(self.manifests, self.config.cache_manifests)
         # Big-chunk identity index: big digest -> the extent list that
         # reconstructs it.  Kept in RAM (the SYSTOR design's index);
         # each probe is metered as an on-disk query per Table II.
@@ -61,7 +60,7 @@ class SubChunkDeduplicator(Deduplicator):
 
     def _begin_file(self, file: BackupFile) -> None:
         _, first = file_object_ids(file.file_id)
-        manifest = MultiManifest(allocate_id(self.backend, first, DiskModel.MANIFEST))
+        manifest = MultiManifest(self.store.allocate_id(first, DiskModel.MANIFEST))
         self.cache.discard(manifest.manifest_id)  # an earlier ingest's, empty and unwritten
         self.cache.add(manifest, pin=True)
         self._manifest = manifest
@@ -83,7 +82,7 @@ class SubChunkDeduplicator(Deduplicator):
     def _end_file(self) -> None:
         manifest = self._manifest
         if manifest.entries:
-            self.multi_store.put(manifest)
+            self.manifests.put(manifest)
             # One Hook per manifest (the paper's conservative allocation).
             self.hooks.put(manifest.entries[0].digest, manifest.manifest_id)
         self.cache.reindex(manifest)
@@ -110,7 +109,7 @@ class SubChunkDeduplicator(Deduplicator):
         small_chunks = self.small_chunker.chunk(big.data)
         self.cpu.chunked += big.size
         first = sha1(big_digest + self._container_serial.to_bytes(8, "little"))
-        container_id = allocate_id(self.backend, first, DiskModel.CHUNK)
+        container_id = self.store.allocate_id(first, DiskModel.CHUNK)
         self._container_serial += 1
         writer = None
         extents: list[tuple[Digest, int, int]] = []

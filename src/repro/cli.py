@@ -63,16 +63,17 @@ from typing import BinaryIO
 
 from .analysis import DeviceModel, format_table
 from .storage import (
+    INODE_SIZE,
+    KINDS,
     DirectoryBackend,
-    DiskChunkStore,
     DiskModel,
     FaultInjectingBackend,
-    FileManifestStore,
     MemoryBackend,
     RetentionPolicy,
     RetryingBackend,
     RetryPolicy,
     StorageBackend,
+    Store,
     apply_retention,
     delete_file,
     recover,
@@ -282,11 +283,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_restore(args) -> int:
-    backend = DirectoryBackend(args.store_dir)
-    meter = DiskModel()
-    file_manifests = FileManifestStore(backend, meter)
-    chunks = DiskChunkStore(backend, meter)
-    ids = file_manifests.list_ids()
+    store = Store(DirectoryBackend(args.store_dir))
+    ids = store.file_manifests.list_ids()
     if args.list:
         for file_id in ids:
             print(file_id)
@@ -299,7 +297,7 @@ def cmd_restore(args) -> int:
         return 1
     for file_id in targets:
         with _restore_to(args.output_dir, file_id) as fh:
-            fh.writelines(file_manifests.get(file_id).iter_restore(chunks))
+            fh.writelines(store.file_manifests.get(file_id).iter_restore(store.chunks))
     print(f"restored {len(targets)} files to {args.output_dir}")
     return 0
 
@@ -373,13 +371,10 @@ def cmd_trace(args) -> int:
 def cmd_inspect(args) -> int:
     from .hashing import hex_short
     from .storage import Manifest
-    from .storage.verify import load_manifest
 
-    backend = DirectoryBackend(args.store_dir)
-    meter = DiskModel()
-    fm_store = FileManifestStore(backend, meter)
+    store = Store(DirectoryBackend(args.store_dir))
     try:
-        fm = fm_store.get(args.file)
+        fm = store.file_manifests.get(args.file)
     except KeyError:
         print(f"{args.file!r} not in store", file=sys.stderr)
         return 1
@@ -396,8 +391,8 @@ def cmd_inspect(args) -> int:
     # Show the manifests that describe the touched containers.
     touched = {e.container_id for e in fm.extents}
     shown = 0
-    for key in backend.keys(DiskModel.MANIFEST):
-        manifest = load_manifest(backend.get(DiskModel.MANIFEST, key))
+    for key in store.ids(DiskModel.MANIFEST):
+        manifest = store.manifests.get(key)
         if isinstance(manifest, Manifest):
             containers = {manifest.chunk_id}
         else:
@@ -475,38 +470,35 @@ def cmd_gen_corpus(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    backend = DirectoryBackend(args.store_dir)
-    from .storage import INODE_SIZE
-
-    namespaces = [DiskModel.CHUNK, DiskModel.MANIFEST, DiskModel.HOOK, DiskModel.FILE_MANIFEST]
-    rows = []
-    for ns in namespaces:
-        count = backend.object_count(ns)
-        payload = backend.bytes_stored(ns)
-        rows.append([ns, f"{count:,}", f"{payload:,} B", f"{count * INODE_SIZE:,} B"])
+    store = Store(DirectoryBackend(args.store_dir))
+    usage = {kind: store.usage(kind) for kind in KINDS}
+    rows = [
+        [kind, f"{u.objects:,}", f"{u.nbytes:,} B", f"{u.objects * INODE_SIZE:,} B"]
+        for kind, u in usage.items()
+    ]
     print(format_table(["namespace", "objects", "payload", "inode bytes"], rows,
                        title=f"store {args.store_dir}"))
-    # The table's namespaces only: quarantined objects and other
-    # prefixes (a service store's tenants) are not this store's metadata.
-    data = backend.bytes_stored(DiskModel.CHUNK)
-    meta = backend.total_stored(namespaces) - data
+    # The table's kinds only: quarantined objects and other prefixes
+    # (a service store's tenants) are not this store's metadata.
+    data = usage[DiskModel.CHUNK].nbytes
+    meta = sum(u.nbytes + u.objects * INODE_SIZE for u in usage.values()) - data
     print(f"chunk data {data:,} B; metadata (incl. inodes) {meta:,} B")
     if args.fsck:
-        report = verify_store(backend, check_entry_hashes=True)
+        report = verify_store(store, check_entry_hashes=True)
         print(report.summary())
         return 0 if report.ok else 1
     return 0
 
 
 def cmd_fsck(args) -> int:
-    backend = DirectoryBackend(args.store_dir)
+    store = Store(DirectoryBackend(args.store_dir))
     if not args.repair:
-        report = verify_store(backend, deep=True, check_entry_hashes=args.check_hashes)
+        report = verify_store(store, deep=True, check_entry_hashes=args.check_hashes)
         print(report.summary())
         for err in report.errors[:20]:
             print(f"  {err}", file=sys.stderr)
         return 0 if report.ok else 1
-    rep = recover(backend, check_hashes=args.check_hashes)
+    rep = recover(store, check_hashes=args.check_hashes)
     print(rep.summary())
     for action in rep.actions:
         print(f"  {action}")
@@ -520,9 +512,8 @@ def cmd_fsck(args) -> int:
 def cmd_gc(args) -> int:
     import fnmatch
 
-    backend = DirectoryBackend(args.store_dir)
-    meter = DiskModel()
-    ids = FileManifestStore(backend, meter).list_ids()
+    store = Store(DirectoryBackend(args.store_dir))
+    ids = store.file_manifests.list_ids()
     victims = [
         file_id
         for file_id in ids
@@ -533,19 +524,19 @@ def cmd_gc(args) -> int:
         return 1
     if args.keep_last is not None:
         policy = RetentionPolicy(keep_last=args.keep_last, keep_every=args.keep_every)
-        expired, report = apply_retention(backend, ids, policy)
+        expired, report = apply_retention(store, ids, policy)
         for file_id in victims:
-            delete_file(backend, file_id)
+            delete_file(store, file_id)
         for file_id in expired + victims:
             print(f"deleted {file_id}")
-        report = sweep(backend) if victims else report
+        report = sweep(store) if victims else report
     else:
         for file_id in victims:
-            delete_file(backend, file_id)
+            delete_file(store, file_id)
             print(f"deleted {file_id}")
-        report = sweep(backend)
+        report = sweep(store)
     print(report.summary())
-    check = verify_store(backend)
+    check = verify_store(store)
     print(check.summary())
     return 0 if check.ok else 1
 

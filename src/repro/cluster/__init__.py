@@ -21,15 +21,13 @@ from .fingerprint import hooks_of, representative, route_segment, routing_key
 from .fleet import FleetResult, ShardResult, dedup_sharded, fleet_result, shard_by_machine
 from .rebalance import RebalanceReport, hottest_shard, split_shard
 from .ring import DEFAULT_VNODES, HashRing
-from .router import (
+from ..storage.cluster_recipe import (
     META_NAMESPACE,
     RECIPE_NAMESPACE,
-    ClusterConfig,
-    ClusterError,
     ClusterRecipe,
-    ClusterRouter,
     SegmentPlacement,
 )
+from .router import ClusterConfig, ClusterError, ClusterRouter
 from .worker import SHARD_PREFIX, ShardWorker, shard_prefix, validate_worker_name
 
 __all__ = [

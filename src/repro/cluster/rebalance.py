@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .router import ClusterRouter, SegmentPlacement
+from ..storage.cluster_recipe import SegmentPlacement
+from .router import ClusterRouter
 
 __all__ = ["RebalanceReport", "hottest_shard", "split_shard"]
 
@@ -91,8 +92,8 @@ def split_shard(
     moved_segments = 0
     moved_bytes = 0
     recipes_updated = 0
-    for file_id in router.recipe_ids():
-        recipe = router.get_recipe(file_id)
+    for file_id in router.store.recipes.file_ids():
+        recipe = router.store.recipes.get(file_id)
         changed = False
         updated: list[SegmentPlacement] = []
         for placement in recipe.segments:
@@ -115,7 +116,7 @@ def split_shard(
             else:
                 updated.append(placement)
         if changed:
-            router.put_recipe(
+            router.store.recipes.put(
                 type(recipe)(file_id=recipe.file_id, segments=tuple(updated))
             )
             recipes_updated += 1

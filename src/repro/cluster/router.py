@@ -13,15 +13,12 @@ into one deduplicating system:
    :func:`repro.storage.recover.recover`, the worker is respawned over
    the surviving objects, and the segment, still in the router's RAM,
    is ingested again;
-3. a **cluster recipe** (namespace ``cluster.recipe``) maps each file
-   to its ordered segment placements and is written only after every
-   segment is acknowledged, so a coordinator that dies mid-push leaves
-   no recipe and the client pushes the file again.  Restore streams
-   the per-worker segment restores in order.  The recipe also pins
-   each segment's canonical
-   :func:`~repro.cluster.fingerprint.routing_key` so the rebalancer
-   can re-evaluate placement after ring changes without re-reading
-   data.
+3. a **cluster recipe** (:mod:`repro.storage.cluster_recipe`, kept in
+   the router's :class:`~repro.storage.Store`) maps each file to its
+   segment placements and routing keys.  It is written only after
+   every segment is acknowledged, so a coordinator that dies mid-push
+   leaves no recipe and the client pushes the file again.  Restore
+   streams the per-worker segment restores in order.
 
 Each segment's chunk sizes and digests travel with its bytes to every
 worker that cuts like the router, so each byte is chunked and hashed
@@ -33,16 +30,16 @@ by-machine fleet (:func:`~repro.cluster.fleet.dedup_sharded`) reports.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from ..analysis.timing import DeviceModel
 from ..chunking import Chunk, VectorizedChunker
 from ..core.config import DedupConfig
-from ..hashing import Digest, sha1, sha1_many
+from ..hashing import Digest, sha1_many
 from ..obs import MetricsRegistry
-from ..storage import StorageBackend
+from ..storage import StorageBackend, Store
+from ..storage.cluster_recipe import ClusterRecipe, SegmentPlacement
 from ..storage.verify import IntegrityReport
 from ..workloads.machine import BackupFile
 from .fingerprint import hooks_of, route_segment, routing_key
@@ -50,22 +47,7 @@ from .fleet import FleetResult, fleet_result
 from .ring import HashRing
 from .worker import ShardWorker
 
-__all__ = [
-    "META_NAMESPACE",
-    "RECIPE_NAMESPACE",
-    "ClusterConfig",
-    "ClusterError",
-    "ClusterRecipe",
-    "ClusterRouter",
-    "SegmentPlacement",
-]
-
-#: Shared-backend namespaces owned by the coordinator (never prefixed
-#: under a shard, so worker recovery sweeps cannot touch them).
-RECIPE_NAMESPACE = "cluster.recipe"
-META_NAMESPACE = "cluster.meta"
-
-_MEMBERS_KEY = sha1(b"cluster|members")
+__all__ = ["ClusterConfig", "ClusterError", "ClusterRouter"]
 
 
 class ClusterError(RuntimeError):
@@ -91,57 +73,6 @@ class ClusterConfig:
         return self.segment_bytes or self.dedup.segment_bytes
 
 
-@dataclass(frozen=True)
-class SegmentPlacement:
-    """One segment of a file: where it lives and how it routes."""
-
-    node: str
-    segment_id: str
-    size: int
-    #: Canonical routing key (:func:`repro.cluster.fingerprint.routing_key`);
-    #: the rebalancer re-routes this digest after ring changes.
-    fingerprint: Digest
-
-
-@dataclass(frozen=True)
-class ClusterRecipe:
-    """A file's ordered segment placements (the cluster restore map)."""
-
-    file_id: str
-    segments: tuple[SegmentPlacement, ...]
-
-    @property
-    def size(self) -> int:
-        """Total file size (the sum of its segment sizes)."""
-        return sum(s.size for s in self.segments)
-
-    def to_bytes(self) -> bytes:
-        """Serialise to the canonical JSON form stored on the backend."""
-        payload = {
-            "file": self.file_id,
-            "segments": [
-                [p.node, p.segment_id, p.size, p.fingerprint.hex()]
-                for p in self.segments
-            ],
-        }
-        return json.dumps(payload, sort_keys=True).encode()
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> ClusterRecipe:
-        """Parse a recipe previously written by :meth:`to_bytes`."""
-        payload = json.loads(raw.decode())
-        segments = tuple(
-            SegmentPlacement(node, seg_id, int(size), Digest(bytes.fromhex(fp)))
-            for node, seg_id, size, fp in payload["segments"]
-        )
-        return cls(file_id=payload["file"], segments=segments)
-
-    @staticmethod
-    def key_for(file_id: str) -> Digest:
-        """The backend key a file's recipe is stored under."""
-        return sha1(b"recipe|" + file_id.encode())
-
-
 class ClusterRouter:
     """Coordinator over a ring of shard workers on one shared backend."""
 
@@ -154,6 +85,8 @@ class ClusterRouter:
         view_factory: Callable[[str, StorageBackend], StorageBackend] | None = None,
     ) -> None:
         self.backend = backend
+        #: The coordinator's objects (recipes, membership) on the shared backend.
+        self.store = Store(backend)
         self.config = config or ClusterConfig()
         self.device = device or DeviceModel()
         #: Test seam: wraps a worker's shard view (fault injection).
@@ -164,7 +97,7 @@ class ClusterRouter:
         self._crashes: dict[str, int] = {}
         self._finalized = False
 
-        persisted = self._load_members()
+        persisted = self.store.recipes.members()
         if persisted is not None:
             names = persisted  # warm restart: membership is durable state
         elif isinstance(workers, int):
@@ -187,7 +120,7 @@ class ClusterRouter:
             for w in self.workers.values():
                 w.recover()
                 w.warm_start()
-        self._save_members()
+        self.store.recipes.save_members(list(self.workers))
         self._update_ring_metrics()
 
     # -- membership ------------------------------------------------------
@@ -203,16 +136,6 @@ class ClusterRouter:
             view=view,
         )
 
-    def _load_members(self) -> list[str] | None:
-        if not self.backend.exists(META_NAMESPACE, _MEMBERS_KEY):
-            return None
-        names = json.loads(self.backend.get(META_NAMESPACE, _MEMBERS_KEY).decode())
-        return [str(n) for n in names]
-
-    def _save_members(self) -> None:
-        raw = json.dumps(sorted(self.workers), sort_keys=True).encode()
-        self.backend.put(META_NAMESPACE, _MEMBERS_KEY, raw)
-
     def add_worker(self, name: str) -> ShardWorker:
         """Join a new worker (an empty shard) to the ring."""
         if name in self.workers:
@@ -220,7 +143,7 @@ class ClusterRouter:
         worker = self._make_worker(name)
         self.workers[name] = worker
         self.ring.add_node(name)
-        self._save_members()
+        self.store.recipes.save_members(list(self.workers))
         self._update_ring_metrics()
         return worker
 
@@ -260,7 +183,7 @@ class ClusterRouter:
         if seg_chunks:
             cut_segment()
         recipe = ClusterRecipe(file_id=file.file_id, segments=tuple(placements))
-        self.backend.put(RECIPE_NAMESPACE, recipe.key_for(file.file_id), recipe.to_bytes())
+        self.store.recipes.put(recipe)
         self.metrics.counter("cluster.files").inc()
         return recipe
 
@@ -324,24 +247,6 @@ class ClusterRouter:
 
     # -- restore ---------------------------------------------------------
 
-    def recipe_ids(self) -> list[str]:
-        """File ids of every persisted cluster recipe."""
-        ids: list[str] = []
-        for key in self.backend.keys(RECIPE_NAMESPACE):
-            ids.append(ClusterRecipe.from_bytes(self.backend.get(RECIPE_NAMESPACE, key)).file_id)
-        return sorted(ids)
-
-    def get_recipe(self, file_id: str) -> ClusterRecipe:
-        """The persisted recipe of ``file_id`` (``KeyError`` if absent)."""
-        key = ClusterRecipe.key_for(file_id)
-        if not self.backend.exists(RECIPE_NAMESPACE, key):
-            raise KeyError(f"no cluster recipe for {file_id!r}")
-        return ClusterRecipe.from_bytes(self.backend.get(RECIPE_NAMESPACE, key))
-
-    def put_recipe(self, recipe: ClusterRecipe) -> None:
-        """Persist an updated recipe (rebalance bookkeeping)."""
-        self.backend.put(RECIPE_NAMESPACE, recipe.key_for(recipe.file_id), recipe.to_bytes())
-
     def iter_restore(self, file_id: str) -> Iterator[bytes]:
         """A file's bytes in order, one segment restore at a time
         (``KeyError`` here, not on the first piece, if it has no recipe).
@@ -349,7 +254,7 @@ class ClusterRouter:
         RAM is bounded by one segment: the configured segment size plus
         at most one chunk.
         """
-        recipe = self.get_recipe(file_id)
+        recipe = self.store.recipes.get(file_id)
         return (self.workers[p.node].restore_segment(p.segment_id) for p in recipe.segments)
 
     def restore_file(self, file_id: str) -> bytes:

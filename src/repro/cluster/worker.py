@@ -32,7 +32,7 @@ from ..obs import MetricsRegistry, Telemetry
 from ..registry import resolve
 from ..storage import DiskModel, StorageBackend
 from ..storage.backend import PrefixedBackend
-from ..storage.file_manifest import FileManifestStore
+from ..storage.gc import delete_file
 from ..storage.recover import RecoveryReport, recover
 from ..storage.verify import IntegrityReport, verify_store
 from ..workloads.machine import BackupFile
@@ -123,8 +123,7 @@ class ShardWorker:
 
     def has_segment(self, segment_id: str) -> bool:
         """Whether the shard holds a durable manifest for the segment."""
-        key = FileManifestStore.key_for(segment_id)
-        return self.view.exists(DiskModel.FILE_MANIFEST, key)
+        return self._dedup.file_manifests.exists(segment_id)
 
     def forget_segment(self, segment_id: str) -> None:
         """Drop a migrated segment's file manifest (rebalance bookkeeping).
@@ -132,7 +131,7 @@ class ShardWorker:
         Chunk data is left in place for garbage collection — only the
         restore entry point moves to the new owner.
         """
-        self.view.delete(DiskModel.FILE_MANIFEST, FileManifestStore.key_for(segment_id))
+        delete_file(self._dedup.store, segment_id)
 
     # -- lifecycle -------------------------------------------------------
 
@@ -146,7 +145,7 @@ class ShardWorker:
 
     def stored_chunk_bytes(self) -> int:
         """Durable chunk bytes on the shard (the rebalancer's heat)."""
-        return self.view.bytes_stored(DiskModel.CHUNK)
+        return self._dedup.store.usage(DiskModel.CHUNK).nbytes
 
     def warm_start(self) -> int:
         """Rebuild the dedup's RAM indexes from the shard."""

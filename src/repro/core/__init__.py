@@ -13,7 +13,6 @@ from .hhr import (
 )
 from .manifest_cache import ManifestCache
 from .mhd import MHDDeduplicator
-from .protocols import CacheableManifest, ManifestBackend
 from .si_mhd import SIMHDDeduplicator
 from .shm import append_group, build_group_entries
 
@@ -32,8 +31,6 @@ __all__ = [
     "ManifestCache",
     "MHDDeduplicator",
     "SIMHDDeduplicator",
-    "CacheableManifest",
-    "ManifestBackend",
     "append_group",
     "build_group_entries",
 ]

@@ -53,21 +53,18 @@ from ..hashing import HASH_SIZE, BloomFilter, Digest, sha1_many
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from ..storage import (
     INODE_SIZE,
+    KINDS,
     ContainerWriter,
-    DiskChunkStore,
     DiskModel,
     FileManifest,
-    FileManifestStore,
-    HookStore,
     IOSnapshot,
     Manifest,
-    ManifestStore,
     MemoryBackend,
     StorageBackend,
-    allocate_id,
+    Store,
     file_object_ids,
 )
-from ..storage.verify import IntegrityReport
+from ..storage.verify import IntegrityReport, verify_store
 from ..workloads.machine import BackupFile
 from .config import DedupConfig
 from .manifest_cache import ManifestCache
@@ -244,7 +241,7 @@ class _FileObjects:
     A per-file deduplicator (MHD, CDC, Bimodal) writes, for each file,
     one DiskChunk container, one Manifest over it and one FileManifest.
     Constructing this opens them — container
-    and manifest under ids from :func:`allocate_id` (a name the store
+    and manifest under ids from :meth:`Store.allocate_id` (a name the store
     has seen gets new ones and its FileManifest is replaced), the
     manifest pinned in the cache so it is not evicted mid-build — and
     :meth:`close` writes them in the one order the crash matrix is built
@@ -263,8 +260,8 @@ class _FileObjects:
         self._dedup = dedup
         self._cache = cache
         first_container, first_manifest = file_object_ids(file_id)
-        self.container_id = allocate_id(dedup.backend, first_container, DiskModel.CHUNK)
-        manifest_id = allocate_id(dedup.backend, first_manifest, DiskModel.MANIFEST)
+        self.container_id = dedup.store.allocate_id(first_container, DiskModel.CHUNK)
+        manifest_id = dedup.store.allocate_id(first_manifest, DiskModel.MANIFEST)
         self.manifest = Manifest(manifest_id, self.container_id, entry_size=entry_size)
         self.fm = FileManifest(file_id)
         self.writer: ContainerWriter | None = None
@@ -321,12 +318,11 @@ class Deduplicator(ABC):
         backend: StorageBackend | None = None,
     ) -> None:
         self.config = config or DedupConfig()
-        self.backend = backend or MemoryBackend()
-        self.meter = DiskModel()
-        self.chunks = DiskChunkStore(self.backend, self.meter)
-        self.manifests = ManifestStore(self.backend, self.meter)
-        self.hooks = HookStore(self.backend, self.meter)
-        self.file_manifests = FileManifestStore(self.backend, self.meter)
+        #: Every object the run persists goes through it; below, its parts.
+        self.store = Store(backend or MemoryBackend())
+        self.backend, self.meter = self.store.backend, self.store.meter
+        self.chunks, self.manifests = self.store.chunks, self.store.manifests
+        self.hooks, self.file_manifests = self.store.hooks, self.store.file_manifests
         self.bloom = (
             BloomFilter(self.config.bloom_bytes) if self.config.bloom_bytes else None
         )
@@ -712,10 +708,10 @@ class Deduplicator(ABC):
         This mirrors real systems' startup path: the Bloom filter is
         reconstructed by scanning the hook directory once.
         """
-        hooks = self.backend.keys(DiskModel.HOOK)
+        hooks = self.store.ids(DiskModel.HOOK)
         if self.bloom is not None:
-            for raw in hooks:
-                self.bloom.add(Digest(raw))
+            for digest in hooks:
+                self.bloom.add(digest)
         return len(hooks)
 
     def verify_integrity(self, check_entry_hashes: bool = False) -> IntegrityReport:
@@ -724,29 +720,27 @@ class Deduplicator(ABC):
         Only meaningful after :meth:`finalize` — open containers and
         cached dirty manifests are not yet on the backend.
         """
-        from ..storage.verify import verify_store
-
         if not self._finalized:
             raise RuntimeError("verify_integrity requires a finalized run")
-        return verify_store(self.backend, check_entry_hashes=check_entry_hashes)
+        return verify_store(self.store, check_entry_hashes=check_entry_hashes)
 
     # ---- statistics -------------------------------------------------------
 
     def _stats(self) -> DedupStats:
-        b = self.backend
+        chunk, manifest, hook, file_manifest = map(self.store.usage, KINDS)
         return DedupStats(
             algorithm=self.name,
             config=self.config,
             input_bytes=self._input_bytes,
             input_files=self._input_files,
-            stored_chunk_bytes=b.bytes_stored(DiskModel.CHUNK),
-            manifest_bytes=b.bytes_stored(DiskModel.MANIFEST),
-            hook_bytes=b.bytes_stored(DiskModel.HOOK),
-            file_manifest_bytes=b.bytes_stored(DiskModel.FILE_MANIFEST),
-            chunk_inodes=b.object_count(DiskModel.CHUNK),
-            manifest_inodes=b.object_count(DiskModel.MANIFEST),
-            hook_inodes=b.object_count(DiskModel.HOOK),
-            file_manifest_inodes=b.object_count(DiskModel.FILE_MANIFEST),
+            stored_chunk_bytes=chunk.nbytes,
+            manifest_bytes=manifest.nbytes,
+            hook_bytes=hook.nbytes,
+            file_manifest_bytes=file_manifest.nbytes,
+            chunk_inodes=chunk.objects,
+            manifest_inodes=manifest.objects,
+            hook_inodes=hook.objects,
+            file_manifest_inodes=file_manifest.objects,
             unique_chunks=self._unique_chunks,
             duplicate_chunks=self._duplicate_chunks,
             duplicate_slices=self._duplicate_slices,

@@ -14,29 +14,33 @@ manifest's hash table, just faster in Python.
 Manifests can be *pinned* (the manifest of the file currently being
 ingested must not be evicted mid-build).
 
-The cache is generic over the manifest kind: any
-:class:`~repro.core.protocols.CacheableManifest` backed by a matching
-:class:`~repro.core.protocols.ManifestBackend` — MHD's per-DiskChunk
+The cache is generic over the two manifest kinds the
+:class:`~repro.storage.ManifestStore` persists — MHD's per-DiskChunk
 :class:`~repro.storage.Manifest` and the baselines'
-:class:`~repro.storage.multi_manifest.MultiManifest` both qualify.
+:class:`~repro.storage.multi_manifest.MultiManifest`; one cache holds
+one kind.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Callable
-from typing import Generic
+from typing import Generic, TypeVar, cast
 
 from ..hashing.digest import Digest
-from .protocols import M, ManifestBackend
+from ..storage.manifest import Manifest, ManifestStore
+from ..storage.multi_manifest import MultiManifest
 
 __all__ = ["ManifestCache"]
 
+#: The manifest kind a cache instance holds.
+M = TypeVar("M", Manifest, MultiManifest)
+
 
 class ManifestCache(Generic[M]):
-    """Bounded LRU of in-RAM manifests over a manifest backend."""
+    """Bounded LRU of in-RAM manifests over a :class:`ManifestStore`."""
 
-    def __init__(self, store: ManifestBackend[M], capacity: int) -> None:
+    def __init__(self, store: ManifestStore, capacity: int) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self._store = store
@@ -164,7 +168,7 @@ class ManifestCache(Generic[M]):
         m = self.get(manifest_id)
         if m is not None:
             return m
-        m = self._store.get(manifest_id)
+        m = cast("M", self._store.get(manifest_id))
         self.loads += 1
         self.add(m)
         return m

@@ -1,19 +1,12 @@
 """Typed seams between the dedup core and its pluggable pieces.
 
-The core is deliberately structural: manifest kinds, their stores and
-session observers plug in by *shape*, not by inheritance.  This module
-writes those shapes down as :class:`typing.Protocol`\\ s so
-``mypy --strict`` verifies every implementation instead of relying on
-convention:
-
-* :class:`IngestObserver` — the session hooks
-  :meth:`repro.core.base.Deduplicator.ingest` wraps around each file;
-* :class:`CacheableManifest` / :class:`ManifestBackend` — what the
-  shared LRU :class:`repro.core.manifest_cache.ManifestCache` needs
-  from a manifest object and its persistence layer, satisfied by both
-  :class:`repro.storage.Manifest` (MHD, per-DiskChunk) and
-  :class:`repro.storage.multi_manifest.MultiManifest` (SubChunk /
-  SparseIndexing bins and segments).
+Session observers plug in by *shape*, not by inheritance:
+:class:`IngestObserver` writes down the session hooks
+:meth:`repro.core.base.Deduplicator.ingest` wraps around each file, as
+a :class:`typing.Protocol` that ``mypy --strict`` verifies.  The two
+manifest kinds need no protocol: one
+:class:`repro.storage.ManifestStore` persists both, and the
+:class:`repro.core.manifest_cache.ManifestCache` holds either.
 
 The per-file ingest hooks (``_begin_file`` / ``_ingest_chunks`` /
 ``_end_file``) and the object store are abstract base classes, not
@@ -24,17 +17,11 @@ protocols: :class:`repro.core.base.Deduplicator` and
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from typing import Any, Protocol, TypeVar
+from typing import Protocol
 
-from ..hashing import Digest
 from ..workloads.machine import BackupFile
 
-__all__ = [
-    "CacheableManifest",
-    "IngestObserver",
-    "ManifestBackend",
-]
+__all__ = ["IngestObserver"]
 
 
 class IngestObserver(Protocol):
@@ -72,56 +59,3 @@ class IngestObserver(Protocol):
 
     def end_file(self, file: BackupFile) -> None:
         """Called after the algorithm flushed the file's state."""
-
-
-class CacheableManifest(Protocol):
-    """What the manifest cache needs from a manifest object.
-
-    Both manifest kinds are hash tables with an identity, a dirty flag
-    and a RAM cost; the cache touches nothing else.
-    """
-
-    @property
-    def manifest_id(self) -> Digest:
-        """Hash address of this manifest on the simulated disk."""
-        ...
-
-    @property
-    def dirty(self) -> bool:
-        """Whether the manifest must be written back before eviction."""
-        ...
-
-    @property
-    def index(self) -> Mapping[Digest, Any]:
-        """Digest -> position(s); the cache aggregates the key sets."""
-        ...
-
-    def find(self, digest: Digest) -> int | None:
-        """Index of an entry with ``digest``, or ``None``."""
-        ...
-
-    def ram_size(self) -> int:
-        """Bytes occupied when cached in RAM (Table IV accounting)."""
-        ...
-
-
-#: The concrete manifest kind a cache instance holds.
-M = TypeVar("M", bound=CacheableManifest)
-
-
-class ManifestBackend(Protocol[M]):
-    """Metered persistence for one manifest kind.
-
-    Satisfied by :class:`repro.storage.ManifestStore` (``M`` =
-    :class:`~repro.storage.Manifest`) and
-    :class:`repro.storage.multi_manifest.MultiManifestStore` (``M`` =
-    :class:`~repro.storage.multi_manifest.MultiManifest`).
-    """
-
-    def put(self, manifest: M) -> None:
-        """Persist ``manifest`` (metered write; clears its dirty flag)."""
-        ...
-
-    def get(self, manifest_id: Digest) -> M:
-        """Load a manifest from disk (metered read)."""
-        ...

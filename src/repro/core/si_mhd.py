@@ -61,9 +61,8 @@ class SIMHDDeduplicator(MHDDeduplicator):
 
     def warm_start(self) -> int:
         """Rebuild the in-RAM hook index from the on-disk hook files."""
-        hooks = self.backend.keys(DiskModel.HOOK)
-        for raw in hooks:
-            digest = Digest(raw)
+        hooks = self.store.ids(DiskModel.HOOK)
+        for digest in hooks:
             self._hook_index.setdefault(digest, self.hooks.get(digest))
         return len(hooks)
 

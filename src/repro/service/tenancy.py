@@ -41,10 +41,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from ..obs.metrics import MetricsRegistry
-from ..storage import PrefixedBackend, StorageBackend
-from ..storage.chunk_store import DiskChunkStore
-from ..storage.disk_model import DiskModel
-from ..storage.file_manifest import FileManifestStore
+from ..storage import PrefixedBackend, StorageBackend, Store
 from .quotas import QuotaLedger, TenantQuota, TokenBucket
 
 __all__ = [
@@ -102,9 +99,8 @@ def split_store_id(store_id: str) -> tuple[int, str]:
 
 def latest_files(backend: StorageBackend) -> dict[str, str]:
     """Map each client path to its newest generation's store id."""
-    store = FileManifestStore(backend, DiskModel())
     latest: dict[str, tuple[int, str]] = {}
-    for store_id in store.list_ids():
+    for store_id in Store(backend).file_manifests.list_ids():
         gen, path = split_store_id(store_id)
         if path not in latest or gen > latest[path][0]:
             latest[path] = (gen, store_id)
@@ -161,9 +157,9 @@ class TenantFiles:
             store_id = self.latest()[path]
         except KeyError:
             raise KeyError(f"no file {path!r} in store") from None
-        meter = DiskModel()
-        manifest = FileManifestStore(self._view, meter).get(store_id)
-        return manifest.total_size, manifest.iter_restore(DiskChunkStore(self._view, meter))
+        store = Store(self._view)
+        manifest = store.file_manifests.get(store_id)
+        return manifest.total_size, manifest.iter_restore(store.chunks)
 
     def restore(self, path: str) -> bytes:
         """The newest generation of ``path``, whole; ``KeyError`` if unknown."""

@@ -3,9 +3,11 @@
 The layout mirrors the paper's system architecture (Fig. 2/3): a
 DiskChunkStore of immutable chunk containers, hash-addressed Manifests
 (the only mutable metadata), write-once Hook files pointing at
-manifests, and per-file FileManifests for restore.  All disk traffic
-flows through a shared :class:`DiskModel` meter, which is what the
-Table II / Table V benches read out.
+manifests, and per-file FileManifests for restore.  One :class:`Store`
+over a backend owns all four (plus the cluster's recipes and
+membership) and the :class:`DiskModel` meter they report to: ingest,
+restore, fsck, recovery and GC read, write and delete through it, so
+its meter is what the Table II / Table V benches read out.
 """
 
 from .backend import (
@@ -30,7 +32,6 @@ from .file_manifest import (
     FileExtent,
     FileManifest,
     FileManifestStore,
-    allocate_id,
     file_object_ids,
 )
 from .hooks import HookStore
@@ -41,13 +42,10 @@ from .manifest import (
     Manifest,
     ManifestEntry,
     ManifestStore,
+    load_manifest,
 )
-from .multi_manifest import (
-    GROUP_HEADER_SIZE,
-    MultiEntry,
-    MultiManifest,
-    MultiManifestStore,
-)
+from .multi_manifest import GROUP_HEADER_SIZE, MultiEntry, MultiManifest
+from .store import KINDS, QUARANTINE_PREFIX, Store
 from .gc import GCReport, delete_file, sweep
 from .retention import (
     RetentionPolicy,
@@ -55,14 +53,16 @@ from .retention import (
     default_generation_of,
     plan_retention,
 )
-from .recover import QUARANTINE_PREFIX, RecoveryReport, recover
-from .verify import Finding, IntegrityReport, load_manifest, verify_store
+from .recover import RecoveryReport, recover
+from .verify import Finding, IntegrityReport, verify_store
 
 __all__ = [
     "DirectoryBackend",
     "MemoryBackend",
     "PrefixedBackend",
     "StorageBackend",
+    "KINDS",
+    "Store",
     "BackendError",
     "TransientBackendError",
     "CrashPoint",
@@ -82,7 +82,6 @@ __all__ = [
     "FileExtent",
     "FileManifest",
     "FileManifestStore",
-    "allocate_id",
     "file_object_ids",
     "HookStore",
     "ENTRY_SIZE",
@@ -94,7 +93,6 @@ __all__ = [
     "GROUP_HEADER_SIZE",
     "MultiEntry",
     "MultiManifest",
-    "MultiManifestStore",
     "Finding",
     "IntegrityReport",
     "load_manifest",

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from ..hashing.digest import Digest
 from .backend import StorageBackend, check_extent
-from .disk_model import DiskModel
+from .disk_model import DiskModel, MeteredStore
 
 __all__ = ["ContainerWriter", "DiskChunkStore"]
 
@@ -66,12 +66,11 @@ class ContainerWriter:
         return bytes(self._buf[offset : offset + size])
 
 
-class DiskChunkStore:
+class DiskChunkStore(MeteredStore):
     """Metered store of immutable DiskChunk containers."""
 
     def __init__(self, backend: StorageBackend, meter: DiskModel) -> None:
-        self._backend = backend
-        self._meter = meter
+        super().__init__(backend, meter)
         self._open: dict[Digest, ContainerWriter] = {}
 
     def open_container(self, container_id: Digest) -> ContainerWriter:
@@ -93,8 +92,7 @@ class DiskChunkStore:
     def _finalize(self, writer: ContainerWriter) -> None:
         data = bytes(writer._buf)
         if data:  # empty containers (fully-duplicate files) occupy nothing
-            self._backend.put(DiskModel.CHUNK, writer.container_id, data)
-            self._meter.record(DiskModel.CHUNK, "write", len(data))
+            self._put(DiskModel.CHUNK, writer.container_id, data)
         del self._open[writer.container_id]
 
     def read(self, container_id: Digest, offset: int, size: int) -> bytes:
@@ -106,6 +104,10 @@ class DiskChunkStore:
         if open_writer is not None:
             return open_writer._read(offset, size)
         return self._backend.get_range(DiskModel.CHUNK, container_id, offset, size)
+
+    def get(self, container_id: Digest) -> bytes:
+        """A closed container's whole bytes; one metered read (fsck re-hashing)."""
+        return self._get(DiskModel.CHUNK, container_id)
 
     def size(self, container_id: Digest) -> int:
         """Byte size of a container (open or closed)."""
@@ -119,11 +121,3 @@ class DiskChunkStore:
         return container_id in self._open or self._backend.exists(
             DiskModel.CHUNK, container_id
         )
-
-    def stored_bytes(self) -> int:
-        """Total closed-container bytes on the backend."""
-        return self._backend.bytes_stored(DiskModel.CHUNK)
-
-    def count(self) -> int:
-        """Number of closed containers (= DiskChunk inodes)."""
-        return self._backend.object_count(DiskModel.CHUNK)

@@ -17,12 +17,16 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..obs.metrics import Counter as MetricCounter
 from ..obs.metrics import MetricsRegistry
 from ..obs.telemetry import note_anomaly
 
-__all__ = ["DiskModel", "IOSnapshot", "INODE_SIZE"]
+if TYPE_CHECKING:
+    from .backend import StorageBackend
+
+__all__ = ["DiskModel", "IOSnapshot", "INODE_SIZE", "MeteredStore"]
 
 #: Bytes charged per inode, as assumed in the paper's Section IV.
 INODE_SIZE = 256
@@ -34,7 +38,7 @@ class IOSnapshot:
 
     ``ops[(namespace, op)]`` counts operations;
     ``bytes[(namespace, op)]`` the bytes they moved.  ``op`` is one of
-    ``"read"``, ``"write"``, ``"query"``.
+    ``"read"``, ``"write"``, ``"query"``, ``"delete"``.
     """
 
     ops: dict[tuple[str, str], int] = field(default_factory=dict)
@@ -161,3 +165,21 @@ class DiskModel:
         for other in others:
             self._ops.update(other._ops)
             self._bytes.update(other._bytes)
+
+
+class MeteredStore:
+    """Base of the per-kind stores: a backend, the shared meter, and one
+    metered ``write`` per whole-object put and ``read`` per get."""
+
+    def __init__(self, backend: StorageBackend, meter: DiskModel) -> None:
+        self._backend = backend
+        self._meter = meter
+
+    def _put(self, namespace: str, key: bytes, raw: bytes) -> None:
+        self._backend.put(namespace, key, raw)
+        self._meter.record(namespace, "write", len(raw))
+
+    def _get(self, namespace: str, key: bytes) -> bytes:
+        raw = self._backend.get(namespace, key)
+        self._meter.record(namespace, "read", len(raw))
+        return raw

@@ -21,9 +21,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from ..hashing.digest import HASH_SIZE, Digest, sha1
-from .backend import StorageBackend
 from .chunk_store import DiskChunkStore
-from .disk_model import DiskModel
+from .disk_model import DiskModel, MeteredStore
 
 __all__ = [
     "FileExtent",
@@ -31,7 +30,6 @@ __all__ = [
     "FileManifestStore",
     "FILE_ENTRY_SIZE",
     "RESTORE_PIECE_SIZE",
-    "allocate_id",
     "file_object_ids",
 ]
 
@@ -127,35 +125,14 @@ class FileManifest:
 
 def file_object_ids(file_id: str) -> tuple[Digest, Digest]:
     """``(container id, manifest id)`` of the first ingest of ``file_id``;
-    :func:`allocate_id` names the objects of a later ingest of the name."""
+    :meth:`Store.allocate_id <repro.storage.store.Store.allocate_id>` names
+    the objects of a later ingest of the name."""
     fid = file_id.encode()
     return sha1(fid), sha1(fid + b"|manifest")
 
 
-def allocate_id(backend: StorageBackend, first: Digest, *namespaces: str) -> Digest:
-    """The id a new store object gets: ``first``, or its first free successor.
-
-    DiskChunks are write-once and a Manifest belongs to its DiskChunk,
-    so an id the store holds is spent.  ``first`` is what the caller
-    derives from the object's name (:func:`file_object_ids`, a segment
-    or bin label) and, on a store that has not seen the name, the
-    answer.  Otherwise it is the first of ``sha1(first + b"~1")``,
-    ``sha1(first + b"~2")``, … naming nothing in any of ``namespaces``:
-    a function of store state alone, learnt with ``exists`` probes only.
-    """
-    tried, attempt = first, 0
-    while any(backend.exists(ns, tried) for ns in namespaces):
-        attempt += 1
-        tried = sha1(first + b"~%d" % attempt)
-    return tried
-
-
-class FileManifestStore:
+class FileManifestStore(MeteredStore):
     """Metered persistence for FileManifests, keyed by file id."""
-
-    def __init__(self, backend: StorageBackend, meter: DiskModel) -> None:
-        self._backend = backend
-        self._meter = meter
 
     @staticmethod
     def key_for(file_id: str) -> Digest:
@@ -164,36 +141,27 @@ class FileManifestStore:
 
     def put(self, fm: FileManifest) -> None:
         """Persist a file manifest (metered write)."""
-        raw = fm.to_bytes()
-        self._backend.put(DiskModel.FILE_MANIFEST, self.key_for(fm.file_id), raw)
-        self._meter.record(DiskModel.FILE_MANIFEST, "write", len(raw))
+        self._put(DiskModel.FILE_MANIFEST, self.key_for(fm.file_id), fm.to_bytes())
 
     def get(self, file_id: str) -> FileManifest:
         """Load a file manifest by id (metered read)."""
-        raw = self._backend.get(DiskModel.FILE_MANIFEST, self.key_for(file_id))
-        self._meter.record(DiskModel.FILE_MANIFEST, "read", len(raw))
-        return FileManifest.from_bytes(raw)
+        return self.load(self.key_for(file_id))
 
-    def count(self) -> int:
-        """Number of stored file manifests."""
-        return self._backend.object_count(DiskModel.FILE_MANIFEST)
+    def load(self, key: Digest) -> FileManifest:
+        """Load the file manifest stored under ``key`` (metered read);
+        a malformed payload raises its parse error."""
+        return FileManifest.from_bytes(self._get(DiskModel.FILE_MANIFEST, key))
 
-    def stored_bytes(self) -> int:
-        """Total file-manifest payload bytes."""
-        return self._backend.bytes_stored(DiskModel.FILE_MANIFEST)
+    def exists(self, file_id: str) -> bool:
+        """Whether ``file_id`` has a stored file manifest (not metered)."""
+        return self._backend.exists(DiskModel.FILE_MANIFEST, self.key_for(file_id))
 
     def list_ids(self) -> list[str]:
-        """All stored file ids (reads every manifest; metered).
-
-        Used by restore tooling to enumerate a store's contents — keys
-        are digests of the ids, so the names must come from the
-        manifests themselves.
-        """
+        """All stored file ids, sorted: keys are digests of the ids, so the
+        names come from reading every manifest (metered)."""
         return sorted(fm.file_id for fm in self.manifests())
 
     def manifests(self) -> Iterator[FileManifest]:
         """Every stored file manifest, in no particular order (metered reads)."""
         for key in self._backend.keys(DiskModel.FILE_MANIFEST):
-            raw = self._backend.get(DiskModel.FILE_MANIFEST, key)
-            self._meter.record(DiskModel.FILE_MANIFEST, "read", len(raw))
-            yield FileManifest.from_bytes(raw)
+            yield self.load(Digest(key))

@@ -38,6 +38,7 @@ from .backend import StorageBackend
 from .disk_model import DiskModel
 from .file_manifest import FileManifestStore
 from .recover import repair
+from .store import Store, as_store
 
 __all__ = ["GCReport", "delete_file", "sweep"]
 
@@ -63,13 +64,13 @@ class GCReport:
         )
 
 
-def delete_file(backend: StorageBackend, file_id: str) -> bool:
+def delete_file(store: Store | StorageBackend, file_id: str) -> bool:
     """Drop one file's recipe; returns whether it existed.
 
     Chunk data is shared, so nothing else is touched — run
     :func:`sweep` afterwards to reclaim space.
     """
-    return backend.delete(DiskModel.FILE_MANIFEST, FileManifestStore.key_for(file_id))
+    return as_store(store).remove(DiskModel.FILE_MANIFEST, FileManifestStore.key_for(file_id))
 
 
 def _union_bytes(spans: list[tuple[int, int]]) -> int:
@@ -86,7 +87,7 @@ def _union_bytes(spans: list[tuple[int, int]]) -> int:
     return total + (cur_end - cur_start)
 
 
-def _referenced_extents(backend: StorageBackend) -> dict[Digest, int]:
+def _referenced_extents(store: Store) -> dict[Digest, int]:
     """Container → *distinct* referenced bytes over all FileManifests.
 
     Many files can reference the same container extent (that is the
@@ -96,21 +97,22 @@ def _referenced_extents(backend: StorageBackend) -> dict[Digest, int]:
     pinned-bytes figure meaningless.
     """
     spans: dict[Digest, list[tuple[int, int]]] = {}
-    for fm in FileManifestStore(backend, DiskModel()).manifests():
+    for fm in store.file_manifests.manifests():
         for e in fm.extents:
             spans.setdefault(e.container_id, []).append((e.offset, e.offset + e.size))
     return {cid: _union_bytes(sp) for cid, sp in spans.items()}
 
 
-def sweep(backend: StorageBackend) -> GCReport:
-    """Mark-and-sweep unreferenced containers and their metadata."""
-    referenced = _referenced_extents(backend)
+def sweep(store: Store | StorageBackend) -> GCReport:
+    """Mark-and-sweep unreferenced containers and their metadata, reading
+    and deleting through the :class:`Store` (a new one over a plain backend)."""
+    store = as_store(store)
+    referenced = _referenced_extents(store)
 
     containers_deleted = bytes_reclaimed = 0
     containers_kept = bytes_pinned = 0
-    for raw_cid in backend.keys(DiskModel.CHUNK):
-        cid = Digest(raw_cid)
-        size = backend.object_size(DiskModel.CHUNK, cid)
+    for cid in store.ids(DiskModel.CHUNK):
+        size = store.chunks.size(cid)
         if cid in referenced:
             containers_kept += 1
             # referenced[cid] is a union of in-bounds extents, so it can
@@ -118,13 +120,13 @@ def sweep(backend: StorageBackend) -> GCReport:
             # past the end); clamp defensively rather than go negative.
             bytes_pinned += max(0, size - referenced[cid])
             continue
-        backend.delete(DiskModel.CHUNK, cid)
+        store.remove(DiskModel.CHUNK, cid)
         containers_deleted += 1
         bytes_reclaimed += size
 
     # Whatever the deletions above orphaned is now invalid by fsck's
     # rules; dispose of it the way recovery does, deleting outright.
-    _, disposed = repair(backend, backend.delete)
+    _, disposed = repair(store, store.remove)
 
     return GCReport(
         containers_deleted=containers_deleted,

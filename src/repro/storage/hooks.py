@@ -15,18 +15,13 @@ hit) and ``write`` (new hook).
 from __future__ import annotations
 
 from ..hashing.digest import HASH_SIZE, Digest
-from .backend import StorageBackend
-from .disk_model import DiskModel
+from .disk_model import DiskModel, MeteredStore
 
 __all__ = ["HookStore"]
 
 
-class HookStore:
+class HookStore(MeteredStore):
     """Metered digest → manifest-address mapping, one file per hook."""
-
-    def __init__(self, backend: StorageBackend, meter: DiskModel) -> None:
-        self._backend = backend
-        self._meter = meter
 
     def put(self, hook_digest: Digest, manifest_id: Digest) -> None:
         """Write a hook file (idempotent for identical content)."""
@@ -36,8 +31,7 @@ class HookStore:
             # The paper's hooks are write-once; re-registration of the
             # same digest keeps the original mapping.
             return
-        self._backend.put(DiskModel.HOOK, hook_digest, manifest_id)
-        self._meter.record(DiskModel.HOOK, "write", HASH_SIZE)
+        self._put(DiskModel.HOOK, hook_digest, manifest_id)
 
     def query(self, hook_digest: Digest) -> bool:
         """On-disk existence probe; one metered query access."""
@@ -46,20 +40,10 @@ class HookStore:
 
     def get(self, hook_digest: Digest) -> Digest:
         """Fetch the manifest address; one metered read."""
-        data = self._backend.get(DiskModel.HOOK, hook_digest)
-        self._meter.record(DiskModel.HOOK, "read", len(data))
-        return Digest(data)
+        return Digest(self._get(DiskModel.HOOK, hook_digest))
 
     def lookup(self, hook_digest: Digest) -> Digest | None:
         """Query + read combined: manifest id, or ``None`` if absent."""
         if not self.query(hook_digest):
             return None
         return self.get(hook_digest)
-
-    def count(self) -> int:
-        """Number of hook files (= hook inodes)."""
-        return self._backend.object_count(DiskModel.HOOK)
-
-    def stored_bytes(self) -> int:
-        """Total hook payload bytes (20 B per hook)."""
-        return self._backend.bytes_stored(DiskModel.HOOK)

@@ -16,21 +16,28 @@ count (plus a fixed 44-byte header per manifest file).
 Manifests are the only mutable metadata: HHR replaces one merged entry
 with up to three new entries (see :mod:`repro.core.hhr`), after which
 the manifest is dirty and must be written back — a metered disk write.
+
+The baselines' multi-container manifests
+(:mod:`repro.storage.multi_manifest`) share the ``manifest`` namespace:
+one :class:`ManifestStore` persists both kinds and tells them apart on
+load (:func:`load_manifest`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import struct
 from dataclasses import dataclass, replace
 
 from ..hashing.digest import HASH_SIZE, Digest
-from .backend import StorageBackend
-from .disk_model import DiskModel
+from .disk_model import DiskModel, MeteredStore
+from .multi_manifest import MultiManifest
 
 __all__ = [
     "ManifestEntry",
     "Manifest",
     "ManifestStore",
+    "load_manifest",
     "ENTRY_SIZE",
     "MHD_ENTRY_SIZE",
     "MANIFEST_HEADER_SIZE",
@@ -221,34 +228,29 @@ class Manifest:
         return cls(mid, cid, entries, entry_size=entry_size)
 
 
-class ManifestStore:
-    """Metered, hash-addressed persistence for manifests."""
+def load_manifest(raw: bytes) -> Manifest | MultiManifest:
+    """A stored manifest of either kind: a :class:`Manifest` if the payload
+    parses as one and re-serialises to itself, else a :class:`MultiManifest`
+    (whose parse errors, ``ValueError`` / ``struct.error``, propagate)."""
+    with contextlib.suppress(ValueError, struct.error):
+        m = Manifest.from_bytes(raw)
+        if m.to_bytes() == raw:
+            return m
+    return MultiManifest.from_bytes(raw)
 
-    def __init__(self, backend: StorageBackend, meter: DiskModel) -> None:
-        self._backend = backend
-        self._meter = meter
 
-    def put(self, manifest: Manifest) -> None:
+class ManifestStore(MeteredStore):
+    """Metered, hash-addressed persistence for manifests of either kind."""
+
+    def put(self, manifest: Manifest | MultiManifest) -> None:
         """Persist a manifest (metered write; clears the dirty flag)."""
-        raw = manifest.to_bytes()
-        self._backend.put(DiskModel.MANIFEST, manifest.manifest_id, raw)
-        self._meter.record(DiskModel.MANIFEST, "write", len(raw))
+        self._put(DiskModel.MANIFEST, manifest.manifest_id, manifest.to_bytes())
         manifest.dirty = False
 
-    def get(self, manifest_id: Digest) -> Manifest:
-        """Load a manifest from disk (metered read)."""
-        raw = self._backend.get(DiskModel.MANIFEST, manifest_id)
-        self._meter.record(DiskModel.MANIFEST, "read", len(raw))
-        return Manifest.from_bytes(raw)
+    def get(self, manifest_id: Digest) -> Manifest | MultiManifest:
+        """Load a manifest from disk (metered read; :func:`load_manifest`)."""
+        return load_manifest(self._get(DiskModel.MANIFEST, manifest_id))
 
     def exists(self, manifest_id: Digest) -> bool:
         """Whether a manifest is on disk (not metered)."""
         return self._backend.exists(DiskModel.MANIFEST, manifest_id)
-
-    def stored_bytes(self) -> int:
-        """Total manifest payload bytes on the backend."""
-        return self._backend.bytes_stored(DiskModel.MANIFEST)
-
-    def count(self) -> int:
-        """Number of manifests (= manifest inodes)."""
-        return self._backend.object_count(DiskModel.MANIFEST)

@@ -15,7 +15,8 @@ reference the same container form a *group* with a 28-byte header
 The class mirrors enough of :class:`repro.storage.manifest.Manifest`'s
 interface (``manifest_id``, ``dirty``, ``index``/``find``,
 ``ram_size``, ``to_bytes``/``from_bytes``) that the shared
-:class:`repro.core.manifest_cache.ManifestCache` can hold either kind.
+:class:`repro.core.manifest_cache.ManifestCache` can hold either kind
+and :class:`repro.storage.manifest.ManifestStore` can persist either.
 """
 
 from __future__ import annotations
@@ -24,10 +25,8 @@ import struct
 from dataclasses import dataclass
 
 from ..hashing.digest import HASH_SIZE, Digest
-from .backend import StorageBackend
-from .disk_model import DiskModel
 
-__all__ = ["MultiEntry", "MultiManifest", "MultiManifestStore", "GROUP_HEADER_SIZE"]
+__all__ = ["MultiEntry", "MultiManifest", "GROUP_HEADER_SIZE"]
 
 #: Per-container-group bytes (the paper's shared 28 bytes in SubChunk).
 GROUP_HEADER_SIZE = 28
@@ -140,28 +139,3 @@ class MultiManifest:
                 )
                 off += _ENTRY_STRUCT.size
         return cls(Digest(mid), entries)
-
-
-class MultiManifestStore:
-    """Metered persistence; interface-compatible with ManifestStore."""
-
-    def __init__(self, backend: StorageBackend, meter: DiskModel) -> None:
-        self._backend = backend
-        self._meter = meter
-
-    def put(self, manifest: MultiManifest) -> None:
-        """Persist (metered write; clears the dirty flag)."""
-        raw = manifest.to_bytes()
-        self._backend.put(DiskModel.MANIFEST, manifest.manifest_id, raw)
-        self._meter.record(DiskModel.MANIFEST, "write", len(raw))
-        manifest.dirty = False
-
-    def get(self, manifest_id: Digest) -> MultiManifest:
-        """Load from disk (metered read)."""
-        raw = self._backend.get(DiskModel.MANIFEST, manifest_id)
-        self._meter.record(DiskModel.MANIFEST, "read", len(raw))
-        return MultiManifest.from_bytes(raw)
-
-    def exists(self, manifest_id: Digest) -> bool:
-        """Whether the manifest is on disk (not metered)."""
-        return self._backend.exists(DiskModel.MANIFEST, manifest_id)

@@ -6,7 +6,9 @@ torn write by disposing of exactly what fsck reports, re-checking until
 fsck reports nothing (:func:`repair`).  It follows one rule: **never
 delete bytes that might still be wanted** — damaged objects are
 *quarantined* (moved to a ``quarantine.<namespace>`` namespace,
-invisible to every store walk) rather than destroyed, except for Hooks,
+invisible to every store walk, by
+:meth:`~repro.storage.store.Store.quarantine`, which never overwrites
+an earlier quarantined copy) rather than destroyed, except for Hooks,
 which are derived data and safe to drop.
 
 What a crash can leave behind, and the repair for each:
@@ -43,16 +45,12 @@ from ..obs.telemetry import note_anomaly
 from .backend import StorageBackend
 from .disk_model import DiskModel
 from .multi_manifest import MultiManifest
+from .store import QUARANTINE_PREFIX, Store, as_store
 from .verify import Finding, IntegrityReport, verify_store
 
 __all__ = ["QUARANTINE_PREFIX", "RecoveryReport", "recover", "repair"]
 
 logger = logging.getLogger(__name__)
-
-#: Namespace prefix quarantined objects are moved under.  The four
-#: store namespaces are fixed names, so prefixed namespaces can never
-#: collide with live data and are invisible to verify/GC/restore walks.
-QUARANTINE_PREFIX = "quarantine."
 
 
 #: The RecoveryReport counters; each is also an ``anomaly.recover.<name>`` metric.
@@ -107,7 +105,7 @@ class RecoveryReport:
 
 
 def repair(
-    backend: StorageBackend,
+    store: Store,
     retire: Callable[[str, Digest], object],
     check_hashes: bool = False,
 ) -> tuple[IntegrityReport, list[Finding]]:
@@ -127,12 +125,12 @@ def repair(
     """
     disposed: list[Finding] = []
     while True:
-        integrity = verify_store(backend, check_entry_hashes=check_hashes)
+        integrity = verify_store(store, check_entry_hashes=check_hashes)
         if integrity.ok:
             return integrity, disposed
         for f in integrity.findings:
             if f.survivors:
-                backend.put(f.kind, f.key, MultiManifest(f.key, list(f.survivors)).to_bytes())
+                store.manifests.put(MultiManifest(f.key, list(f.survivors)))
             else:
                 retire(f.kind, f.key)
         disposed += integrity.findings
@@ -147,8 +145,11 @@ _RETIRED = {
 }
 
 
-def recover(backend: StorageBackend, check_hashes: bool = False) -> RecoveryReport:
+def recover(store: Store | StorageBackend, check_hashes: bool = False) -> RecoveryReport:
     """Repair a store after a crash; returns what was done.
+
+    Every read, quarantine and delete goes through the :class:`Store`
+    (a new one over ``store`` if it is a plain backend).
 
     Safe on a clean store (``report.repairs == 0``) and idempotent: a
     second pass over a recovered store finds nothing to do.
@@ -162,20 +163,19 @@ def recover(backend: StorageBackend, check_hashes: bool = False) -> RecoveryRepo
         object — only torn/partial writes can, and those are caught
         structurally).
     """
+    store = as_store(store)
     report = RecoveryReport()
 
     # Sweep interrupted-put debris so the walks below never trip over it.
-    report.tmp_purged = backend.purge_incomplete()
+    report.tmp_purged = store.backend.purge_incomplete()
     if report.tmp_purged:
         report.act(f"purged {report.tmp_purged} stray temp files")
 
-    def retire(namespace: str, key: Digest) -> None:
+    def retire(kind: str, key: Digest) -> None:
         # Hooks are derived data a later run re-creates: the one kind dropped.
-        if namespace != DiskModel.HOOK:
-            backend.put(QUARANTINE_PREFIX + namespace, key, backend.get(namespace, key))
-        backend.delete(namespace, key)
+        (store.remove if kind == DiskModel.HOOK else store.quarantine)(kind, key)
 
-    report.integrity, disposed = repair(backend, retire, check_hashes)
+    report.integrity, disposed = repair(store, retire, check_hashes)
     for f in disposed:
         counter, verb = ("manifests_rewritten", "rewrote") if f.survivors else _RETIRED[f.kind]
         setattr(report, counter, getattr(report, counter) + 1)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .backend import StorageBackend
 from .gc import GCReport, delete_file, sweep
+from .store import Store, as_store
 
 __all__ = ["RetentionPolicy", "default_generation_of", "plan_retention", "apply_retention"]
 
@@ -88,13 +89,14 @@ def plan_retention(
 
 
 def apply_retention(
-    backend: StorageBackend,
+    store: Store | StorageBackend,
     file_ids: Iterable[str],
     policy: RetentionPolicy,
     generation_of: Callable[[str], int | None] = default_generation_of,
 ) -> tuple[list[str], GCReport]:
     """Expire per policy and sweep; returns (deleted ids, GC report)."""
+    store = as_store(store)
     victims = plan_retention(file_ids, policy, generation_of)
     for file_id in victims:
-        delete_file(backend, file_id)
-    return victims, sweep(backend)
+        delete_file(store, file_id)
+    return victims, sweep(store)

@@ -6,7 +6,7 @@ Manifest that still contains the hook's digest; every Manifest must
 sit under its own id, tile its DiskChunk exactly and hash-match the
 bytes it describes; every FileManifest must sit under the key of its
 file id and every extent must lie inside a stored container.  This
-module walks a backend and checks all of it — the fsck of the
+module walks a store and checks all of it — the fsck of the
 repository.
 
 Every rule is written here and nowhere else.  A violation is reported
@@ -21,7 +21,6 @@ on purpose) and exposed to users via ``Deduplicator.verify_integrity``.
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import struct
 from collections.abc import Iterable, Iterator
@@ -29,12 +28,14 @@ from dataclasses import dataclass, field
 
 from ..hashing.digest import HASH_SIZE, Digest, sha1
 from .backend import StorageBackend
+from .chunk_store import DiskChunkStore
 from .disk_model import DiskModel
-from .file_manifest import FileManifest, FileManifestStore
+from .file_manifest import FileManifestStore
 from .manifest import Manifest
 from .multi_manifest import MultiEntry, MultiManifest
+from .store import Store, as_store
 
-__all__ = ["Finding", "IntegrityReport", "load_manifest", "verify_store"]
+__all__ = ["Finding", "IntegrityReport", "verify_store"]
 
 logger = logging.getLogger(__name__)
 
@@ -99,19 +100,6 @@ class IntegrityReport:
         )
 
 
-def load_manifest(raw: bytes) -> Manifest | MultiManifest:
-    """Manifests may be single-container or multi-container; sniff.
-
-    A payload that parses as neither raises one of ``ValueError`` /
-    ``struct.error`` (from the :class:`MultiManifest` attempt).
-    """
-    with contextlib.suppress(*_PARSE_ERRORS):
-        m = Manifest.from_bytes(raw)
-        if m.to_bytes() == raw:
-            return m
-    return MultiManifest.from_bytes(raw)
-
-
 def _extent_fault(sizes: dict[Digest, int], cid: Digest, offset: int, size: int) -> str | None:
     """Why ``[offset, offset + size)`` of container ``cid`` is not stored bytes."""
     total = sizes.get(cid)
@@ -149,7 +137,7 @@ def _container_fault(
 
 
 def _hash_mismatches(
-    backend: StorageBackend, m: Manifest | MultiManifest, known: set[Digest]
+    chunks: DiskChunkStore, m: Manifest | MultiManifest, known: set[Digest]
 ) -> Iterator[Digest]:
     """Containers (not already ``known`` bad) whose bytes mismatch an entry of ``m``."""
     spans: Iterable[tuple[Digest, Digest, int, int]]
@@ -163,18 +151,21 @@ def _hash_mismatches(
         if cid in known:
             continue
         if cid != loaded:
-            loaded, data = cid, backend.get(DiskModel.CHUNK, cid)
+            loaded, data = cid, chunks.get(cid)
         if sha1(data[offset : offset + size]) != digest:
             known.add(cid)
             yield cid
 
 
 def verify_store(
-    backend: StorageBackend,
+    store: Store | StorageBackend,
     deep: bool = True,
     check_entry_hashes: bool = False,
 ) -> IntegrityReport:
-    """Walk every object in ``backend`` and cross-check the invariants.
+    """Walk every object of ``store`` and cross-check the invariants.
+
+    Every object is read through the :class:`Store` (one metered read
+    each); given a plain backend, a new Store over it does the reading.
 
     Parameters
     ----------
@@ -186,10 +177,9 @@ def verify_store(
         recorded digest (expensive; catches silent container
         corruption, reported against the container).
     """
+    store = as_store(store)
     report = IntegrityReport()
-    sizes: dict[Digest, int] = {
-        Digest(k): backend.object_size(DiskModel.CHUNK, k) for k in backend.keys(DiskModel.CHUNK)
-    }
+    sizes = {cid: store.chunks.size(cid) for cid in store.ids(DiskModel.CHUNK)}
     report.containers_checked = len(sizes)
 
     # Manifests a Hook may legitimately point at: the ones that pass
@@ -197,9 +187,9 @@ def verify_store(
     # the same walk as the manifest itself.
     valid: dict[Digest, Manifest | MultiManifest] = {}
     corrupt: set[Digest] = set()
-    for key in sorted(map(Digest, backend.keys(DiskModel.MANIFEST))):
+    for key in sorted(store.ids(DiskModel.MANIFEST)):
         try:
-            m = load_manifest(backend.get(DiskModel.MANIFEST, key))
+            m = store.manifests.get(key)
         except _PARSE_ERRORS as e:
             logger.debug("manifest %s failed to parse", key.hex()[:12], exc_info=True)
             report.flag(DiskModel.MANIFEST, key, f"unparseable ({e})")
@@ -220,7 +210,7 @@ def verify_store(
                     continue
                 m = MultiManifest(key, survivors)
             if check_entry_hashes:
-                for cid in _hash_mismatches(backend, m, corrupt):
+                for cid in _hash_mismatches(store.chunks, m, corrupt):
                     report.flag(
                         DiskModel.CHUNK,
                         cid,
@@ -229,24 +219,24 @@ def verify_store(
                     )
         valid[key] = m
 
-    for key in sorted(map(Digest, backend.keys(DiskModel.HOOK))):
+    for key in sorted(store.ids(DiskModel.HOOK)):
         report.hooks_checked += 1
-        payload = backend.get(DiskModel.HOOK, key)
+        payload = store.hooks.get(key)
         if len(payload) != HASH_SIZE:
             report.flag(
                 DiskModel.HOOK, key, f"payload is {len(payload)} bytes, want {HASH_SIZE}"
             )
-        elif (target := valid.get(Digest(payload))) is None:
+        elif (target := valid.get(payload)) is None:
             report.flag(DiskModel.HOOK, key, f"dangling manifest {payload.hex()[:12]}")
         elif key not in target:
             # HHR never re-chunks hook entries, so a hook's digest must
             # survive in its manifest for the life of the store.
             report.flag(DiskModel.HOOK, key, "digest no longer present in its manifest")
 
-    for key in sorted(map(Digest, backend.keys(DiskModel.FILE_MANIFEST))):
+    for key in sorted(store.ids(DiskModel.FILE_MANIFEST)):
         report.file_manifests_checked += 1
         try:
-            fm = FileManifest.from_bytes(backend.get(DiskModel.FILE_MANIFEST, key))
+            fm = store.file_manifests.load(key)
         except _PARSE_ERRORS as e:
             logger.debug("file manifest %s failed to parse", key.hex()[:12], exc_info=True)
             report.flag(DiskModel.FILE_MANIFEST, key, f"unparseable ({e})")

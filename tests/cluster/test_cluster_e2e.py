@@ -61,9 +61,9 @@ class TestIngestRestore:
 
     def test_recipes_cover_corpus(self, cluster, files):
         router, originals = cluster
-        assert router.recipe_ids() == sorted(originals)
+        assert router.store.recipes.file_ids() == sorted(originals)
         for fid, data in originals.items():
-            recipe = router.get_recipe(fid)
+            recipe = router.store.recipes.get(fid)
             assert recipe.size == len(data)
             assert all(p.node in router.workers for p in recipe.segments)
 
@@ -78,8 +78,8 @@ class TestIngestRestore:
         router, _ = cluster
         placed = {
             p.node
-            for fid in router.recipe_ids()
-            for p in router.get_recipe(fid).segments
+            for fid in router.store.recipes.file_ids()
+            for p in router.store.recipes.get(fid).segments
         }
         assert len(placed) > 1  # routing actually distributes
 
@@ -128,7 +128,7 @@ class TestPutAgain:
         assert router.restore_file("doc") == first
         router.put_file(BackupFile("doc", second))
         assert router.restore_file("doc") == second
-        assert router.get_recipe("doc").size == len(second)
+        assert router.store.recipes.get("doc").size == len(second)
         assert all(r.ok for r in router.fsck(check_entry_hashes=True).values())
 
     def test_recipes_naming_retry_suffixed_segments_still_restore(self):
@@ -137,7 +137,7 @@ class TestPutAgain:
         router = build(MemoryBackend(), workers=["solo"])
         old_id = "doc#seg00000~r1"
         router.workers["solo"].ingest_segment(old_id, b"landed on a retry" * 100)
-        router.put_recipe(
+        router.store.recipes.put(
             ClusterRecipe("doc", (SegmentPlacement("solo", old_id, 1700, sha1(b"fp")),))
         )
         assert router.restore_file("doc") == b"landed on a retry" * 100

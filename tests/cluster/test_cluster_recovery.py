@@ -116,7 +116,7 @@ class TestMidSegmentKill:
         assert router.metrics.counter("cluster.worker.respawns").value == crashes
 
         # The acceptance gate: byte-identical restores of every recipe.
-        assert router.recipe_ids() == sorted(originals)
+        assert router.store.recipes.file_ids() == sorted(originals)
         for fid, data in originals.items():
             assert router.restore_file(fid) == data
         # The repaired shards pass a full integrity walk.
@@ -204,7 +204,7 @@ class TestMidSegmentKill:
         )
         with pytest.raises(ClusterError):
             router.put_file(dead)
-        assert router.recipe_ids() == []
+        assert router.store.recipes.file_ids() == []
         survivor = router.workers["worker-01"]
         dead_ids = [f"dead#seg{i:05d}" for i in range(10)]
         landed = [sid for sid in dead_ids if survivor.has_segment(sid)]
@@ -240,7 +240,7 @@ class TestColdRestart:
         reborn = ClusterRouter(backend, config=ClusterConfig(dedup=CFG))
         assert sorted(reborn.workers) == sorted(dead.workers)
         with pytest.raises(KeyError):
-            reborn.get_recipe(victim.file_id)
+            reborn.store.recipes.get(victim.file_id)
         assert all(r.ok for r in reborn.fsck().values())
 
         # The restarted cluster keeps working end to end.
@@ -263,7 +263,7 @@ class TestColdRestart:
             )
             with pytest.raises(ClusterError):
                 doomed.put_file(victim)
-            assert doomed.recipe_ids() == []
+            assert doomed.store.recipes.file_ids() == []
 
         reborn = ClusterRouter(backend, config=ClusterConfig(dedup=CFG))
         reborn.put_file(victim)

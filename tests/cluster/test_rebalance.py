@@ -65,8 +65,8 @@ class TestSplitShard:
         """Only segments whose canonical key now lands on the joiner
         move; every placement on other nodes is untouched."""
         router, _, report = split
-        for fid in router.recipe_ids():
-            for p in router.get_recipe(fid).segments:
+        for fid in router.store.recipes.file_ids():
+            for p in router.store.recipes.get(fid).segments:
                 if p.node == report.new_node:
                     assert router.ring.route(p.fingerprint) == report.new_node
                 elif p.node == report.hot_node:
@@ -84,8 +84,8 @@ class TestSplitShard:
         router, _, report = split
         hot = router.workers[report.hot_node]
         new = router.workers[report.new_node]
-        for fid in router.recipe_ids():
-            for p in router.get_recipe(fid).segments:
+        for fid in router.store.recipes.file_ids():
+            for p in router.store.recipes.get(fid).segments:
                 if p.node == report.new_node:
                     assert new.has_segment(p.segment_id)
                     assert not hot.has_segment(p.segment_id)

@@ -190,10 +190,10 @@ class TestHysteresis:
         d = dedup(sd=8)
         d.ingest(BackupFile("base", base))
         writes_before = d.meter.count(DiskModel.CHUNK, "write")
-        stored_before = d.chunks.stored_bytes()
+        stored_before = d.store.usage(DiskModel.CHUNK).nbytes
         d.ingest(BackupFile("probe", probe))
         d.finalize()
-        assert d.chunks.stored_bytes() == stored_before
+        assert d.store.usage(DiskModel.CHUNK).nbytes == stored_before
         assert d.meter.count(DiskModel.CHUNK, "write") == writes_before
 
 

@@ -39,7 +39,7 @@ class TestBloomFalsePositives:
         d.process(files)
         queries = d.meter.count(DiskModel.HOOK, "query")
         # fresh data + saturated filter => many wasted queries
-        assert queries > d.hooks.count()
+        assert queries > d.store.usage(DiskModel.HOOK).objects
         for f in files:
             assert d.restore(f.file_id) == f.data
         assert d.verify_integrity(check_entry_hashes=True).ok

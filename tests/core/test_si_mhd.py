@@ -39,7 +39,7 @@ def test_hooks_still_persisted():
     d = SIMHDDeduplicator(cfg())
     stats = d.process([BackupFile("a", rand(60_000, 1))])
     assert stats.hook_inodes > 0
-    assert d.hooks.count() == len(d._hook_index)
+    assert d.store.usage(DiskModel.HOOK).objects == len(d._hook_index)
 
 
 def test_same_dedup_as_bf_mhd():

@@ -27,6 +27,7 @@ CASES = [
     ("DDC007", "ddc007", "src/repro/obs/newsink.py"),
     ("DDC007", "ddc007_slo", "src/repro/obs/slo.py"),
     ("DDC007", "ddc007_profile", "src/repro/obs/profile.py"),
+    ("DDC008", "ddc008", "src/repro/cluster/newrouter.py"),
     ("DDC101", "ddc101", "src/repro/service/newloop.py"),
     ("DDC102", "ddc102", "src/repro/service/newlane.py"),
     ("DDC103", "ddc103", "src/repro/service/newserver.py"),
@@ -87,6 +88,13 @@ def test_ddc007_only_polices_obs():
 def test_ddc006_exempt_in_base():
     """core/base.py owns the counters and their helpers."""
     assert run("ddc006_bad.py", "src/repro/core/base.py") == []
+
+
+def test_ddc008_exempt_inside_the_store_and_backends():
+    """The Store, its per-kind stores and the backends own the namespaces."""
+    for allowed in ("store", "manifest", "cluster_recipe", "backend"):
+        assert run("ddc008_bad.py", f"src/repro/storage/{allowed}.py") == []
+    assert len(run("ddc008_bad.py", "src/repro/storage/verify.py")) == 4
 
 
 def test_ddc101_follows_the_sync_helpers_a_coroutine_calls():
@@ -167,7 +175,7 @@ def test_cli_list_rules(capsys):
     out = capsys.readouterr().out
     for rule in ALL_RULES:
         assert rule.code in out
-    assert len(ALL_RULES) == 13
+    assert len(ALL_RULES) == 14
     assert "DDC000" in out  # the suppression pseudo-rule is documented
     codes = [line.split()[0] for line in out.strip().splitlines()]
     assert codes == sorted(codes)

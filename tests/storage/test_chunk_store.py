@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hashing import sha1
-from repro.storage import DiskChunkStore, DiskModel, MemoryBackend
+from repro.storage import DiskChunkStore, DiskModel, MemoryBackend, Store
 
 CID = sha1(b"container-1")
 
@@ -72,12 +72,12 @@ def test_duplicate_after_close_rejected(store):
         store.open_container(CID)
 
 
-def test_empty_container_occupies_nothing(metered):
-    store, meter = metered
-    w = store.open_container(CID)
+def test_empty_container_occupies_nothing():
+    s = Store(MemoryBackend())
+    w = s.chunks.open_container(CID)
     w.close()
-    assert store.count() == 0
-    assert meter.count(DiskModel.CHUNK, "write") == 0
+    assert s.usage(DiskModel.CHUNK).objects == 0
+    assert s.meter.count(DiskModel.CHUNK, "write") == 0
 
 
 def test_write_metered_once_per_container(metered):
@@ -132,9 +132,9 @@ def test_exists(store):
     assert store.exists(CID)
 
 
-def test_stored_bytes(store):
-    w = store.open_container(CID)
+def test_stored_bytes():
+    s = Store(MemoryBackend())
+    w = s.chunks.open_container(CID)
     w.append(b"abcdef")
     w.close()
-    assert store.stored_bytes() == 6
-    assert store.count() == 1
+    assert s.usage(DiskModel.CHUNK) == (1, 6)

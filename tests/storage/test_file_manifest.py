@@ -11,6 +11,7 @@ from repro.storage import (
     FileManifest,
     FileManifestStore,
     MemoryBackend,
+    Store,
 )
 
 C1 = sha1(b"c1")
@@ -100,8 +101,8 @@ class TestSerialization:
 
 class TestStore:
     def test_put_get_meters(self):
-        meter = DiskModel()
-        store = FileManifestStore(MemoryBackend(), meter)
+        s = Store(MemoryBackend())
+        store, meter = s.file_manifests, s.meter
         fm = FileManifest("a/b")
         fm.append(C1, 0, 10)
         store.put(fm)
@@ -109,5 +110,4 @@ class TestStore:
         assert got.extents == fm.extents
         assert meter.count(DiskModel.FILE_MANIFEST, "write") == 1
         assert meter.count(DiskModel.FILE_MANIFEST, "read") == 1
-        assert store.count() == 1
-        assert store.stored_bytes() == fm.byte_size()
+        assert s.usage(DiskModel.FILE_MANIFEST) == (1, fm.byte_size())

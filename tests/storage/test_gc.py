@@ -49,9 +49,9 @@ class TestDeleteFile:
 
     def test_delete_leaves_chunks_until_sweep(self, populated):
         d, _ = populated
-        before = d.chunks.stored_bytes()
+        before = d.store.usage(DiskModel.CHUNK).nbytes
         delete_file(d.backend, "a")
-        assert d.chunks.stored_bytes() == before
+        assert d.store.usage(DiskModel.CHUNK).nbytes == before
 
 
 class TestSweep:
@@ -65,12 +65,12 @@ class TestSweep:
 
     def test_reclaims_unreferenced_file(self, populated):
         d, files = populated
-        stored_before = d.chunks.stored_bytes()
+        stored_before = d.store.usage(DiskModel.CHUNK).nbytes
         delete_file(d.backend, "a")
         report = sweep(d.backend)
         assert report.containers_deleted == 1
         assert report.bytes_reclaimed == pytest.approx(len(files["a"]), rel=0.05)
-        assert d.chunks.stored_bytes() < stored_before
+        assert d.store.usage(DiskModel.CHUNK).nbytes < stored_before
         # survivors intact
         for k in ("b", "b2", "c"):
             assert d.restore(k) == files[k]
@@ -90,9 +90,9 @@ class TestSweep:
         for k in files:
             delete_file(d.backend, k)
         report = sweep(d.backend)
-        assert d.chunks.count() == 0
-        assert d.manifests.count() == 0
-        assert d.hooks.count() == 0
+        assert d.store.usage(DiskModel.CHUNK).objects == 0
+        assert d.store.usage(DiskModel.MANIFEST).objects == 0
+        assert d.store.usage(DiskModel.HOOK).objects == 0
         assert report.bytes_reclaimed > 0
 
     def test_swept_store_verifies_clean(self, populated):
@@ -141,9 +141,9 @@ class TestSweepMultiManifest:
         for k in files:
             delete_file(d.backend, k)
         sweep(d.backend)
-        assert d.chunks.count() == 0
+        assert d.store.usage(DiskModel.CHUNK).objects == 0
         assert d.backend.object_count(DiskModel.MANIFEST) == 0
-        assert d.hooks.count() == 0
+        assert d.store.usage(DiskModel.HOOK).objects == 0
 
 
 class TestSweepEdgeCases:

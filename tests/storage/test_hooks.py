@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hashing import sha1
-from repro.storage import DiskModel, HookStore, MemoryBackend
+from repro.storage import DiskModel, HookStore, MemoryBackend, Store
 
 H = sha1(b"hook-digest")
 M1 = sha1(b"manifest-1")
@@ -60,9 +60,8 @@ def test_lookup_hit(hooks):
     assert meter.count(DiskModel.HOOK, "read") == 1
 
 
-def test_counts(hooks):
-    store, _ = hooks
-    store.put(H, M1)
-    store.put(sha1(b"other"), M2)
-    assert store.count() == 2
-    assert store.stored_bytes() == 40  # two 20-byte addresses
+def test_counts():
+    s = Store(MemoryBackend())
+    s.hooks.put(H, M1)
+    s.hooks.put(sha1(b"other"), M2)
+    assert s.usage(DiskModel.HOOK) == (2, 40)  # two 20-byte addresses

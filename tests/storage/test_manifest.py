@@ -12,6 +12,7 @@ from repro.storage import (
     ManifestEntry,
     ManifestStore,
     MemoryBackend,
+    Store,
 )
 
 MID = sha1(b"manifest")
@@ -161,10 +162,10 @@ class TestStore:
         assert meter.nbytes(DiskModel.MANIFEST, "write") == m.byte_size()
 
     def test_exists_and_counts(self):
-        meter = DiskModel()
-        store = ManifestStore(MemoryBackend(), meter)
+        s = Store(MemoryBackend())
+        store = s.manifests
         assert not store.exists(MID)
         store.put(Manifest(MID, CID, [entry(b"a", 0, 10)]))
         assert store.exists(MID)
-        assert store.count() == 1
-        assert store.stored_bytes() > 0
+        assert s.usage(DiskModel.MANIFEST).objects == 1
+        assert s.usage(DiskModel.MANIFEST).nbytes > 0

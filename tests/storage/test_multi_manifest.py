@@ -3,12 +3,11 @@
 import pytest
 
 from repro.hashing import sha1
-from repro.storage import DiskModel, MemoryBackend
+from repro.storage import DiskModel, ManifestStore, MemoryBackend
 from repro.storage.multi_manifest import (
     GROUP_HEADER_SIZE,
     MultiEntry,
     MultiManifest,
-    MultiManifestStore,
 )
 
 MID = sha1(b"mm")
@@ -90,7 +89,7 @@ class TestManifest:
 class TestStore:
     def test_put_get_meters(self):
         meter = DiskModel()
-        store = MultiManifestStore(MemoryBackend(), meter)
+        store = ManifestStore(MemoryBackend(), meter)
         m = MultiManifest(MID, [entry(b"a", C1, 0, 5)])
         store.put(m)
         assert not m.dirty

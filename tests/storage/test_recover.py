@@ -12,6 +12,7 @@ from repro.storage import (
     DirectoryBackend,
     DiskChunkStore,
     DiskModel,
+    FileManifest,
     FileManifestStore,
     MemoryBackend,
     recover,
@@ -186,6 +187,36 @@ class TestBitFlip:
         survivors = restore_all(backend)
         assert "a" not in survivors
         assert survivors == {k: v for k, v in files.items() if k != "a"}
+
+
+class TestRepeatedRecovery:
+    def test_second_recovery_keeps_the_first_quarantined_copy(self):
+        """Quarantine frees a file's ids, so pushing the name again and
+        tearing it again puts new damage under the same keys; the second
+        recovery must not overwrite the first one's evidence."""
+        backend = MemoryBackend()
+        pushed = {}
+        for seed in (1, 2):
+            pushed[seed] = rand(30_000, seed)
+            MHDDeduplicator(cfg(), backend).process([BackupFile("a", pushed[seed])])
+            for cid in backend.keys(DiskModel.CHUNK):
+                backend.put(DiskModel.CHUNK, cid, backend.get(DiskModel.CHUNK, cid)[:-10])
+            report = recover(backend)
+            assert report.file_manifests_quarantined == 1 and report.ok
+
+        for kind in (DiskModel.FILE_MANIFEST, DiskModel.MANIFEST):
+            assert backend.object_count(QUARANTINE_PREFIX + kind) == 2, kind
+        shadow = QUARANTINE_PREFIX + DiskModel.FILE_MANIFEST
+        copies = {
+            key: FileManifest.from_bytes(backend.get(shadow, key))
+            for key in backend.keys(shadow)
+        }
+        # The first copy keeps its own key; both describe a whole push.
+        first = copies.pop(FileManifestStore.key_for("a"))
+        (second,) = copies.values()
+        assert first.total_size == second.total_size == 30_000
+        assert first.extents[0].container_id == sha1(b"a")
+        assert second.extents[0].container_id != sha1(b"a")
 
 
 class TestReport:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import DedupConfig, MHDDeduplicator
 from repro.storage import (
+    DiskModel,
     RetentionPolicy,
     apply_retention,
     default_generation_of,
@@ -76,7 +77,7 @@ class TestApply:
         d = MHDDeduplicator(DedupConfig(ecs=1024, sd=8))
         d.process(files)
         ids = [f.file_id for f in files]
-        stored_before = d.chunks.stored_bytes()
+        stored_before = d.store.usage(DiskModel.CHUNK).nbytes
 
         expired, report = apply_retention(
             d.backend, ids, RetentionPolicy(keep_last=1)
@@ -84,7 +85,7 @@ class TestApply:
         assert expired
         assert all("gen002" not in f for f in expired)  # newest gen kept
         assert report.bytes_reclaimed > 0
-        assert d.chunks.stored_bytes() < stored_before
+        assert d.store.usage(DiskModel.CHUNK).nbytes < stored_before
         # all surviving files restore exactly; store verifies clean
         for f in files:
             if f.file_id not in expired:

@@ -254,6 +254,43 @@ class TestStats:
         assert metadata(stats_line, capsys.readouterr().out) == before
 
 
+    #: ``stats`` over the FAST run's store: the table below its title and the totals.
+    STATS_TABLE = """\
+namespace     | objects | payload     | inode bytes
+--------------+---------+-------------+------------
+chunk         | 108     | 4,446,114 B | 27,648 B   
+manifest      | 108     | 45,822 B    | 27,648 B   
+hook          | 494     | 9,880 B     | 126,464 B  
+file_manifest | 111     | 11,259 B    | 28,416 B   
+chunk data 4,446,114 B; metadata (incl. inodes) 277,137 B
+"""
+
+    def test_stats_lists_each_kind_once(self, tmp_path, capsys, monkeypatch):
+        """One object count and one byte total per kind: the totals line
+        is derived from the table's rows, not from a second walk."""
+        import repro.cli
+
+        listings = []
+
+        class Listing(repro.cli.DirectoryBackend):
+            def object_count(self, namespace):
+                listings.append(namespace)
+                return super().object_count(namespace)
+
+            def bytes_stored(self, namespace):
+                listings.append(namespace)
+                return super().bytes_stored(namespace)
+
+        store = str(tmp_path / "store")
+        main(["run", *FAST, "--store-dir", store])
+        capsys.readouterr()
+        monkeypatch.setattr(repro.cli, "DirectoryBackend", Listing)
+        assert main(["stats", "--store-dir", store]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines(keepends=True)[2:] == self.STATS_TABLE.splitlines(keepends=True)
+        assert sorted(listings) == sorted(2 * ["chunk", "manifest", "hook", "file_manifest"])
+
+
 class TestGenCorpus:
     def test_gen_corpus_roundtrips_through_input_dir(self, tmp_path, capsys):
         outdir = str(tmp_path / "corpus")

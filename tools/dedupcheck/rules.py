@@ -13,6 +13,8 @@ DDC005  no ``bytes +=`` accumulation inside loops on hot paths
 DDC006  dedup counters updated only via the ``Deduplicator`` helpers
 DDC007  ``repro/obs/`` is a read-only leaf: no dedup-machinery imports,
         no calls that mutate the observed pipeline
+DDC008  backend object calls on a store namespace only inside the
+        ``Store``, the per-kind stores and the backends
 ======  ==============================================================
 
 The DDC1xx concurrency pack (blocking calls in coroutines, fleet-thread
@@ -522,6 +524,82 @@ class ObsReadOnly:
         )
 
 
+class StoreConfinement:
+    """DDC008 — store objects are touched only through the ``Store``.
+
+    Table II meters the four object kinds (plus the cluster's recipes
+    and membership) in one place: :class:`repro.storage.store.Store`
+    and the per-kind stores it owns.  A backend ``put``/``get``/
+    ``get_range``/``object_size``/``delete``/``keys``/``exists`` on a
+    store namespace anywhere else reads or writes a store object behind
+    the meter's back, and re-states a kind's namespace, key rule and
+    codec.  A namespace is a store namespace if its expression names a
+    ``DiskModel`` kind, ``RECIPE_NAMESPACE`` / ``META_NAMESPACE`` /
+    ``QUARANTINE_PREFIX``, or spells one of their values.
+    """
+
+    code = "DDC008"
+    summary = "backend object call on a store namespace outside the Store"
+
+    _ALLOWED = tuple(
+        f"repro/storage/{name}.py"
+        for name in (
+            "store",
+            "chunk_store",
+            "manifest",
+            "hooks",
+            "file_manifest",
+            "cluster_recipe",
+            "backend",
+            "faults",
+        )
+    )
+    _METHODS = frozenset(
+        {"put", "get", "get_range", "object_size", "delete", "keys", "exists"}
+    )
+    _KINDS = frozenset({"CHUNK", "MANIFEST", "HOOK", "FILE_MANIFEST"})
+    _NAMES = frozenset({"RECIPE_NAMESPACE", "META_NAMESPACE", "QUARANTINE_PREFIX"})
+    _VALUES = frozenset(
+        {"chunk", "manifest", "hook", "file_manifest", "cluster.recipe", "cluster.meta"}
+    )
+
+    def check(self, tree: ast.Module, path: str) -> Iterator[Violation]:
+        """Flag object-method calls whose namespace names a store kind."""
+        if path.endswith(self._ALLOWED):
+            return
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in self._METHODS
+            ):
+                continue
+            namespace = node.args[0] if node.args else next(
+                (k.value for k in node.keywords if k.arg == "namespace"), None
+            )
+            if namespace is not None and self._names_store_kind(namespace):
+                yield Violation(
+                    path,
+                    node.lineno,
+                    node.col_offset,
+                    self.code,
+                    f".{node.func.attr}() on a store namespace outside the Store; "
+                    "go through repro.storage.Store and its per-kind stores",
+                )
+
+    def _names_store_kind(self, expr: ast.expr) -> bool:
+        for node in ast.walk(expr):
+            if isinstance(node, ast.Attribute) and node.attr in self._KINDS:
+                if _tail_name(node.value) == "DiskModel":
+                    return True
+            elif isinstance(node, ast.Name) and node.id in self._NAMES:
+                return True
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if node.value in self._VALUES or node.value.startswith("quarantine."):
+                    return True
+        return False
+
+
 #: The full rule pack, in catalogue order (DDC0xx invariants first,
 #: then the DDC1xx concurrency pack).
 ALL_RULES = (
@@ -532,4 +610,5 @@ ALL_RULES = (
     NoQuadraticBytes(),
     StatsViaHelpers(),
     ObsReadOnly(),
+    StoreConfinement(),
 ) + CONCURRENCY_RULES
