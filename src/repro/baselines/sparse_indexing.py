@@ -181,12 +181,13 @@ class SparseIndexingDeduplicator(Deduplicator):
         to :data:`MAX_MANIFESTS_PER_HOOK`).  The rebuild iterates hooks
         in sorted digest order so two processes warm-starting from the
         same store produce byte-identical indexes regardless of backend
-        enumeration order.
+        enumeration order.  There is no Bloom filter to fill, so the
+        base class's listing is not needed: the namespace is listed once.
         """
-        count = super().warm_start()
-        for hook in sorted(self.store.ids(DiskModel.HOOK)):
+        hooks = sorted(self.store.ids(DiskModel.HOOK))
+        for hook in hooks:
             mid = self.hooks.get(hook)
             ids = self._sparse.setdefault(hook, [])
             if mid not in ids:
                 ids.append(mid)
-        return count
+        return len(hooks)

@@ -28,6 +28,7 @@ since the paper budgets 256 bytes per metadata file inode.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import logging
 import os
 import tempfile
@@ -44,10 +45,15 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: Suffix of in-flight temp files used by :meth:`DirectoryBackend.put`.
-#: Never a valid object name (object files are bare hex), so interrupted
-#: writes are invisible to every read path and swept by recovery.
+#: Suffix of in-flight temp files used by :meth:`DirectoryBackend.put`
+#: and :meth:`DirectoryBackend.put_like`.  Never a valid object name
+#: (object files are bare hex), so interrupted writes are invisible to
+#: every read path and swept by recovery.
 TMP_SUFFIX = ".tmp"
+
+#: Per-process sequence naming :meth:`DirectoryBackend.put_like`'s temp
+#: links (``next`` on an ``itertools.count`` is atomic under the GIL).
+_LINK_SEQ = itertools.count()
 
 
 def _not_found(namespace: str, key: bytes) -> KeyError:
@@ -68,6 +74,17 @@ class StorageBackend(ABC):
     @abstractmethod
     def put(self, namespace: str, key: bytes, data: bytes) -> None:
         """Store an object (overwrites an existing one)."""
+
+    def put_like(self, namespace: str, key: bytes, data: bytes, like: bytes) -> None:
+        """:meth:`put`, with a hint: the object under ``like`` (same
+        namespace) may already hold exactly ``data``.
+
+        Afterwards ``get(namespace, key) == data``, whatever ``like``
+        holds or whether it exists.  A backend that can share storage
+        between equal objects uses the hint (:class:`DirectoryBackend`
+        hard-links the file); the default ignores it.
+        """
+        self.put(namespace, key, data)
 
     @abstractmethod
     def get(self, namespace: str, key: bytes) -> bytes:
@@ -115,7 +132,13 @@ class StorageBackend(ABC):
 
     @abstractmethod
     def object_count(self, namespace: str) -> int:
-        """Number of stored objects = inodes consumed by the namespace."""
+        """Number of stored objects (names) in the namespace.
+
+        The paper charges one ``INODE_SIZE`` per object
+        (:meth:`inode_bytes`), so this is its inode count; physically a
+        :class:`DirectoryBackend` may hold fewer inodes, since objects
+        written with :meth:`put_like` (a manifest's hooks) share one.
+        """
 
     @abstractmethod
     def bytes_stored(self, namespace: str) -> int:
@@ -189,7 +212,9 @@ class DirectoryBackend(StorageBackend):
     """One file per object under ``root/namespace/<key hex>``.
 
     Matches the paper's prototype: every DiskChunk/Manifest/Hook is a
-    separate hash-named file on the host file system.
+    separate hash-named file on the host file system — though the
+    files of a manifest's hooks, written with :meth:`put_like`, are
+    hard links to one inode.
 
     Writes are **atomic**: the payload goes to a same-directory temp
     file first and is renamed over the final name with ``os.replace``,
@@ -210,6 +235,10 @@ class DirectoryBackend(StorageBackend):
       payloads intact at the moment of each replace (the stores only
       ever write identical content for one key, so either order is
       correct);
+    * :meth:`put_like` links the hinted file to a temp name unique per
+      call, checks its bytes and publishes it with the same
+      ``os.replace`` — a published inode is never written in place, so
+      the bytes checked are the bytes published;
     * ``os.makedirs(exist_ok=True)`` makes namespace creation racy-safe;
     * enumeration (:meth:`keys`/:meth:`object_count`) may or may not
       see a concurrently-published object, but never a partial one —
@@ -296,11 +325,52 @@ class DirectoryBackend(StorageBackend):
                 os.unlink(tmp)
             raise
         if self._fsync == "full":
-            dfd = os.open(d, os.O_RDONLY)
+            self._fsync_dir(d)
+
+    def put_like(self, namespace: str, key: bytes, data: bytes, like: bytes) -> None:
+        """Publish a hard link to ``like``'s file as ``key`` if it holds
+        ``data`` — no new inode, which on a local file system costs far
+        more than a link — else :meth:`put`.
+
+        The link goes to a hidden ``TMP_SUFFIX`` name first, is read
+        back and compared with ``data``, and only then renamed onto
+        ``key``; any ``OSError`` (``like`` absent, ``EMLINK``, a file
+        system without links) or a byte mismatch drops the temp name
+        and falls back to :meth:`put`.  A crash leaves the old state,
+        the complete new name, or a stray that :meth:`purge_incomplete`
+        removes.  The linked bytes were made durable by the put that
+        wrote ``like``, so ``fsync="data"`` adds nothing here and
+        ``"full"`` fsyncs the directory after the rename, as :meth:`put`.
+        """
+        path = self._path(namespace, key)
+        d = os.path.dirname(path)
+        tmp = os.path.join(d, f".{key.hex()}.{os.getpid()}.{next(_LINK_SEQ)}{TMP_SUFFIX}")
+        try:
+            os.link(self._path(namespace, like), tmp)
             try:
-                os.fsync(dfd)
+                with open(tmp, "rb") as fh:
+                    same = fh.read(len(data) + 1) == data
+                if same:
+                    os.replace(tmp, path)
             finally:
-                os.close(dfd)
+                # Also after a replace: renaming a link onto another link
+                # of the same inode is a no-op that leaves the source name.
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
+        except OSError:
+            same = False
+        if not same:
+            self.put(namespace, key, data)
+        elif self._fsync == "full":
+            self._fsync_dir(d)
+
+    @staticmethod
+    def _fsync_dir(d: str) -> None:
+        dfd = os.open(d, os.O_RDONLY)
+        try:
+            os.fsync(dfd)
+        finally:
+            os.close(dfd)
 
     def get(self, namespace: str, key: bytes) -> bytes:
         try:
@@ -425,6 +495,9 @@ class PrefixedBackend(StorageBackend):
 
     def put(self, namespace: str, key: bytes, data: bytes) -> None:
         self.inner.put(self._ns(namespace), key, data)
+
+    def put_like(self, namespace: str, key: bytes, data: bytes, like: bytes) -> None:
+        self.inner.put_like(self._ns(namespace), key, data, like)
 
     def get(self, namespace: str, key: bytes) -> bytes:
         return self.inner.get(self._ns(namespace), key)

@@ -35,7 +35,12 @@ QUARANTINE_PREFIX = "quarantine."
 
 
 class Usage(NamedTuple):
-    """What one kind occupies: objects (= inodes) and payload bytes."""
+    """What one kind occupies: objects and payload bytes.
+
+    Objects are names; the paper charges ``INODE_SIZE`` per object.  A
+    ``DirectoryBackend`` gives a manifest's hooks one physical inode
+    between them (``StorageBackend.put_like``), which no count here sees.
+    """
 
     objects: int
     nbytes: int

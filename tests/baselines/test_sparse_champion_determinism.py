@@ -22,7 +22,7 @@ from repro.baselines.sparse_indexing import (
     rank_champions,
 )
 from repro.core import DedupConfig
-from repro.storage import MemoryBackend
+from repro.storage import DiskModel, MemoryBackend
 from repro.workloads import tiny_corpus
 
 CFG = DedupConfig(ecs=1024, sd=8, bloom_bytes=1 << 18)
@@ -171,6 +171,30 @@ class TestWarmStartChampions:
             live_ids = live._sparse[hook]
             if len(live_ids) < 5:  # oldest not yet LRU-evicted
                 assert ids[0] == live_ids[0]
+
+    def test_warm_start_lists_the_hooks_once(self, store):
+        """One listing of the hook namespace per warm start, and the
+        index it builds: every hook, in sorted order, mapped to the
+        manifest its file names."""
+        backend, _ = store
+        listings = []
+
+        class ListingCounter(MemoryBackend):
+            def keys(self, namespace):
+                listings.append(namespace)
+                return backend.keys(namespace)
+
+            def get(self, namespace, key):
+                return backend.get(namespace, key)
+
+        warm = SparseIndexingDeduplicator(CFG, backend=ListingCounter())
+        count = warm.warm_start()
+        assert listings.count(DiskModel.HOOK) == 1
+        hooks = sorted(backend.keys(DiskModel.HOOK))
+        assert count == len(hooks)
+        assert list(warm._sparse.items()) == [
+            (hook, [backend.get(DiskModel.HOOK, hook)]) for hook in hooks
+        ]
 
     def test_warm_started_dedup_still_restores(self, store):
         backend, _ = store

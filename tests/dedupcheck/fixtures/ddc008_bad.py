@@ -18,3 +18,7 @@ def drop_quarantined(backend, kind, key):
 
 def file_manifest_keys(view):
     return view.keys(namespace="file_manifest")
+
+
+def link_hook(backend, key, manifest_id, previous):
+    backend.put_like(DiskModel.HOOK, key, manifest_id, previous)

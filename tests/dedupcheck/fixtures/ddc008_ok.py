@@ -22,4 +22,5 @@ def hook_keys(store: Store):
 def scratch(backend, key, cache):
     # Not a store namespace, and not a backend: neither is policed.
     backend.put("bench.scratch", key, b"")
+    backend.put_like("bench.scratch", key, b"", key)
     return cache.get(key)

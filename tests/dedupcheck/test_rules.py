@@ -94,7 +94,7 @@ def test_ddc008_exempt_inside_the_store_and_backends():
     """The Store, its per-kind stores and the backends own the namespaces."""
     for allowed in ("store", "manifest", "cluster_recipe", "backend"):
         assert run("ddc008_bad.py", f"src/repro/storage/{allowed}.py") == []
-    assert len(run("ddc008_bad.py", "src/repro/storage/verify.py")) == 4
+    assert len(run("ddc008_bad.py", "src/repro/storage/verify.py")) == 5
 
 
 def test_ddc101_follows_the_sync_helpers_a_coroutine_calls():

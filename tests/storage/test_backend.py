@@ -1,5 +1,8 @@
 """Backend contract tests, run against both implementations."""
 
+import errno
+import os
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from repro.storage import (
     PrefixedBackend,
     RetryingBackend,
 )
+from repro.storage.backend import TMP_SUFFIX
 
 
 @pytest.fixture(params=["memory", "directory"])
@@ -110,7 +114,7 @@ def test_delete_is_namespace_scoped(backend):
 
 #: Every backend in the tree.  ``memory`` and ``fault-injecting`` serve
 #: ranges through the defaults built on ``get``; the others override.
-RANGED = {
+ALL_BACKENDS = {
     "memory": lambda root: MemoryBackend(),
     "directory": DirectoryBackend,
     "prefixed": lambda root: PrefixedBackend(DirectoryBackend(root), "view."),
@@ -119,9 +123,9 @@ RANGED = {
 }
 
 
-@pytest.fixture(params=sorted(RANGED))
+@pytest.fixture(params=sorted(ALL_BACKENDS))
 def ranged(request, tmp_path):
-    return RANGED[request.param](tmp_path / "store")
+    return ALL_BACKENDS[request.param](tmp_path / "store")
 
 
 class TestRangedReads:
@@ -169,6 +173,125 @@ class TestRangedReads:
         ranged.put("chunk", KEY1, b"")
         assert ranged.object_size("chunk", KEY1) == 0
         assert ranged.get_range("chunk", KEY1, 0, 0) == b""
+
+
+KEY3 = b"\x03" * 20
+
+
+class TestPutLike:
+    """``put_like`` stores ``data`` under ``key`` whatever ``like`` holds."""
+
+    @pytest.fixture(params=sorted(ALL_BACKENDS))
+    def backend(self, request, tmp_path):
+        return ALL_BACKENDS[request.param](tmp_path / "store")
+
+    def test_like_holding_the_same_bytes(self, backend):
+        backend.put("hook", KEY1, b"m" * 20)
+        backend.put_like("hook", KEY2, b"m" * 20, KEY1)
+        assert backend.get("hook", KEY2) == backend.get("hook", KEY1) == b"m" * 20
+        assert backend.object_count("hook") == 2
+        assert backend.bytes_stored("hook") == 40
+        assert backend.purge_incomplete() == 0
+
+    def test_like_missing(self, backend):
+        backend.put_like("hook", KEY2, b"m" * 20, KEY1)
+        assert backend.get("hook", KEY2) == b"m" * 20
+        assert backend.keys("hook") == [KEY2]
+        assert backend.purge_incomplete() == 0
+
+    def test_like_holding_other_bytes(self, backend):
+        backend.put("hook", KEY1, b"other")
+        backend.put_like("hook", KEY2, b"m" * 20, KEY1)
+        assert backend.get("hook", KEY2) == b"m" * 20
+        assert backend.get("hook", KEY1) == b"other"
+        assert backend.purge_incomplete() == 0
+
+    def test_overwrites_and_repeats(self, backend):
+        backend.put("hook", KEY1, b"m" * 20)
+        backend.put("hook", KEY2, b"old")
+        backend.put_like("hook", KEY2, b"m" * 20, KEY1)
+        backend.put_like("hook", KEY2, b"m" * 20, KEY1)  # already a link of like
+        backend.put_like("hook", KEY1, b"m" * 20, KEY1)  # like is key
+        backend.put_like("hook", KEY3, b"n" * 20, KEY2)
+        assert [backend.get("hook", k) for k in (KEY1, KEY2, KEY3)] == [
+            b"m" * 20,
+            b"m" * 20,
+            b"n" * 20,
+        ]
+        assert backend.purge_incomplete() == 0
+
+
+class TestDirectoryPutLike:
+    """``DirectoryBackend.put_like`` links instead of creating an inode."""
+
+    @staticmethod
+    def _inode(root, key):
+        return os.stat(root / "hook" / key.hex()).st_ino
+
+    @pytest.mark.parametrize("fsync", ["none", "data", "full"])
+    def test_equal_bytes_share_an_inode(self, tmp_path, fsync):
+        b = DirectoryBackend(tmp_path, fsync=fsync)
+        b.put("hook", KEY1, b"m" * 20)
+        b.put_like("hook", KEY2, b"m" * 20, KEY1)
+        assert self._inode(tmp_path, KEY2) == self._inode(tmp_path, KEY1)
+        assert sorted(os.listdir(tmp_path / "hook")) == [KEY1.hex(), KEY2.hex()]
+
+    def test_other_bytes_get_their_own_inode(self, tmp_path):
+        b = DirectoryBackend(tmp_path)
+        b.put("hook", KEY1, b"n" * 20)
+        b.put_like("hook", KEY2, b"m" * 20, KEY1)
+        assert self._inode(tmp_path, KEY2) != self._inode(tmp_path, KEY1)
+        assert b.get("hook", KEY2) == b"m" * 20
+        assert sorted(os.listdir(tmp_path / "hook")) == [KEY1.hex(), KEY2.hex()]
+
+    @pytest.mark.parametrize("code", [errno.EMLINK, errno.EPERM])
+    def test_link_errors_fall_back_to_put(self, tmp_path, monkeypatch, code):
+        b = DirectoryBackend(tmp_path)
+        b.put("hook", KEY1, b"m" * 20)
+
+        def refuse(src, dst):
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(os, "link", refuse)
+        b.put_like("hook", KEY2, b"m" * 20, KEY1)
+        assert b.get("hook", KEY2) == b"m" * 20
+        assert self._inode(tmp_path, KEY2) != self._inode(tmp_path, KEY1)
+        assert sorted(os.listdir(tmp_path / "hook")) == [KEY1.hex(), KEY2.hex()]
+
+    def test_crash_before_the_rename_leaves_only_a_stray(self, tmp_path):
+        """A process that dies between the link and the rename leaves a
+        ``TMP_SUFFIX`` name no read path sees, and recovery removes it."""
+        b = DirectoryBackend(tmp_path)
+        b.put("hook", KEY1, b"m" * 20)
+        pid = os.fork()
+        if pid == 0:  # the child dies where the rename would run
+            try:
+                os.replace = lambda src, dst: os._exit(0)
+                b.put_like("hook", KEY2, b"m" * 20, KEY1)
+            finally:
+                os._exit(1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        names = os.listdir(tmp_path / "hook")
+        assert len(names) == 2 and [n for n in names if n.endswith(TMP_SUFFIX)]
+        assert not b.exists("hook", KEY2)
+        assert b.keys("hook") == [KEY1]
+        assert b.purge_incomplete() == 1
+        assert os.listdir(tmp_path / "hook") == [KEY1.hex()]
+
+
+def test_prefixed_backend_forwards_put_like():
+    calls = []
+
+    class Recording(MemoryBackend):
+        def put_like(self, namespace, key, data, like):
+            calls.append((namespace, key, data, like))
+            super().put_like(namespace, key, data, like)
+
+    view = PrefixedBackend(Recording(), "view.")
+    view.put_like("hook", KEY2, b"m" * 20, KEY1)
+    assert calls == [("view.hook", KEY2, b"m" * 20, KEY1)]
+    assert view.get("hook", KEY2) == b"m" * 20
 
 
 class TestDirectoryDurability:

@@ -3,7 +3,9 @@
 DirectoryBackend documents a same-process concurrency guarantee: puts
 are atomic (unique mkstemp temp + os.replace), so concurrent writers —
 including writers racing on the *same* key — never produce a torn
-object, and readers always observe complete payloads.  These tests
+object, and readers always observe complete payloads; ``put_like``
+links are checked against their bytes before the same rename, so a
+hint another writer is replacing never leaks into the key.  These tests
 hammer that guarantee with thread fleets over overlapping namespaces,
 the exact shape the multi-tenant service produces (many sessions, one
 physical store).
@@ -18,6 +20,11 @@ from repro.storage import DirectoryBackend, MemoryBackend, PrefixedBackend
 
 def _key(i: int) -> bytes:
     return i.to_bytes(4, "big") * 5  # 20-byte hex-friendly key
+
+
+def _hook(writer: int) -> bytes:
+    # What a writer's hooks all hold, as one manifest's hooks do.
+    return bytes([writer]) * 20
 
 
 def _payload(i: int, writer: int) -> bytes:
@@ -50,6 +57,11 @@ class TestDirectoryBackendHammer:
                     assert len(got) == len(_payload(i, 0)), "torn read"
                     assert got[:4] == i.to_bytes(4, "big")
                     assert got[5:] == bytes([got[4]]) * 512
+                    # Each hook hinted at the one before, which other
+                    # writers are replacing with their own bytes.
+                    backend.put_like("hook", _key(i), _hook(w), _key((i - 1) % self.N_KEYS))
+                    got = backend.get("hook", _key(i))
+                    assert got in {_hook(v) for v in range(self.N_THREADS)}, "torn hook"
             except BaseException as e:  # noqa: BLE001 - collected for the main thread
                 errors.append(e)
 
@@ -69,7 +81,9 @@ class TestDirectoryBackendHammer:
             got = backend.get(ns, _key(i))
             w = got[4]
             assert got == _payload(i, w)
+            assert backend.get("hook", _key(i)) in {_hook(v) for v in range(self.N_THREADS)}
         assert backend.object_count("chunk") == self.N_KEYS // 2
+        assert backend.object_count("hook") == self.N_KEYS
         assert backend.object_count("manifest") == self.N_KEYS // 2
         assert backend.purge_incomplete() == 0
 

@@ -1,6 +1,6 @@
 """Stateful property test: both backends against a model dict.
 
-Hypothesis drives random interleavings of put/get/get_range/
+Hypothesis drives random interleavings of put/put_like/get/get_range/
 object_size/exists/count against MemoryBackend and DirectoryBackend
 simultaneously; any divergence from the reference model (or between
 the two backends) fails.
@@ -39,6 +39,20 @@ class BackendMachine(RuleBasedStateMachine):
         self.model[(ns, key)] = data
         self.memory.put(ns, key, data)
         self.directory.put(ns, key, data)
+
+    @rule(
+        key=keys,
+        like=keys,
+        ns=st.sampled_from(_NS),
+        copy=st.booleans(),
+        data=st.binary(max_size=200),
+    )
+    def put_like(self, key, like, ns, copy, data):
+        if copy and (ns, like) in self.model:
+            data = self.model[(ns, like)]  # the hint holds: a link
+        self.model[(ns, key)] = data
+        self.memory.put_like(ns, key, data, like)
+        self.directory.put_like(ns, key, data, like)
 
     @rule(key=keys, ns=st.sampled_from(_NS))
     def get(self, key, ns):
@@ -106,6 +120,10 @@ class BackendMachine(RuleBasedStateMachine):
             expected = sorted(k for (m_ns, k) in self.model if m_ns == ns)
             assert sorted(self.memory.keys(ns)) == expected
             assert sorted(self.directory.keys(ns)) == expected
+
+    @invariant()
+    def no_debris(self):
+        assert self.directory.purge_incomplete() == 0
 
     def teardown(self):
         shutil.rmtree(self.tmpdir, ignore_errors=True)

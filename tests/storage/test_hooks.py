@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.core import DedupConfig
 from repro.hashing import sha1
-from repro.storage import DiskModel, HookStore, MemoryBackend, Store
+from repro.registry import resolve
+from repro.storage import DirectoryBackend, DiskModel, HookStore, MemoryBackend, Store
+from repro.workloads import tiny_corpus
 
 H = sha1(b"hook-digest")
 M1 = sha1(b"manifest-1")
@@ -65,3 +68,31 @@ def test_counts():
     s.hooks.put(H, M1)
     s.hooks.put(sha1(b"other"), M2)
     assert s.usage(DiskModel.HOOK) == (2, 40)  # two 20-byte addresses
+
+
+CONFIG = dict(ecs=1024, sd=8, bloom_bytes=1 << 16, cache_manifests=8, window=16)
+
+
+def _ingest(algo, backend):
+    dedup = resolve(algo)(DedupConfig(**CONFIG), backend=backend)
+    stats = dedup.process(tiny_corpus().files())
+    return dedup.store, stats
+
+
+@pytest.mark.parametrize("algo", ["bf-mhd", "sparse-indexing"])
+def test_hooks_of_one_manifest_share_an_inode(algo, tmp_path):
+    """On a DirectoryBackend a manifest's (or segment's) hooks are links
+    to one file; everything the paper counts is that of a file per hook."""
+    store, stats = _ingest(algo, DirectoryBackend(tmp_path / "store"))
+    files = list((tmp_path / "store" / DiskModel.HOOK).iterdir())
+    inodes = {f.stat().st_ino for f in files}
+    addressed = {f.read_bytes() for f in files}  # manifests that have hooks
+    assert len(files) == store.usage(DiskModel.HOOK).objects > len(addressed)
+    assert len(inodes) <= len(addressed) <= store.usage(DiskModel.MANIFEST).objects
+
+    reference, reference_stats = _ingest(algo, MemoryBackend())
+    assert store.usage(DiskModel.HOOK) == reference.usage(DiskModel.HOOK)
+    assert store.meter.count(DiskModel.HOOK, "write") == reference.meter.count(
+        DiskModel.HOOK, "write"
+    )
+    assert stats.as_dict() == reference_stats.as_dict()
