@@ -30,6 +30,7 @@ by-machine fleet (:func:`~repro.cluster.fleet.dedup_sharded`) reports.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 
@@ -248,14 +249,16 @@ class ClusterRouter:
     # -- restore ---------------------------------------------------------
 
     def iter_restore(self, file_id: str) -> Iterator[bytes]:
-        """A file's bytes in order, one segment restore at a time
+        """A file's bytes in order: each segment's restore pieces in turn
         (``KeyError`` here, not on the first piece, if it has no recipe).
 
-        RAM is bounded by one segment: the configured segment size plus
-        at most one chunk.
+        RAM is bounded by one piece
+        (:data:`~repro.storage.file_manifest.RESTORE_PIECE_SIZE`).
         """
         recipe = self.store.recipes.get(file_id)
-        return (self.workers[p.node].restore_segment(p.segment_id) for p in recipe.segments)
+        return itertools.chain.from_iterable(
+            self.workers[p.node].iter_segment(p.segment_id) for p in recipe.segments
+        )
 
     def restore_file(self, file_id: str) -> bytes:
         """Reassemble a file from its per-worker segment restores."""

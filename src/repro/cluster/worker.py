@@ -21,7 +21,7 @@ the dead worker never acknowledged.
 from __future__ import annotations
 
 import re
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from typing import cast
 
 from ..chunking import Chunker
@@ -120,6 +120,11 @@ class ShardWorker:
     def restore_segment(self, segment_id: str) -> bytes:
         """Reconstruct a segment byte-for-byte from the shard."""
         return self._dedup.restore(segment_id)
+
+    def iter_segment(self, segment_id: str) -> Iterator[bytes]:
+        """A segment's bytes in bounded pieces (``restore_segment`` is
+        their join); ``KeyError`` here if the shard has no such segment."""
+        return self._dedup.iter_restore(segment_id)
 
     def has_segment(self, segment_id: str) -> bool:
         """Whether the shard holds a durable manifest for the segment."""

@@ -62,7 +62,7 @@ import functools
 import json
 import logging
 import time
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Generator, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any
@@ -754,14 +754,16 @@ class _Connection:
         batch, so an unknown path or an early read failure is still an
         error reply, and a file of up to one batch costs one call.  A
         failure past the header closes the connection
-        (:class:`_PayloadBroken`).  Returns ``None`` — the payload
-        response is written here, not by the main loop.
+        (:class:`_PayloadBroken`) after closing the restore stream on
+        the fleet, which releases the files it holds open.  Returns
+        ``None`` — the payload response is written here, not by the
+        main loop.
         """
         tenant_id = self._tenant_arg(request)
         path = self._require(request, "path", str)
         files = self.server.registry.files(tenant_id)
 
-        def first() -> tuple[int, Iterator[bytes], list[bytes]]:
+        def first() -> tuple[int, Generator[bytes, None, None], list[bytes]]:
             size, pieces = files.iter_restore(path)
             return size, pieces, _next_batch(pieces)
 
@@ -782,6 +784,7 @@ class _Connection:
             logger.warning(
                 "get %s %r failed after %d/%d bytes", tenant_id, path, sent, size, exc_info=e
             )
+            await self._run_in_fleet(pieces.close)
             raise _PayloadBroken from e
         return None
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 import asyncio
 import re
 import threading
-from collections.abc import Iterator
+from collections.abc import Generator
 from dataclasses import dataclass, field
 
 from ..obs.metrics import MetricsRegistry
@@ -146,7 +146,7 @@ class TenantFiles:
             if self._latest is not None:
                 self._latest = dict(sorted((self._latest | written).items()))
 
-    def iter_restore(self, path: str) -> tuple[int, Iterator[bytes]]:
+    def iter_restore(self, path: str) -> tuple[int, Generator[bytes, None, None]]:
         """The newest generation of ``path``: its size and its bytes in
         pieces; ``KeyError`` (here, not on the first piece) if unknown.
 

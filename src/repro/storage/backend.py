@@ -18,6 +18,8 @@ Besides whole objects (``put``/``get``) the contract serves parts of
 one: ``get_range`` reads an extent and ``object_size`` measures an
 object without fetching it — what restores, HHR reloads, fsck and GC
 ask for, since they address ``(container, offset, size)`` extents.
+``iter_ranges`` reads a sequence of extents — a file's restore — and
+lets a backend keep each object open across the ones it serves.
 
 Backends are **not** metered; metering happens in the object stores,
 because only they know whether an access is a real disk access or a
@@ -33,6 +35,7 @@ import logging
 import os
 import tempfile
 from abc import ABC, abstractmethod
+from collections.abc import Generator, Iterable
 
 from .disk_model import INODE_SIZE
 
@@ -54,6 +57,12 @@ TMP_SUFFIX = ".tmp"
 #: Per-process sequence naming :meth:`DirectoryBackend.put_like`'s temp
 #: links (``next`` on an ``itertools.count`` is atomic under the GIL).
 _LINK_SEQ = itertools.count()
+
+#: Most files one :meth:`DirectoryBackend.iter_ranges` holds open at
+#: once; past it the earliest-opened is closed.  A churned disk image
+#: restores from a handful of containers, so a small cap keeps every
+#: one of them open.
+ITER_OPEN_FILES = 16
 
 
 def _not_found(namespace: str, key: bytes) -> KeyError:
@@ -104,6 +113,23 @@ class StorageBackend(ABC):
         data = self.get(namespace, key)
         check_extent(offset, size, len(data))
         return data[offset : offset + size]
+
+    def iter_ranges(
+        self, namespace: str, reads: Iterable[tuple[bytes, int, int]]
+    ) -> Generator[bytes, None, None]:
+        """``get_range(namespace, key, offset, size)`` of each
+        ``(key, offset, size)`` in ``reads``, in order and lazily: an
+        item is taken from ``reads`` only when its bytes are asked for,
+        and an error is raised at the item that causes it.
+
+        Meant for write-once objects (DiskChunk containers are never
+        replaced): a backend may hold an object open for the rest of
+        the iteration, so an object replaced meanwhile may still be read
+        at the version first opened.  The default is the ``get_range``
+        loop; :class:`DirectoryBackend` opens each file once.
+        """
+        for key, offset, size in reads:
+            yield self.get_range(namespace, key, offset, size)
 
     def object_size(self, namespace: str, key: bytes) -> int:
         """Byte length of an object; ``KeyError`` if absent.
@@ -379,26 +405,59 @@ class DirectoryBackend(StorageBackend):
         except FileNotFoundError:
             raise _not_found(namespace, key) from None
 
-    def get_range(self, namespace: str, key: bytes, offset: int, size: int) -> bytes:
+    def _open(self, namespace: str, key: bytes) -> int:
         try:
-            fd = os.open(self._path(namespace, key), os.O_RDONLY)
+            return os.open(self._path(namespace, key), os.O_RDONLY)
         except FileNotFoundError:
             raise _not_found(namespace, key) from None
+
+    @staticmethod
+    def _pread(fd: int, total: int, offset: int, size: int) -> bytes:
+        """``size`` bytes at ``offset`` of an open file of ``total`` bytes."""
+        check_extent(offset, size, total)
+        parts: list[bytes] = []
+        got = 0
+        while got < size:  # pread may return less than asked
+            piece = os.pread(fd, size - got, offset + got)
+            if not piece:
+                raise ValueError(
+                    f"extent [{offset}, {offset + size}) short by {size - got} bytes"
+                )
+            parts.append(piece)
+            got += len(piece)
+        return b"".join(parts)
+
+    def get_range(self, namespace: str, key: bytes, offset: int, size: int) -> bytes:
+        fd = self._open(namespace, key)
         try:
-            check_extent(offset, size, os.fstat(fd).st_size)
-            parts: list[bytes] = []
-            got = 0
-            while got < size:  # pread may return less than asked
-                piece = os.pread(fd, size - got, offset + got)
-                if not piece:
-                    raise ValueError(
-                        f"extent [{offset}, {offset + size}) short by {size - got} bytes"
-                    )
-                parts.append(piece)
-                got += len(piece)
-            return b"".join(parts)
+            return self._pread(fd, os.fstat(fd).st_size, offset, size)
         finally:
             os.close(fd)
+
+    def iter_ranges(
+        self, namespace: str, reads: Iterable[tuple[bytes, int, int]]
+    ) -> Generator[bytes, None, None]:
+        """Each file is opened and measured once, on its first extent,
+        and read with ``pread`` until the iteration ends — exhausted,
+        closed or raising — when every handle is closed.  At most
+        :data:`ITER_OPEN_FILES` are open at once, the earliest-opened
+        closed first."""
+        held: dict[bytes, tuple[int, int]] = {}  # key -> (fd, size), in open order
+        try:
+            for key, offset, size in reads:
+                if key not in held:
+                    if len(held) >= ITER_OPEN_FILES:
+                        os.close(held.pop(next(iter(held)))[0])
+                    fd = self._open(namespace, key)
+                    try:
+                        held[key] = (fd, os.fstat(fd).st_size)
+                    except BaseException:
+                        os.close(fd)
+                        raise
+                yield self._pread(*held[key], offset, size)
+        finally:
+            for fd, _ in held.values():
+                os.close(fd)
 
     def object_size(self, namespace: str, key: bytes) -> int:
         try:
@@ -504,6 +563,11 @@ class PrefixedBackend(StorageBackend):
 
     def get_range(self, namespace: str, key: bytes, offset: int, size: int) -> bytes:
         return self.inner.get_range(self._ns(namespace), key, offset, size)
+
+    def iter_ranges(
+        self, namespace: str, reads: Iterable[tuple[bytes, int, int]]
+    ) -> Generator[bytes, None, None]:
+        return self.inner.iter_ranges(self._ns(namespace), reads)
 
     def object_size(self, namespace: str, key: bytes) -> int:
         return self.inner.object_size(self._ns(namespace), key)

@@ -13,12 +13,18 @@ Times" of *F* for MHD), with the container's full byte count.  Every
 extent read records one ``read`` operation — HHR's reloads are the
 "Chunk Input Times 2L" row — and asks the backend for exactly the
 extent (``get_range``), so what the meter charges is what the backend
-transfers.  Reads that land on a still-open container are served from
-its RAM buffer but metered identically, since those bytes are
-conceptually already on disk.
+transfers.  A restore's extents go through one ``iter_ranges``
+(:meth:`DiskChunkStore.read_many`): still one read of exactly each
+extent, but a backend that can hold a file open opens each container
+once per restore.  Reads that land on a still-open container are
+served from its RAM buffer but metered identically, since those bytes
+are conceptually already on disk.
 """
 
 from __future__ import annotations
+
+from collections import deque
+from collections.abc import Generator, Iterable
 
 from ..hashing.digest import Digest
 from .backend import StorageBackend, check_extent
@@ -95,15 +101,46 @@ class DiskChunkStore(MeteredStore):
             self._put(DiskModel.CHUNK, writer.container_id, data)
         del self._open[writer.container_id]
 
-    def read(self, container_id: Digest, offset: int, size: int) -> bytes:
-        """Read an extent; one metered disk access."""
+    def _charge(self, container_id: Digest, offset: int, size: int) -> ContainerWriter | None:
+        """Meter one extent read; the open container holding it, if any."""
         if size < 0 or offset < 0:
             raise ValueError(f"invalid extent offset={offset} size={size}")
         self._meter.record(DiskModel.CHUNK, "read", size)
-        open_writer = self._open.get(container_id)
+        return self._open.get(container_id)
+
+    def read(self, container_id: Digest, offset: int, size: int) -> bytes:
+        """Read an extent; one metered disk access."""
+        open_writer = self._charge(container_id, offset, size)
         if open_writer is not None:
             return open_writer._read(offset, size)
         return self._backend.get_range(DiskModel.CHUNK, container_id, offset, size)
+
+    def read_many(
+        self, extents: Iterable[tuple[Digest, int, int]]
+    ) -> Generator[bytes, None, None]:
+        """:meth:`read` of each ``(container, offset, size)``, in order and
+        lazily: one metered read per extent, each charged when its bytes
+        are asked for.  The extents of closed containers go through one
+        backend ``iter_ranges``, which the generator closes when it ends."""
+        queued: deque[tuple[Digest, int, int]] = deque()
+        from_backend: Generator[bytes, None, None] | None = None
+        try:
+            for container_id, offset, size in extents:
+                open_writer = self._charge(container_id, offset, size)
+                if open_writer is not None:
+                    yield open_writer._read(offset, size)
+                    continue
+                if from_backend is None:
+                    # iter_ranges takes one item per piece asked of it,
+                    # so each extent is queued just before its piece.
+                    from_backend = self._backend.iter_ranges(
+                        DiskModel.CHUNK, iter(queued.popleft, None)
+                    )
+                queued.append((container_id, offset, size))
+                yield next(from_backend)
+        finally:
+            if from_backend is not None:
+                from_backend.close()
 
     def get(self, container_id: Digest) -> bytes:
         """A closed container's whole bytes; one metered read (fsck re-hashing)."""

@@ -17,7 +17,7 @@ byte-for-byte.
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterator
+from collections.abc import Generator, Iterator
 from dataclasses import dataclass
 
 from ..hashing.digest import HASH_SIZE, Digest, sha1
@@ -87,19 +87,21 @@ class FileManifest:
         """Serialized size: 36 bytes per extent plus the name header."""
         return len(self.to_bytes())
 
-    def iter_restore(self, chunks: DiskChunkStore) -> Iterator[bytes]:
+    def iter_restore(self, chunks: DiskChunkStore) -> Generator[bytes, None, None]:
         """The file's bytes in order, in pieces of at most :data:`RESTORE_PIECE_SIZE`.
 
         The one place extents become bytes: one read per extent of at
         most a piece, so RAM is bounded by one piece however large the
-        file or its extents.  Every restore in the library, the service
+        file or its extents.  The reads go through one
+        :meth:`DiskChunkStore.read_many`, so each container is opened
+        once per restore.  Every restore in the library, the service
         and the cluster is a stream over this, or a join of one.
         """
-        for e in self.extents:
-            for done in range(0, e.size, RESTORE_PIECE_SIZE):
-                yield chunks.read(
-                    e.container_id, e.offset + done, min(RESTORE_PIECE_SIZE, e.size - done)
-                )
+        return chunks.read_many(
+            (e.container_id, e.offset + done, min(RESTORE_PIECE_SIZE, e.size - done))
+            for e in self.extents
+            for done in range(0, e.size, RESTORE_PIECE_SIZE)
+        )
 
     def to_bytes(self) -> bytes:
         """Serialise (36 B per extent plus the name header)."""

@@ -228,14 +228,30 @@ class Manifest:
         return cls(mid, cid, entries, entry_size=entry_size)
 
 
+def _is_manifest_shaped(raw: bytes) -> bool:
+    """Whether ``raw`` has the shape of a :class:`Manifest`'s serialisation:
+    a header and its ``count`` entries of 36 bytes, or of 37 whose Hook
+    flag bytes are each 0 or 1 — exactly the payloads that a parse
+    re-serialises to unchanged."""
+    if len(raw) < MANIFEST_HEADER_SIZE:
+        return False
+    (count,) = struct.unpack_from("<I", raw, 2 * HASH_SIZE)
+    body = len(raw) - MANIFEST_HEADER_SIZE
+    if body == ENTRY_SIZE * count:
+        return True
+    if body != MHD_ENTRY_SIZE * count:
+        return False
+    flags = raw[MANIFEST_HEADER_SIZE + ENTRY_SIZE :: MHD_ENTRY_SIZE]
+    return not flags.translate(None, b"\0\1")
+
+
 def load_manifest(raw: bytes) -> Manifest | MultiManifest:
     """A stored manifest of either kind: a :class:`Manifest` if the payload
-    parses as one and re-serialises to itself, else a :class:`MultiManifest`
+    has a Manifest's shape and parses as one, else a :class:`MultiManifest`
     (whose parse errors, ``ValueError`` / ``struct.error``, propagate)."""
-    with contextlib.suppress(ValueError, struct.error):
-        m = Manifest.from_bytes(raw)
-        if m.to_bytes() == raw:
-            return m
+    if _is_manifest_shaped(raw):
+        with contextlib.suppress(ValueError, struct.error):
+            return Manifest.from_bytes(raw)
     return MultiManifest.from_bytes(raw)
 
 

@@ -22,3 +22,7 @@ def file_manifest_keys(view):
 
 def link_hook(backend, key, manifest_id, previous):
     backend.put_like(DiskModel.HOOK, key, manifest_id, previous)
+
+
+def restore_extents(backend, extents):
+    return b"".join(backend.iter_ranges(DiskModel.CHUNK, extents))

@@ -23,4 +23,5 @@ def scratch(backend, key, cache):
     # Not a store namespace, and not a backend: neither is policed.
     backend.put("bench.scratch", key, b"")
     backend.put_like("bench.scratch", key, b"", key)
+    backend.iter_ranges("bench.scratch", [(key, 0, 0)])
     return cache.get(key)

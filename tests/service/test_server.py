@@ -839,6 +839,37 @@ class TestStreamedGet:
             assert client.get("alice", "other.img") == other
             assert client.ping()
 
+    def test_abandoned_get_releases_its_files(self, harness):
+        """A client that hangs up in the middle of a multi-piece ``get``
+        leaves the server holding no more descriptors than before it."""
+        big = rand(3 * RESTORE_PIECE_SIZE, 24)
+        with harness.client() as client:
+            client.open("alice")
+            client.put("big.img", big)
+            client.commit()
+        fd_dir = "/proc/self/fd"
+        if not os.path.isdir(fd_dir):
+            pytest.skip("needs /proc/self/fd")
+        before = len(os.listdir(fd_dir))
+
+        sock = socket.create_connection(("127.0.0.1", harness.port), timeout=10)
+        rfile = sock.makefile("rb")
+        request = {"op": "get", "tenant": "alice", "path": "big.img"}
+        sock.sendall(json.dumps(request).encode() + b"\n")
+        assert json.loads(rfile.readline())["size"] == len(big)
+        assert rfile.read(1 << 16) == big[: 1 << 16]
+        rfile.close()
+        sock.shutdown(socket.SHUT_RDWR)
+        sock.close()
+
+        deadline = time.monotonic() + 10
+        while len(os.listdir(fd_dir)) > before and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert len(os.listdir(fd_dir)) <= before
+        assert open_files_under(harness.backend._root) == []
+        with harness.client() as client:
+            assert client.ping()
+
 
 _SAMPLE_RE = re.compile(
     r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? -?[0-9.e+-]+(e[+-][0-9]+)?$|^# TYPE \S+ (counter|gauge|histogram)$"

@@ -15,7 +15,7 @@ from repro.storage import (
     PrefixedBackend,
     RetryingBackend,
 )
-from repro.storage.backend import TMP_SUFFIX
+from repro.storage.backend import ITER_OPEN_FILES, TMP_SUFFIX
 
 
 @pytest.fixture(params=["memory", "directory"])
@@ -173,6 +173,102 @@ class TestRangedReads:
         ranged.put("chunk", KEY1, b"")
         assert ranged.object_size("chunk", KEY1) == 0
         assert ranged.get_range("chunk", KEY1, 0, 0) == b""
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestIterRanges:
+    """``iter_ranges`` is the ``get_range`` loop, lazy, and leaves no
+    file open however it ends."""
+
+    KEYS = [bytes([i]) * 20 for i in range(ITER_OPEN_FILES + 5)]
+
+    @pytest.fixture
+    def filled(self, ranged):
+        for i, key in enumerate(self.KEYS):
+            ranged.put("chunk", key, bytes(range(i, i + 64)))
+        return ranged
+
+    def reads(self, rounds=3):
+        """Revisits of more keys than the open-file cap, at varying extents."""
+        return [
+            (key, (7 * n + i) % 40, (n + i) % 24)
+            for n in range(rounds)
+            for i, key in enumerate(self.KEYS)
+        ]
+
+    def test_equals_the_get_range_loop(self, filled):
+        reads = self.reads() + list(reversed(self.reads(1)))
+        expected = [filled.get_range("chunk", *read) for read in reads]
+        before = open_fds()
+        assert list(filled.iter_ranges("chunk", reads)) == expected
+        assert open_fds() == before
+        assert list(filled.iter_ranges("chunk", [])) == []
+
+    def test_takes_an_item_per_piece(self, filled):
+        taken = []
+
+        def reads():
+            for read in self.reads():
+                taken.append(read)
+                yield read
+
+        pieces = filled.iter_ranges("chunk", reads())
+        assert taken == []
+        for n in range(1, 6):
+            next(pieces)
+            assert len(taken) == n
+        pieces.close()
+
+    @pytest.mark.parametrize(
+        ("bad", "error"),
+        [((b"\xee" * 20, 0, 1), KeyError), ((b"\x02" * 20, 60, 5), ValueError)],
+    )
+    def test_errors_at_the_bad_item(self, filled, bad, error):
+        reads = self.reads(2)
+        expected = [filled.get_range("chunk", *read) for read in reads]
+        before = open_fds()
+        got = []
+        with pytest.raises(error):
+            for piece in filled.iter_ranges("chunk", reads + [bad] + reads):
+                got.append(piece)
+        assert got == expected
+        assert open_fds() == before
+
+    def test_early_close_releases_every_file(self, filled):
+        before = open_fds()
+        pieces = filled.iter_ranges("chunk", self.reads())
+        for _ in range(ITER_OPEN_FILES + 2):
+            next(pieces)
+        pieces.close()
+        assert open_fds() == before
+
+    def test_directory_holds_at_most_the_cap(self, tmp_path):
+        backend = DirectoryBackend(tmp_path)
+        for i, key in enumerate(self.KEYS):
+            backend.put("chunk", key, bytes(range(i, i + 64)))
+        before = open_fds()
+        most = 0
+        for _ in backend.iter_ranges("chunk", self.reads()):
+            most = max(most, open_fds() - before)
+        assert most == ITER_OPEN_FILES
+        assert open_fds() == before
+
+
+def test_prefixed_backend_forwards_iter_ranges():
+    calls = []
+
+    class Recording(MemoryBackend):
+        def iter_ranges(self, namespace, reads):
+            calls.append(namespace)
+            return super().iter_ranges(namespace, reads)
+
+    view = PrefixedBackend(Recording(), "view.")
+    view.put("chunk", KEY1, b"0123456789")
+    assert list(view.iter_ranges("chunk", [(KEY1, 2, 3), (KEY1, 0, 1)])) == [b"234", b"0"]
+    assert calls == ["view.chunk"]
 
 
 KEY3 = b"\x03" * 20

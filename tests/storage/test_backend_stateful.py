@@ -1,7 +1,7 @@
 """Stateful property test: both backends against a model dict.
 
 Hypothesis drives random interleavings of put/put_like/get/get_range/
-object_size/exists/count against MemoryBackend and DirectoryBackend
+iter_ranges/object_size/exists/count against MemoryBackend and DirectoryBackend
 simultaneously; any divergence from the reference model (or between
 the two backends) fails.
 """
@@ -87,6 +87,37 @@ class BackendMachine(RuleBasedStateMachine):
             else:
                 with pytest.raises(error):
                     backend.get_range(ns, key, offset, size)
+
+    @rule(
+        reads=st.lists(
+            st.tuples(st.integers(0, 50), st.integers(0, 210), st.integers(0, 210)),
+            max_size=8,
+        ),
+        ns=st.sampled_from(_NS),
+    )
+    def iter_ranges(self, reads, ns):
+        """The pieces the model gives, up to the first bad item, which
+        raises the model's error."""
+        reads = [(sha1(str(tag).encode()), offset, size) for tag, offset, size in reads]
+        expected, error = [], None
+        for key, offset, size in reads:
+            data = self.model.get((ns, key))
+            if data is None:
+                error = KeyError
+            elif offset + size > len(data):
+                error = ValueError
+            else:
+                expected.append(data[offset : offset + size])
+                continue
+            break
+        for backend in (self.memory, self.directory):
+            got = []
+            if error is None:
+                got.extend(backend.iter_ranges(ns, reads))
+            else:
+                with pytest.raises(error):
+                    got.extend(backend.iter_ranges(ns, reads))
+            assert got == expected
 
     @rule(key=keys, ns=st.sampled_from(_NS))
     def object_size(self, key, ns):

@@ -2,10 +2,13 @@
 
 Counts, not timings.  ``ChunkTransfers`` is a ``DirectoryBackend`` that
 records every byte the chunk namespace hands out, by whole-object
-``get`` and by ``get_range`` separately; restore, an HHR reload, fsck
-and GC are then held to the bytes they need rather than the size of
-the containers that hold them.
+``get`` and by extent (``get_range`` and ``iter_ranges``) separately;
+restore, an HHR reload, fsck and GC are then held to the bytes they
+need rather than the size of the containers that hold them, and a
+restore to one open per container.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -39,6 +42,13 @@ class ChunkTransfers(DirectoryBackend):
             self.transferred += len(data)
         return data
 
+    def iter_ranges(self, namespace, reads):
+        for data in super().iter_ranges(namespace, reads):
+            if namespace == DiskModel.CHUNK:
+                self.ranges.append(len(data))
+                self.transferred += len(data)
+            yield data
+
 
 def rand(n, seed):
     return np.random.default_rng(seed).integers(0, 256, size=n, dtype=np.uint8).tobytes()
@@ -48,20 +58,26 @@ def cfg():
     return DedupConfig(ecs=512, sd=4, bloom_bytes=1 << 16, cache_manifests=16, window=16)
 
 
-def test_fragmented_restore_transfers_at_most_the_file(tmp_path):
-    """A file woven from three earlier files restores from many extents
-    of their three containers, and moves no more than its own size."""
+def store_woven(root):
+    """Ingest three files, then one woven from 6 kB runs of each in
+    turn; the woven file's bytes."""
     sources = [rand(120_000, seed) for seed in (1, 2, 3)]
     piece = 6_000
     woven = b"".join(
         sources[i % 3][(i // 3) * piece : (i // 3 + 1) * piece] for i in range(45)
     )
-    dedup = MHDDeduplicator(cfg(), backend=DirectoryBackend(tmp_path))
+    dedup = MHDDeduplicator(cfg(), backend=DirectoryBackend(root))
     dedup.process(
         [BackupFile(f"src{i}", data) for i, data in enumerate(sources)]
         + [BackupFile("woven", woven)]
     )
+    return woven
 
+
+def test_fragmented_restore_transfers_at_most_the_file(tmp_path):
+    """A file woven from three earlier files restores from many extents
+    of their three containers, and moves no more than its own size."""
+    woven = store_woven(tmp_path)
     backend = ChunkTransfers(tmp_path)
     reader = MHDDeduplicator(cfg(), backend=backend)
     extents = reader.file_manifests.get("woven").extents
@@ -73,6 +89,30 @@ def test_fragmented_restore_transfers_at_most_the_file(tmp_path):
     assert backend.ranges == [e.size for e in extents]
     assert backend.transferred <= len(woven)
     assert backend.transferred == reader.meter.nbytes(DiskModel.CHUNK, "read")
+
+
+def test_fragmented_restore_opens_each_container_once(tmp_path, monkeypatch):
+    """The woven file's many extents come from its sources' three
+    containers and its own (the chunks cut across a run boundary); its
+    restore opens each container once, not once per extent."""
+    woven = store_woven(tmp_path)
+    reader = MHDDeduplicator(cfg(), backend=DirectoryBackend(tmp_path))
+    extents = reader.file_manifests.get("woven").extents
+    containers = {e.container_id.hex() for e in extents}
+    assert len(extents) >= 20 and len(containers) == 4
+
+    chunk_dir = str(tmp_path / DiskModel.CHUNK) + os.sep
+    opens = []
+    real_open = os.open
+
+    def counting_open(path, *args, **kwargs):
+        if os.fspath(path).startswith(chunk_dir):
+            opens.append(path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", counting_open)
+    assert reader.restore("woven") == woven
+    assert sorted(os.path.basename(path) for path in opens) == sorted(containers)
 
 
 def test_hhr_reload_transfers_exactly_the_entry(tmp_path):

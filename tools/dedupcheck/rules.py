@@ -530,12 +530,13 @@ class StoreConfinement:
     Table II meters the four object kinds (plus the cluster's recipes
     and membership) in one place: :class:`repro.storage.store.Store`
     and the per-kind stores it owns.  A backend ``put``/``put_like``/
-    ``get``/``get_range``/``object_size``/``delete``/``keys``/``exists``
-    on a store namespace anywhere else reads or writes a store object behind
-    the meter's back, and re-states a kind's namespace, key rule and
-    codec.  A namespace is a store namespace if its expression names a
-    ``DiskModel`` kind, ``RECIPE_NAMESPACE`` / ``META_NAMESPACE`` /
-    ``QUARANTINE_PREFIX``, or spells one of their values.
+    ``get``/``get_range``/``iter_ranges``/``object_size``/``delete``/
+    ``keys``/``exists`` on a store namespace anywhere else reads or
+    writes a store object behind the meter's back, and re-states a
+    kind's namespace, key rule and codec.  A namespace is a store
+    namespace if its expression names a ``DiskModel`` kind,
+    ``RECIPE_NAMESPACE`` / ``META_NAMESPACE`` / ``QUARANTINE_PREFIX``,
+    or spells one of their values.
     """
 
     code = "DDC008"
@@ -555,7 +556,8 @@ class StoreConfinement:
         )
     )
     _METHODS = frozenset(
-        {"put", "put_like", "get", "get_range", "object_size", "delete", "keys", "exists"}
+        {"put", "put_like", "get", "get_range", "iter_ranges"}
+        | {"object_size", "delete", "keys", "exists"}
     )
     _KINDS = frozenset({"CHUNK", "MANIFEST", "HOOK", "FILE_MANIFEST"})
     _NAMES = frozenset({"RECIPE_NAMESPACE", "META_NAMESPACE", "QUARANTINE_PREFIX"})
