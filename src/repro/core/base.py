@@ -18,7 +18,7 @@ batch) and :meth:`_end_file`.  The per-file algorithms keep the store
 objects a file creates in one :class:`_FileObjects` and find duplicates
 through :meth:`ManifestCache.locate`, so a deduplicator implements only
 its match decision.  Peak memory is the chunker's carry window plus the
-algorithm's own buffer (MHD's ``2·SD`` token buffer, a bimodal big
+algorithm's own buffer (MHD's ``2·SD`` chunk buffer, a bimodal big
 chunk, a sparse-indexing segment) — independent of file size.  Files
 constructed with in-memory ``data`` take the same code path as one big
 window, so whole-bytes and streamed ingest are decision-identical.
@@ -670,6 +670,15 @@ class Deduplicator(ABC):
         if not run_continues and not self._in_dup_run:
             self._duplicate_slices += 1
         self._in_dup_run = True
+
+    def _count_duplicate_many(self, count: int, nbytes: int) -> None:
+        """Record ``count`` duplicate chunks totalling ``nbytes`` that
+        extend the open slice (match extension claims a run at once),
+        as ``count`` calls of ``_count_duplicate(run_continues=True)``."""
+        if count:
+            self._duplicate_chunks += count
+            self._duplicate_bytes += nbytes
+            self._in_dup_run = True
 
     def _break_dup_run(self) -> None:
         self._in_dup_run = False

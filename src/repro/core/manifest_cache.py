@@ -24,7 +24,7 @@ one kind.
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Sequence
 from typing import Generic, TypeVar, cast
 
 from ..hashing.digest import Digest
@@ -91,9 +91,11 @@ class ManifestCache(Generic[M]):
     def reindex(self, manifest: M) -> None:
         """Refresh the aggregate index after a manifest mutation.
 
-        Mutators (SHM appends, HHR splits) change entry digests, so the
-        owning deduplicator calls this after modifying a cached
-        manifest.  Only the digest delta is touched.
+        Mutators change entry digests, so the owning deduplicator calls
+        this after modifying a cached manifest.  It compares the whole
+        manifest with what was indexed; a caller that knows what it
+        changed (MHD's SHM appends and HHR splits) passes that to
+        :meth:`index_delta` instead.
         """
         mid = manifest.manifest_id
         if mid not in self._cache:
@@ -110,7 +112,47 @@ class ManifestCache(Generic[M]):
             self._digest_index.setdefault(digest, set()).add(mid)
         self._indexed[mid] = new
 
+    def index_delta(
+        self,
+        manifest: M,
+        added: Iterable[Digest],
+        removed: Iterable[Digest] = (),
+    ) -> None:
+        """Refresh the aggregate index from what a mutation changed.
+
+        ``added`` are digests the mutation wrote into the cached
+        ``manifest``; ``removed`` are digests it took entries away from,
+        which leave the index only if the manifest no longer holds them.
+        The result equals a :meth:`reindex`, at the cost of the delta.
+        """
+        mid = manifest.manifest_id
+        if mid not in self._cache:
+            raise KeyError("manifest is not cached")
+        indexed = self._indexed[mid]
+        digest_index = self._digest_index
+        present = manifest.index
+        for digest in removed:
+            if digest in indexed and digest not in present:
+                indexed.discard(digest)
+                ids = digest_index[digest]
+                ids.discard(mid)
+                if not ids:
+                    del digest_index[digest]
+        for digest in added:
+            if digest not in indexed:
+                indexed.add(digest)
+                digest_index.setdefault(digest, set()).add(mid)
+
     # ---- lookup ------------------------------------------------------------
+
+    def first_indexed(self, digests: Sequence[Digest], start: int, stop: int) -> int:
+        """Position of the first of ``digests[start:stop]`` that some cached
+        manifest holds, or ``stop``.  RAM only; counts nothing."""
+        index = self._digest_index
+        run = digests[start:stop]
+        if index.keys().isdisjoint(run):
+            return stop
+        return start + next(k for k, digest in enumerate(run) if digest in index)
 
     def search(self, digest: Digest) -> M | None:
         """Find a cached manifest containing ``digest`` (RAM only).

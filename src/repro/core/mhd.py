@@ -20,6 +20,17 @@ The deduplication loop (paper Fig. 4) per incoming chunk:
    reloaded and Hysteresis Hash Re-chunking (:mod:`repro.core.hhr`)
    splits the entry — the only mutation metadata ever undergoes.
 
+The loop here makes those per-chunk decisions a *run* at a time.  A
+run of chunks that neither the cache nor the Bloom filter has seen
+ends where the buffer reaches ``2·SD`` — so no flush, hook or index
+change lands inside it, and every chunk in it would have been decided
+"new" one by one — and is probed in one pass
+(:meth:`ManifestCache.first_indexed`, :meth:`BloomFilter.negative_run`),
+buffered in one list extension and recorded as one extent.  A flush
+writes its group with one container append; a run of FME direct digest
+matches is claimed in one step.  The decisions, the store operations
+and the counters are those of the per-chunk loop.
+
 Only Manifests are updated in place; DiskChunks and Hooks are
 write-once, exactly as the paper requires.
 """
@@ -51,46 +62,30 @@ from .shm import append_group
 
 __all__ = ["MHDDeduplicator"]
 
-
-class _Token:
-    """One stream chunk's fate: pending in RAM, or resolved to an extent.
-
-    Resolving releases the chunk's byte view, so the stream buffers it
-    points into can be garbage-collected — the token buffer, not the
-    whole file, is MHD's memory footprint.
-    """
-
-    __slots__ = ("digest", "data", "size", "container_id", "offset")
-
-    def __init__(self, digest: Digest, data: memoryview, size: int) -> None:
-        self.digest = digest
-        self.data: memoryview | None = data
-        self.size = size
-        self.container_id: Digest | None = None
-        self.offset = -1
-
-    def view(self) -> memoryview:
-        """The pending chunk bytes; only valid before :meth:`resolve`."""
-        data = self.data
-        if data is None:
-            raise RuntimeError("token already resolved")
-        return data
-
-    def resolve(self, container_id: Digest, offset: int) -> None:
-        if self.container_id is not None:
-            raise RuntimeError("token resolved twice")
-        self.container_id = container_id
-        self.offset = offset
-        self.data = None  # free the stream bytes
+#: One piece of a file's recipe: ``(container id, offset, size)``.
+_Extent = tuple[Digest, int, int]
 
 
 class _FileContext(_FileObjects):
-    """Per-file ingest state: the file's store objects plus MHD's buffers."""
+    """Per-file ingest state: the file's store objects plus MHD's buffers.
+
+    The SHM buffer holds the non-duplicate chunks not yet flushed, in
+    stream order.  Their bytes are named by where they will land in this
+    file's container: flushes append the buffer in order, so buffered
+    chunk bytes sit at ``stored`` onwards.  ``recipe`` is the file's
+    extent list not yet handed to the FileManifest; an extent of this
+    container reaching past ``stored`` still waits for its flush.  Only
+    the buffer holds stream bytes, so it, not the file, is MHD's memory
+    footprint.
+    """
 
     def __init__(self, dedup: MHDDeduplicator, file_id: str) -> None:
         super().__init__(dedup, dedup.cache, file_id, MHD_ENTRY_SIZE)
-        self.tokens: list[_Token] = []
-        self.buffer: list[_Token] = []  # unresolved tail
+        self.buffer: list[Chunk] = []
+        self.buffer_digests: list[Digest] = []
+        self.buffer_bytes = 0
+        self.stored = 0  # bytes flushed into this file's container
+        self.recipe: list[_Extent] = []
         # Stream chunks not yet consumed by the dedup loop (FME may need
         # forward lookahead that crosses a batch boundary).
         self.pending_chunks: list[Chunk] = []
@@ -101,6 +96,73 @@ class _FileContext(_FileObjects):
         # Entries matched by the paused FME so far, so the telemetry
         # histogram observes one figure per extension, not per resume.
         self.fme_entries = 0
+
+    def extend(self, container_id: Digest, offset: int, size: int) -> None:
+        """Add an extent to the recipe, merged into the last when contiguous."""
+        recipe = self.recipe
+        if recipe:
+            cid, off, n = recipe[-1]
+            if off + n == offset and cid == container_id:
+                recipe[-1] = (cid, off, n + size)
+                return
+        recipe.append((container_id, offset, size))
+
+    def buffer_run(self, chunks: list[Chunk], digests: list[Digest], i: int, j: int) -> None:
+        """Buffer stream chunks ``i..j-1`` as non-duplicates."""
+        self.buffer += chunks[i:j]
+        self.buffer_digests += digests[i:j]
+        nbytes = chunks[j - 1].offset + chunks[j - 1].size - chunks[i].offset
+        self.extend(self.container_id, self.stored + self.buffer_bytes, nbytes)
+        self.buffer_bytes += nbytes
+
+    def unbuffer(self, claims: list[_Extent]) -> None:
+        """Re-place buffered chunks that match extension found duplicate.
+
+        ``claims`` names, for the last ``len(claims)`` chunks popped off
+        the buffer's tail (nearest the hit first), the extent each now
+        resolves to.  Their bytes were the highest of the container's
+        pending positions, so they are cut off the end of the recipe
+        extents of this container that hold them, in stream order.
+        """
+        own, recipe = self.container_id, self.recipe
+        cut = self.stored + self.buffer_bytes
+        self.buffer_bytes -= sum(size for _, _, size in claims)
+        c = 0
+        k = len(recipe) - 1
+        while c < len(claims):
+            if k < 0:
+                raise AssertionError("buffered bytes missing from the recipe")
+            cid, off, size = recipe[k]
+            if cid != own or off + size != cut:
+                k -= 1
+                continue
+            placed: list[_Extent] = []
+            while c < len(claims) and cut - claims[c][2] >= off:
+                cut -= claims[c][2]
+                placed.append(claims[c])
+                c += 1
+            placed.reverse()
+            kept = [(own, off, cut - off)] if cut > off else []
+            recipe[k : k + 1] = kept + placed
+            k -= 1
+
+    def emit(self) -> None:
+        """Move the recipe's settled prefix into the file manifest.
+
+        Keeps the recipe bounded: only extents still waiting for a
+        flush (and anything after them) stay in RAM.
+        """
+        own, stored, recipe, fm = self.container_id, self.stored, self.recipe, self.fm
+        k = 0
+        for cid, off, size in recipe:
+            if cid == own and off + size > stored:
+                if off < stored:
+                    fm.append(cid, off, stored - off)
+                    recipe[k] = (cid, stored, off + size - stored)
+                break
+            fm.append(cid, off, size)
+            k += 1
+        del recipe[:k]
 
 
 class MHDDeduplicator(Deduplicator):
@@ -182,11 +244,27 @@ class MHDDeduplicator(Deduplicator):
         self._drain(ctx, eof=True)
         while ctx.buffer:
             self._flush_group(ctx, min(self.config.sd, len(ctx.buffer)))
-        self._emit_resolved(ctx)
-        if ctx.tokens:
-            raise AssertionError("unresolved token at end of file")
+        ctx.emit()
+        if ctx.recipe:
+            raise AssertionError("unresolved extent at end of file")
         ctx.close()
         self._observe_ram(self.cache.ram_bytes() + self._buffer_peak_bytes)
+
+    def _negative_run(self, digests: Sequence[Digest], start: int, stop: int) -> int:
+        """How many of ``digests[start:stop]``, from the first, the hook
+        front end proves never stored — none of them cached.
+
+        The Bloom filter's run probe; a digest that ends the run early
+        has been asked, so its lookup goes straight to
+        :meth:`_probed_hook_manifest`.
+        """
+        bloom = self.bloom
+        return 0 if bloom is None else bloom.negative_run(digests, start, stop)
+
+    def _probed_hook_manifest(self, digest: Digest) -> Digest | None:
+        """:meth:`_hook_manifest` of a digest the front end has already
+        answered "maybe" for: the on-disk Hook query alone."""
+        return self.hooks.lookup(digest)  # None: Bloom false positive
 
     def _drain(self, ctx: _FileContext, eof: bool) -> None:
         """Run the dedup loop over the pending chunks.
@@ -196,61 +274,56 @@ class MHDDeduplicator(Deduplicator):
         decision is final and the pending list is fully consumed.
         """
         chunks, digests = ctx.pending_chunks, ctx.pending_digests
-        locate, hook_manifest = self.cache.locate, self._hook_manifest
+        n = len(chunks)
+        cache, sd = self.cache, self.config.sd
+        full = 2 * sd
         i = 0
         if ctx.fme is not None:
             manifest, j = ctx.fme
             ctx.fme = None
             i = self._fme(manifest, j, chunks, digests, i, ctx, eof)
-        while ctx.fme is None and i < len(chunks):
-            chunk, digest = chunks[i], digests[i]
-            hit = locate(digest, hook_manifest)
+        while ctx.fme is None and i < n:
+            # The buffer is below 2·SD here; a run of new chunks stops
+            # where it would fill, so the flush there precedes the
+            # decision on the next chunk, as one chunk at a time.
+            stop = min(n, i + full - len(ctx.buffer))
+            cached = cache.first_indexed(digests, i, stop)
+            new = i + self._negative_run(digests, i, cached)
+            if new > i:
+                ctx.buffer_run(chunks, digests, i, new)
+                i = new
+                if len(ctx.buffer) >= full:
+                    self._flush_group(ctx, sd)
+                    continue
+                if i == n:
+                    break
+            # Chunk i is cached, or the front end said "maybe" for it.
+            hook = self._hook_manifest if i == cached else self._probed_hook_manifest
+            hit = cache.locate(digests[i], hook)
             if hit is None:
-                token = _Token(digest, chunk.data, chunk.size)
-                ctx.tokens.append(token)
-                ctx.buffer.append(token)
-                if len(ctx.buffer) >= 2 * self.config.sd:
-                    self._flush_group(ctx, self.config.sd)
+                ctx.buffer_run(chunks, digests, i, i + 1)
+                if len(ctx.buffer) >= full:
+                    self._flush_group(ctx, sd)
                 i += 1
                 continue
             manifest, idx = hit
             entry = manifest.entries[idx]
+            size = chunks[i].size
             self._note_edge_reuse(entry.digest)
             self._break_dup_run()  # a hit always opens a new slice
-            self._count_duplicate(chunk.size)
+            self._count_duplicate(size)
             idx += self._bme(manifest, idx, ctx)
             if self.contiguous_shm:
                 # BME has claimed every buffered chunk it can; what is
                 # left belongs to the non-duplicate slice that just
                 # ended, so it gets its own SHM group(s) and hook now.
                 while ctx.buffer:
-                    self._flush_group(ctx, min(self.config.sd, len(ctx.buffer)))
-            hit_token = _Token(digest, chunk.data, chunk.size)
-            hit_token.resolve(manifest.chunk_id, entry.offset)
-            ctx.tokens.append(hit_token)
-            i += 1
-            i = self._fme(manifest, idx + 1, chunks, digests, i, ctx, eof)
+                    self._flush_group(ctx, min(sd, len(ctx.buffer)))
+            ctx.extend(manifest.chunk_id, entry.offset, size)
+            i = self._fme(manifest, idx + 1, chunks, digests, i + 1, ctx, eof)
         del chunks[:i]
         del digests[:i]
-        self._emit_resolved(ctx)
-
-    def _emit_resolved(self, ctx: _FileContext) -> None:
-        """Move the resolved token prefix into the file manifest.
-
-        Keeps the token list bounded: only tokens still awaiting a
-        container extent (the SHM buffer and anything after it) stay in
-        RAM.
-        """
-        tokens = ctx.tokens
-        k = 0
-        while k < len(tokens):
-            cid = tokens[k].container_id
-            if cid is None:
-                break
-            t = tokens[k]
-            ctx.fm.append(cid, t.offset, t.size)
-            k += 1
-        del tokens[:k]
+        ctx.emit()
 
     # ------------------------------------------------------------------
     # SHM flush
@@ -258,35 +331,30 @@ class MHDDeduplicator(Deduplicator):
 
     def _flush_group(self, ctx: _FileContext, count: int) -> None:
         group = ctx.buffer[:count]
+        hook = ctx.buffer_digests[0]
         del ctx.buffer[:count]
-        datas = [t.view() for t in group]  # resolve() drops t.data
-        writer = ctx.container()
-        base = writer.size
-        with self._telemetry.span("store", chunks=len(group)):
-            for t, data in zip(group, datas, strict=True):
-                off = writer.append(data)
-                t.resolve(ctx.container_id, off)
-        self.cpu.hashed += append_group(
-            ctx.manifest,
-            [t.digest for t in group],
-            [t.size for t in group],
-            datas,
-            base,
-        )
-        self.cache.reindex(ctx.manifest)
-        self.hooks.put(group[0].digest, ctx.manifest.manifest_id)
+        del ctx.buffer_digests[:count]
+        data = b"".join([c.data for c in group])
+        group_bytes = len(data)
+        with self._telemetry.span("store", chunks=count):
+            base = ctx.container().append(data)
+        ctx.stored += group_bytes
+        ctx.buffer_bytes -= group_bytes
+        entries, hashed = append_group(ctx.manifest, hook, group[0].size, data, base)
+        self.cpu.hashed += hashed
+        self.cache.index_delta(ctx.manifest, [e.digest for e in entries])
+        self.hooks.put(hook, ctx.manifest.manifest_id)
         if self.bloom is not None:
-            self.bloom.add(group[0].digest)
-        group_bytes = sum(t.size for t in group)
-        self._count_unique_many(len(group), group_bytes)
+            self.bloom.add(hook)
+        self._count_unique_many(count, group_bytes)
         if 2 * group_bytes > self._buffer_peak_bytes:
             self._buffer_peak_bytes = 2 * group_bytes
         tel = self._telemetry
         if tel.enabled:
             reg = tel.registry
             reg.counter("mhd.shm.flush_groups").inc()
-            reg.counter("mhd.shm.flushed_chunks").inc(len(group))
-            reg.histogram("mhd.shm.group_chunks", COUNT_BUCKETS).observe(len(group))
+            reg.counter("mhd.shm.flushed_chunks").inc(count)
+            reg.histogram("mhd.shm.group_chunks", COUNT_BUCKETS).observe(count)
 
     # ------------------------------------------------------------------
     # Bi-Directional Match Extension + HHR
@@ -303,39 +371,43 @@ class MHDDeduplicator(Deduplicator):
         Only when both fail and the entry may straddle duplicate and
         non-duplicate data are its bytes reloaded for HHR.
         """
+        buffer, buffer_digests = ctx.buffer, ctx.buffer_digests
+        entries, cid = manifest.entries, manifest.chunk_id
+        claims: list[_Extent] = []  # per claimed chunk, nearest the hit first
         j = idx - 1
         shift = 0
         extended = 0  # manifest entries claimed by this extension
-        while j >= 0 and ctx.buffer:
-            entry = manifest.entries[j]
-            tail = ctx.buffer[-1]
-            if entry.digest == tail.digest:
+        while j >= 0 and buffer:
+            entry = entries[j]
+            if entry.digest == buffer_digests[-1]:
                 self._note_edge_reuse(entry.digest)
-                ctx.buffer.pop()
-                tail.resolve(manifest.chunk_id, entry.offset)
-                self._count_duplicate(tail.size, run_continues=True)
+                buffer_digests.pop()
+                claims.append((cid, entry.offset, buffer.pop().size))
                 j -= 1
                 extended += 1
                 continue
             if entry.is_hook:
                 break
-            k = align_suffix([t.size for t in ctx.buffer], entry.size)
+            k = align_suffix([c.size for c in buffer], entry.size)
             if k is not None and k > 1:
-                span = ctx.buffer[-k:]
+                span = buffer[-k:]
                 self.cpu.hashed += entry.size
-                if sha1_spans([t.view() for t in span]) == entry.digest:
-                    del ctx.buffer[-k:]
-                    pos = entry.offset
-                    for t in span:
-                        t.resolve(manifest.chunk_id, pos)
-                        pos += t.size
-                        self._count_duplicate(t.size, run_continues=True)
+                if sha1_spans([c.data for c in span]) == entry.digest:
+                    del buffer[-k:]
+                    del buffer_digests[-k:]
+                    pos = entry.end
+                    for c in reversed(span):
+                        pos -= c.size
+                        claims.append((cid, pos, c.size))
                     j -= 1
                     extended += 1
                     continue
-            if entry.size > tail.size:
-                shift += self._hhr_backward(manifest, j, ctx)
+            if entry.size > buffer[-1].size:
+                shift += self._hhr_backward(manifest, j, ctx, claims)
             break
+        if claims:
+            self._count_duplicate_many(len(claims), sum(size for _, _, size in claims))
+            ctx.unbuffer(claims)
         tel = self._telemetry
         if tel.enabled:
             tel.registry.histogram("mhd.bme.extension_entries", COUNT_BUCKETS).observe(
@@ -363,54 +435,57 @@ class MHDDeduplicator(Deduplicator):
         Mid-stream the decision is only taken once that much data has
         arrived; otherwise FME pauses (``ctx.fme``) and resumes on the
         next batch or at EOF, where actuals are final — so any batching
-        of the stream makes identical decisions.
+        of the stream makes identical decisions.  The bytes that have
+        arrived past chunk ``i`` are read off the chunks' stream offsets.
         """
         n = len(chunks)
-        avail = sum(chunks[t].size for t in range(i, n))
+        end = chunks[-1].offset + chunks[-1].size if n else 0
         guard = self.chunker.config.max_size
+        entries, cid = manifest.entries, manifest.chunk_id
         ext = 0  # manifest entries claimed since this (re)entry
-        while j < len(manifest.entries):
-            entry = manifest.entries[j]
-            if not eof and avail < entry.size + guard:
+        while j < len(entries):
+            entry = entries[j]
+            if not eof and (i >= n or end - chunks[i].offset < entry.size + guard):
                 ctx.fme = (manifest, j)
                 ctx.fme_entries += ext
                 return i
             if i >= n:
                 break
             if entry.digest == digests[i]:
-                self._note_edge_reuse(entry.digest)
-                token = _Token(digests[i], chunks[i].data, chunks[i].size)
-                token.resolve(manifest.chunk_id, entry.offset)
-                ctx.tokens.append(token)
-                self._count_duplicate(chunks[i].size, run_continues=True)
-                avail -= chunks[i].size
-                i += 1
-                j += 1
-                ext += 1
+                # Claim the run of direct matches, each entry's decision
+                # taken on the same forward data as one at a time.
+                t, m = i + 1, j + 1
+                while t < n and m < len(entries):
+                    e = entries[m]
+                    if e.digest != digests[t]:
+                        break
+                    if not eof and end - chunks[t].offset < e.size + guard:
+                        break
+                    t += 1
+                    m += 1
+                if self._edge_digests:
+                    for digest in digests[i:t]:
+                        self._note_edge_reuse(digest)
+                nbytes = chunks[t - 1].offset + chunks[t - 1].size - chunks[i].offset
+                ctx.extend(cid, entry.offset, nbytes)
+                self._count_duplicate_many(t - i, nbytes)
+                ext += t - i
+                i, j = t, m
                 continue
             if entry.is_hook:
                 break
             k = align_prefix((chunks[t].size for t in range(i, n)), entry.size)
             if k is not None and k > 1:
-                span = chunks[i : i + k]
                 self.cpu.hashed += entry.size
-                if sha1_spans([c.data for c in span]) == entry.digest:
-                    pos = entry.offset
-                    for m_k, c in enumerate(span):
-                        token = _Token(digests[i + m_k], c.data, c.size)
-                        token.resolve(manifest.chunk_id, pos)
-                        ctx.tokens.append(token)
-                        pos += c.size
-                        self._count_duplicate(c.size, run_continues=True)
-                        avail -= c.size
+                if sha1_spans([c.data for c in chunks[i : i + k]]) == entry.digest:
+                    ctx.extend(cid, entry.offset, entry.size)
+                    self._count_duplicate_many(k, entry.size)
                     i += k
                     j += 1
                     ext += 1
                     continue
             if entry.size > chunks[i].size:
-                new_i = self._hhr_forward(manifest, j, chunks, digests, i, ctx)
-                avail -= sum(chunks[t].size for t in range(i, new_i))
-                i = new_i
+                i = self._hhr_forward(manifest, j, chunks, i, ctx)
             break
         tel = self._telemetry
         if tel.enabled:
@@ -420,32 +495,38 @@ class MHDDeduplicator(Deduplicator):
         ctx.fme_entries = 0
         return i
 
-    def _hhr_backward(self, manifest: Manifest, j: int, ctx: _FileContext) -> int:
-        """Reload entry ``j``'s bytes and split at the duplicate suffix."""
+    def _hhr_backward(
+        self, manifest: Manifest, j: int, ctx: _FileContext, claims: list[_Extent]
+    ) -> int:
+        """Reload entry ``j``'s bytes and split at the duplicate suffix.
+
+        The buffered chunks it matches are popped and added to
+        ``claims`` (see :meth:`_FileContext.unbuffer`).
+        """
         entry = manifest.entries[j]
         old = self.chunks.read(manifest.chunk_id, entry.offset, entry.size)
         self.hhr_reads += 1
+        buffer = ctx.buffer
         # Views compare content-equal against bytes slices of `old`,
         # so no copies are needed for the suffix match.
-        tail = [t.view() for t in ctx.buffer]
-        matched, matched_bytes, compared = match_suffix_chunks(old, tail)
+        matched, matched_bytes, compared = match_suffix_chunks(old, [c.data for c in buffer])
         self.cpu.compared += compared
         edge_size = None
-        if matched < len(ctx.buffer):
-            edge_size = ctx.buffer[-(matched + 1)].size
+        if matched < len(buffer):
+            edge_size = buffer[-(matched + 1)].size
         if not self.edge_hash:
             edge_size = None
         if matched == 0 and edge_size is None:
             return 0
         spans = plan_backward_split(entry.size, matched_bytes, edge_size)
         shift = self._apply_split(manifest, j, entry, old, spans)
-        # Resolve the matched buffer chunks onto the old extent.
-        pos = entry.offset + entry.size
+        # Claim the matched buffer chunks onto the old extent.
+        pos = entry.end
         for _ in range(matched):
-            t = ctx.buffer.pop()
-            pos -= t.size
-            t.resolve(manifest.chunk_id, pos)
-            self._count_duplicate(t.size, run_continues=True)
+            ctx.buffer_digests.pop()
+            size = buffer.pop().size
+            pos -= size
+            claims.append((manifest.chunk_id, pos, size))
         return shift
 
     def _hhr_forward(
@@ -453,7 +534,6 @@ class MHDDeduplicator(Deduplicator):
         manifest: Manifest,
         j: int,
         chunks: list[Chunk],
-        digests: list[Digest],
         i: int,
         ctx: _FileContext,
     ) -> int:
@@ -481,13 +561,9 @@ class MHDDeduplicator(Deduplicator):
             return i
         spans = plan_forward_split(entry.size, matched_bytes, edge_size)
         self._apply_split(manifest, j, entry, old, spans)
-        pos = entry.offset
-        for k in range(matched):
-            token = _Token(digests[i + k], chunks[i + k].data, chunks[i + k].size)
-            token.resolve(manifest.chunk_id, pos)
-            ctx.tokens.append(token)
-            pos += chunks[i + k].size
-            self._count_duplicate(chunks[i + k].size, run_continues=True)
+        if matched:
+            ctx.extend(manifest.chunk_id, entry.offset, matched_bytes)
+            self._count_duplicate_many(matched, matched_bytes)
         return i + matched
 
     def _apply_split(
@@ -508,14 +584,15 @@ class MHDDeduplicator(Deduplicator):
         if hashed == 0:
             return 0  # degenerate: nothing learned
         self.cpu.hashed += hashed
-        self.cache.reindex(manifest)
+        replacements = manifest.entries[j : j + len(spans)]
+        self.cache.index_delta(manifest, [e.digest for e in replacements], [entry.digest])
         self.hhr_splits += 1
         if self.edge_hash:
             # Replacement entries are 1:1 with the planned spans, so the
             # EdgeHash entries sit at the spans' positions.
-            for k, sp in enumerate(spans):
+            for sp, e in zip(spans, replacements, strict=True):
                 if sp.role == "edge":
-                    self._edge_digests.add(manifest.entries[j + k].digest)
+                    self._edge_digests.add(e.digest)
         return shift
 
     def _note_edge_reuse(self, digest: Digest) -> None:

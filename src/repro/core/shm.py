@@ -11,7 +11,8 @@ manifest-entry count.
 digests/sizes/bytes and the container offset where the group's data
 begins, and returns manifest entries plus the number of extra bytes
 hashed (CPU accounting for the merged digest).
-:func:`append_group` writes one flush group onto a manifest — the
+:func:`append_group` writes one flush group, given as its bytes in
+stream order, onto a manifest — the
 build-time manifest append lives here so that, together with HHR's
 :func:`repro.core.hhr.apply_split`, all manifest-entry writes happen
 inside the SHM/HHR machinery (dedupcheck rule DDC002).
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from ..hashing import Digest, sha1_spans
+from ..hashing import Digest, sha1, sha1_spans
 from ..storage import Manifest, ManifestEntry
 
 __all__ = ["build_group_entries", "append_group"]
@@ -66,18 +67,25 @@ def build_group_entries(
 
 def append_group(
     manifest: Manifest,
-    digests: Sequence[Digest],
-    sizes: Sequence[int],
-    datas: Sequence[bytes | memoryview],
+    hook: Digest,
+    hook_size: int,
+    data: bytes,
     base_offset: int,
-) -> int:
+) -> tuple[list[ManifestEntry], int]:
     """Append one SHM flush group's entries to ``manifest``.
 
-    Returns the extra bytes SHA-1'd for the merged digest (CPU
-    accounting).  The caller remains responsible for writing the hook
-    file and refreshing any cache index.
+    ``data`` is the group's bytes in stream order, its first
+    ``hook_size`` bytes the hook chunk whose digest is ``hook``; the
+    rest is merged under one SHA-1.  Returns the appended entries and
+    the extra bytes SHA-1'd for the merged digest (CPU accounting).
+    The caller remains responsible for writing the hook file and
+    refreshing any cache index.
     """
-    entries, extra_hashed = build_group_entries(digests, sizes, datas, base_offset)
+    entries = [ManifestEntry(hook, base_offset, hook_size, is_hook=True)]
+    merged_size = len(data) - hook_size
+    if merged_size:
+        merged_digest = sha1(memoryview(data)[hook_size:])
+        entries.append(ManifestEntry(merged_digest, base_offset + hook_size, merged_size))
     for e in entries:
         manifest.append(e)
-    return extra_hashed
+    return entries, merged_size

@@ -26,6 +26,7 @@ to the choice of in-memory index.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Any
 
 from ..hashing import Digest
@@ -68,6 +69,15 @@ class SIMHDDeduplicator(MHDDeduplicator):
 
     def _hook_manifest(self, digest: Digest) -> Digest | None:
         return self._hook_index.get(digest)  # exact answer: no disk access
+
+    _probed_hook_manifest = _hook_manifest
+
+    def _negative_run(self, digests: Sequence[Digest], start: int, stop: int) -> int:
+        index = self._hook_index
+        t = start
+        while t < stop and digests[t] not in index:
+            t += 1
+        return t - start
 
     def _flush_group(self, ctx: _FileContext, count: int) -> None:
         # Reuse the BF-MHD flush (which persists the group-leader hook

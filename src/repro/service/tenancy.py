@@ -41,7 +41,7 @@ from collections.abc import Generator
 from dataclasses import dataclass, field
 
 from ..obs.metrics import MetricsRegistry
-from ..storage import PrefixedBackend, StorageBackend, Store
+from ..storage import DiskModel, PrefixedBackend, StorageBackend, Store
 from .quotas import QuotaLedger, TenantQuota, TokenBucket
 
 __all__ = [
@@ -299,7 +299,7 @@ class TenantRegistry:
         if tenant is None:
             view = self.view(tenant_id)
             stored = sum(view.bytes_stored(ns) for ns in view.namespaces())
-            files = view.object_count("file_manifest")
+            files = Store(view).usage(DiskModel.FILE_MANIFEST).objects
             new = Tenant(
                 tenant_id=tenant_id,
                 view=view,

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import contextlib
 import struct
+from bisect import insort
 from dataclasses import dataclass, replace
 
 from ..hashing.digest import HASH_SIZE, Digest
@@ -158,7 +159,23 @@ class Manifest:
             if a.end != b.offset:
                 raise ValueError("replacements must be contiguous")
         self.entries[i : i + 1] = replacements
-        self._index = None  # positions shifted; rebuild lazily
+        index = self._index
+        if index is not None:
+            # Update the hash table in place: drop position i, shift the
+            # positions after it, then file the replacements in order.
+            positions = index[old.digest]
+            positions.remove(i)
+            if not positions:
+                del index[old.digest]
+            shift = len(replacements) - 1
+            if shift:
+                entries = self.entries
+                # Last first, so each old position is still unique in its list.
+                for p in range(len(entries) - 1, i + shift, -1):
+                    positions = index[entries[p].digest]
+                    positions[positions.index(p - shift)] = p
+            for k, e in enumerate(replacements, i):
+                insort(index.setdefault(e.digest, []), k)
         self.dirty = True
 
     # -- invariants and sizes --------------------------------------------

@@ -1,12 +1,13 @@
 """Targeted tests of MHD's internal paths that integration runs may
 exercise only probabilistically: bloom false positives, span-aligned
-match extension, token lifecycle."""
+match extension, duplicate-slice accounting, the recipe of buffered
+bytes."""
 
 import numpy as np
-import pytest
 
+from repro.chunking import Chunk
 from repro.core import DedupConfig, MHDDeduplicator
-from repro.core.mhd import _Token
+from repro.core.mhd import _FileContext
 from repro.hashing import sha1
 from repro.storage import DiskModel
 from repro.workloads import BackupFile
@@ -14,19 +15,6 @@ from repro.workloads import BackupFile
 
 def rand(n, seed):
     return np.random.default_rng(seed).integers(0, 256, size=n, dtype=np.uint8).tobytes()
-
-
-class TestToken:
-    def test_resolve_once(self):
-        t = _Token(sha1(b"x"), memoryview(b"abcd"), 4)
-        t.resolve(sha1(b"c"), 10)
-        assert (t.container_id, t.offset) == (sha1(b"c"), 10)
-
-    def test_double_resolve_rejected(self):
-        t = _Token(sha1(b"x"), memoryview(b"abcd"), 4)
-        t.resolve(sha1(b"c"), 10)
-        with pytest.raises(RuntimeError):
-            t.resolve(sha1(b"c"), 20)
 
 
 class TestBloomFalsePositives:
@@ -106,3 +94,63 @@ class TestDuplicateSliceAccounting:
         stats = d.finalize()
         assert stats.duplicate_slices >= 2
         assert d.restore("probe") == probe
+
+
+class TestRecipe:
+    """A file's recipe names buffered bytes by their place in its own
+    container; match extension takes chunks back off the buffer's tail,
+    which may reach past a duplicate extent into an earlier run."""
+
+    def context(self):
+        dedup = MHDDeduplicator(DedupConfig(ecs=512, sd=4, bloom_bytes=1 << 12))
+        return _FileContext(dedup, "f")
+
+    def chunks(self, *sizes, start=0):
+        out = []
+        for size in sizes:
+            out.append(Chunk(start, size, memoryview(bytes(size))))
+            start += size
+        return out
+
+    def test_claims_cut_runs_in_stream_order(self):
+        ctx = self.context()
+        own, other, old = ctx.container_id, sha1(b"other"), sha1(b"old")
+        run1, run2 = self.chunks(10, 20, 30), self.chunks(5, 15, start=100)
+        ctx.buffer_run(run1, [sha1(b"%d" % k) for k in range(3)], 0, 3)
+        ctx.extend(other, 500, 40)
+        ctx.buffer_run(run2, [sha1(b"%d" % k) for k in range(3, 5)], 0, 2)
+        assert ctx.recipe == [(own, 0, 60), (other, 500, 40), (own, 60, 20)]
+        # Backward extension claims the buffer's last three chunks, the
+        # nearest the hit first: both of the second run, one of the first.
+        for _ in range(3):
+            ctx.buffer.pop()
+            ctx.buffer_digests.pop()
+        ctx.unbuffer([(old, 1000, 15), (old, 995, 5), (old, 965, 30)])
+        assert ctx.buffer_bytes == 30
+        assert ctx.recipe == [
+            (own, 0, 30),
+            (old, 965, 30),
+            (other, 500, 40),
+            (old, 995, 5),
+            (old, 1000, 15),
+        ]
+        ctx.emit()  # nothing flushed yet: the first extent waits
+        assert len(ctx.recipe) == 5 and not ctx.fm.extents
+        ctx.stored = 30
+        ctx.emit()
+        assert ctx.recipe == []
+        assert [(e.container_id, e.offset, e.size) for e in ctx.fm.extents] == [
+            (own, 0, 30),
+            (old, 965, 30),
+            (other, 500, 40),
+            (old, 995, 20),
+        ]
+
+    def test_emit_hands_over_the_flushed_part_of_a_run(self):
+        ctx = self.context()
+        ctx.buffer_run(self.chunks(10, 20, 30), [sha1(b"%d" % k) for k in range(3)], 0, 3)
+        ctx.stored = 25
+        ctx.emit()
+        own = ctx.container_id
+        assert [(e.container_id, e.offset, e.size) for e in ctx.fm.extents] == [(own, 0, 25)]
+        assert ctx.recipe == [(own, 25, 35)]

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core import build_group_entries
+from repro.core import append_group, build_group_entries
 from repro.hashing import sha1
+from repro.storage import Manifest
 
 
 def group(*parts: bytes):
@@ -68,3 +69,14 @@ def test_rejects_empty_group():
 def test_rejects_mismatched_lengths():
     with pytest.raises(ValueError):
         build_group_entries([sha1(b"a")], [1, 2], [b"a"], 0)
+
+
+@pytest.mark.parametrize("parts", [[b"only"], [b"head", b"middle", b"tail!"], [b"a" * 9] * 5])
+def test_append_group_of_joined_bytes_matches_the_pure_helper(parts):
+    """The flush path hands SHM the group's bytes joined; the entries
+    and the hashing charge are the per-chunk helper's."""
+    digests, sizes, datas = group(*parts)
+    manifest = Manifest(sha1(b"m"), sha1(b"c"))
+    appended = append_group(manifest, digests[0], sizes[0], b"".join(datas), 64)
+    assert appended == build_group_entries(digests, sizes, datas, base_offset=64)
+    assert manifest.entries == appended[0]

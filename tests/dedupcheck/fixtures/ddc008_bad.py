@@ -26,3 +26,7 @@ def link_hook(backend, key, manifest_id, previous):
 
 def restore_extents(backend, extents):
     return b"".join(backend.iter_ranges(DiskModel.CHUNK, extents))
+
+
+def stored_recipes(view):
+    return view.object_count(DiskModel.FILE_MANIFEST)

@@ -19,6 +19,10 @@ def hook_keys(store: Store):
     return store.ids(DiskModel.HOOK)
 
 
+def stored_recipes(store: Store):
+    return store.usage(DiskModel.FILE_MANIFEST).objects
+
+
 def scratch(backend, key, cache):
     # Not a store namespace, and not a backend: neither is policed.
     backend.put("bench.scratch", key, b"")

@@ -238,3 +238,49 @@ def test_mixed_add_probe_sequence_matches_oracle(ops, size_bytes, k):
             assert (d in bf) == (d in oracle)
     assert (bf.stats.queries, bf.stats.positives) == (oracle.queries, oracle.positives)
     assert _filter_bytes(bf) == oracle.bits.tobytes()
+
+
+# ---- run probe -------------------------------------------------------------
+
+
+def _in_loop(bf, digests, start, stop):
+    """The per-digest probe that ``negative_run`` stands for."""
+    n = 0
+    for digest in digests[start:stop]:
+        if digest in bf:
+            break
+        n += 1
+    return n
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    added=st.lists(st.binary(min_size=20, max_size=20), max_size=30),
+    probed=st.lists(st.binary(min_size=20, max_size=20), max_size=40),
+    size_bytes=st.integers(1, 64),
+    k=st.integers(1, 8),
+    bounds=st.tuples(st.integers(0, 45), st.integers(0, 45)),
+)
+def test_negative_run_equals_a_loop_of_in(added, probed, size_bytes, k, bounds):
+    """Same length and the same stats as ``in`` digest by digest, up to
+    and including the positive that ends the run."""
+    # Half the probes are added digests, so runs end on real members too.
+    digests = [d for pair in zip(probed, added + probed, strict=False) for d in pair]
+    start, stop = (min(b, len(digests)) for b in bounds)
+    run, loop = BloomFilter(size_bytes, k), BloomFilter(size_bytes, k)
+    for bf in (run, loop):
+        for d in added:
+            bf.add(d)
+    assert run.negative_run(digests, start, stop) == _in_loop(loop, digests, start, stop)
+    assert run.stats == loop.stats
+
+
+def test_negative_run_stops_before_a_member():
+    bf = BloomFilter(1 << 12, 4)
+    digests = [sha1(b"%d" % i) for i in range(10)]
+    bf.add(digests[6])
+    assert bf.negative_run(digests, 2, 10) == 4
+    assert (bf.stats.queries, bf.stats.positives) == (5, 1)
+    assert bf.negative_run(digests, 7, 10) == 3
+    assert bf.negative_run(digests, 5, 5) == 0
+    assert (bf.stats.queries, bf.stats.positives) == (8, 1)

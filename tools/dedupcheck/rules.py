@@ -533,7 +533,8 @@ class StoreConfinement:
     ``get``/``get_range``/``iter_ranges``/``object_size``/``delete``/
     ``keys``/``exists`` on a store namespace anywhere else reads or
     writes a store object behind the meter's back, and re-states a
-    kind's namespace, key rule and codec.  A namespace is a store
+    kind's namespace, key rule and codec; an ``object_count``/
+    ``bytes_stored`` there lists a kind that :meth:`Store.usage` owns.  A namespace is a store
     namespace if its expression names a ``DiskModel`` kind,
     ``RECIPE_NAMESPACE`` / ``META_NAMESPACE`` / ``QUARANTINE_PREFIX``,
     or spells one of their values.
@@ -558,6 +559,7 @@ class StoreConfinement:
     _METHODS = frozenset(
         {"put", "put_like", "get", "get_range", "iter_ranges"}
         | {"object_size", "delete", "keys", "exists"}
+        | {"object_count", "bytes_stored"}
     )
     _KINDS = frozenset({"CHUNK", "MANIFEST", "HOOK", "FILE_MANIFEST"})
     _NAMES = frozenset({"RECIPE_NAMESPACE", "META_NAMESPACE", "QUARANTINE_PREFIX"})
