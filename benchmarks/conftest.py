@@ -53,7 +53,8 @@ FIGURE_ALGOS = ["bf-mhd", "bimodal", "subchunk", "sparse-indexing"]
 DEVICE = DeviceModel()
 
 
-def _corpus():
+def bench_corpus() -> BackupCorpus:
+    """The corpus of ``REPRO_BENCH_SCALE``."""
     if SCALE == "tiny":
         return tiny_corpus()
     if SCALE == "large":
@@ -73,7 +74,7 @@ def _corpus():
 
 @pytest.fixture(scope="session")
 def corpus_files():
-    return _corpus().files()
+    return bench_corpus().files()
 
 
 @pytest.fixture(scope="session")

@@ -7,14 +7,17 @@ shards on a shared backend, a
 by their sampled hooks' votes over a consistent-hash
 :class:`~repro.cluster.ring.HashRing`, and
 :func:`~repro.cluster.rebalance.split_shard` grows the fleet by
-splitting the hottest shard with measured cost.
+splitting the hottest shard, reporting what moved.
 :func:`~repro.cluster.fleet.dedup_sharded` is the other partitioning —
 whole files by machine — on the same workers, reporting the same
-:class:`~repro.cluster.fleet.FleetResult`.
+:class:`~repro.cluster.fleet.FleetResult`: per-shard ``DedupStats``,
+no time model.
 
 See DESIGN.md §8 for the architecture (ring, routing key, rebalance,
-failure model) and ``benchmarks/bench_cluster_scaling.py`` for the
-cross-shard DER / makespan / RAM trade measurements.
+failure model), ``benchmarks/bench_cluster_scaling.py`` for the
+cross-shard DER / routing RAM trade (the simulated-time model is
+applied there) and ``benchmarks/bench_cluster_wall.py`` for the wall
+clock.
 """
 
 from .fingerprint import hooks_of, representative, route_segment, routing_key

@@ -18,17 +18,18 @@ is directly comparable:
 * :class:`~repro.cluster.router.ClusterRouter` routes segments by
   their sampled hooks' votes.
 
-The simulated wall time of a fleet is the *maximum* shard time (nodes
-run concurrently); the sum is its cost in node-seconds.
+A fleet result carries what each shard did — its ``DedupStats`` and,
+when collected, its telemetry — and no modelled time.  Time models
+belong to the figures that apply them
+(``benchmarks/bench_cluster_scaling.py``); callers time the wall clock.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from ..analysis.timing import DeviceModel
-from ..core.base import CpuWork, DedupStats, PipelineStats
+from ..core.base import DedupStats
 from ..core.config import DedupConfig
 from ..obs import MetricsRegistry
 from ..storage import MemoryBackend, StorageBackend
@@ -50,7 +51,6 @@ class ShardResult:
 
     shard: str
     stats: DedupStats
-    dedup_seconds: float
     #: The shard worker's telemetry registry (``None`` unless the fleet
     #: was run with ``collect_metrics=True``).
     metrics: MetricsRegistry | None = None
@@ -87,50 +87,6 @@ class FleetResult:
         """Fleet-level DER including metadata."""
         return self.input_bytes / max(1, self.stored_chunk_bytes + self.metadata_bytes)
 
-    @property
-    def makespan_seconds(self) -> float:
-        """Fleet wall time = slowest shard (nodes run concurrently)."""
-        return max((s.dedup_seconds for s in self.shards), default=0.0)
-
-    @property
-    def aggregate_seconds(self) -> float:
-        """Total node-seconds spent (the cost, not the latency)."""
-        return sum(s.dedup_seconds for s in self.shards)
-
-    @property
-    def speedup(self) -> float:
-        """Aggregate work / makespan — the scale-out win."""
-        return self.aggregate_seconds / max(1e-12, self.makespan_seconds)
-
-    @property
-    def cpu(self) -> CpuWork:
-        """Fleet-total CPU work (chunked/hashed/compared bytes summed)."""
-        total = CpuWork()
-        for s in self.shards:
-            total.chunked += s.stats.cpu.chunked
-            total.hashed += s.stats.cpu.hashed
-            total.compared += s.stats.cpu.compared
-        return total
-
-    @property
-    def pipeline(self) -> PipelineStats:
-        """Fleet-total pipeline counters (peak buffer is the max shard).
-
-        Counters sum (batches, windows, stalls, streamed files);
-        ``peak_buffer_bytes`` takes the worst shard, since shards never
-        share one buffer.
-        """
-        total = PipelineStats()
-        for s in self.shards:
-            p = s.stats.pipeline
-            total.batches += p.batches
-            total.windows += p.windows
-            total.stalls += p.stalls
-            total.streamed_files += p.streamed_files
-            if p.peak_buffer_bytes > total.peak_buffer_bytes:
-                total.peak_buffer_bytes = p.peak_buffer_bytes
-        return total
-
     def metrics(self) -> MetricsRegistry:
         """Merge every shard's telemetry registry into one.
 
@@ -145,25 +101,17 @@ class FleetResult:
         return merged
 
 
-def fleet_result(workers: Mapping[str, ShardWorker], device: DeviceModel) -> FleetResult:
+def fleet_result(workers: Mapping[str, ShardWorker]) -> FleetResult:
     """Finalize every worker and fold the shards into one result.
 
     The single definition of "a fleet's outcome": both partitionings
-    end here, with shards in name order and each shard's simulated
-    seconds taken from ``device``.
+    end here, with shards in name order.
     """
     shards: list[ShardResult] = []
     for name in sorted(workers):
         worker = workers[name]
         stats = worker.finalize()
-        shards.append(
-            ShardResult(
-                shard=name,
-                stats=stats,
-                dedup_seconds=device.dedup_time(stats),
-                metrics=worker.metrics_registry(),
-            )
-        )
+        shards.append(ShardResult(shard=name, stats=stats, metrics=worker.metrics_registry()))
     return FleetResult(shards=tuple(shards))
 
 
@@ -179,18 +127,16 @@ def dedup_sharded(
     files: Iterable[BackupFile],
     algo: str = "bf-mhd",
     config: DedupConfig | None = None,
-    device: DeviceModel | None = None,
-    shard_fn: Callable[[Iterable[BackupFile]], dict[str, list[BackupFile]]] = shard_by_machine,
     collect_metrics: bool = False,
     backend: StorageBackend | None = None,
 ) -> FleetResult:
-    """Deduplicate a corpus partitioned by name, one worker per shard.
+    """Deduplicate a corpus partitioned by machine, one worker per shard.
 
-    ``shard_fn`` maps the stream to ``{shard name: files}`` (by machine
-    unless told otherwise; names must be valid worker names).  Each
-    shard gets a fresh :class:`ShardWorker` over its ``shard.<name>.``
-    view of ``backend`` (a new :class:`MemoryBackend` by default), so a
-    fleet written to a persistent backend is restorable and checkable
+    :func:`shard_by_machine` maps the stream to ``{machine: files}``
+    (machine names must be valid worker names).  Each shard gets a
+    fresh :class:`ShardWorker` over its ``shard.<name>.`` view of
+    ``backend`` (a new :class:`MemoryBackend` by default), so a fleet
+    written to a persistent backend is restorable and checkable
     afterwards: ``ShardWorker(name, backend, ...)`` + ``warm_start()``
     serves ``restore_segment(file_id)`` and ``fsck()``.  Per-shard
     statistics equal a standalone deduplicator run over that shard's
@@ -199,10 +145,10 @@ def dedup_sharded(
     if backend is None:
         backend = MemoryBackend()
     workers: dict[str, ShardWorker] = {}
-    for shard, shard_files in shard_fn(files).items():
+    for shard, shard_files in shard_by_machine(files).items():
         worker = workers[shard] = ShardWorker(
             shard, backend, algo=algo, config=config, collect_metrics=collect_metrics
         )
         for f in shard_files:
             worker.ingest(f)
-    return fleet_result(workers, device or DeviceModel())
+    return fleet_result(workers)

@@ -13,9 +13,9 @@ the router's segment size plus one chunk (``ECS·SD·5`` by default:
 320 KiB at ECS 4 KiB, SD 16), so the whole-segment copy is already
 bounded in RAM and needs no stream.  The old shard keeps
 the chunk bytes (garbage collection's job), but drops the segment's
-file manifest so ownership stays single-homed.  The measured cost —
-moved bytes and device-model seconds — is what
-``benchmarks/bench_cluster_scaling.py`` reports.
+file manifest so ownership stays single-homed.  The report counts
+what moved; ``benchmarks/bench_cluster_scaling.py`` prices the pass
+from the two workers' snapshots, and the caller times its wall clock.
 """
 
 from __future__ import annotations
@@ -30,17 +30,13 @@ __all__ = ["RebalanceReport", "hottest_shard", "split_shard"]
 
 @dataclass(frozen=True)
 class RebalanceReport:
-    """What one shard split did and what it cost."""
+    """What one shard split did."""
 
     hot_node: str
     new_node: str
     segments_moved: int
     bytes_moved: int
     recipes_updated: int
-    #: Device-model seconds spent by the migration (old shard's restore
-    #: reads + new shard's dedup work), measured as the delta of both
-    #: workers' simulated run time across the pass.
-    seconds: float
     #: Chunk bytes still held by the hot shard after the split (freed
     #: only by garbage collection).
     residual_hot_bytes: int
@@ -53,7 +49,6 @@ class RebalanceReport:
             "segments_moved": self.segments_moved,
             "bytes_moved": self.bytes_moved,
             "recipes_updated": self.recipes_updated,
-            "seconds": self.seconds,
             "residual_hot_bytes": self.residual_hot_bytes,
         }
 
@@ -83,11 +78,6 @@ def split_shard(
 
     old_worker = router.workers[hot]
     new_worker = router.add_worker(new_node)
-
-    device = router.device
-    cost_before = device.dedup_time(old_worker.snapshot()) + device.dedup_time(
-        new_worker.snapshot()
-    )
 
     moved_segments = 0
     moved_bytes = 0
@@ -121,11 +111,6 @@ def split_shard(
             )
             recipes_updated += 1
 
-    seconds = (
-        device.dedup_time(old_worker.snapshot())
-        + device.dedup_time(new_worker.snapshot())
-        - cost_before
-    )
     router.metrics.counter("cluster.rebalance.segments_moved").inc(moved_segments)
     router.metrics.counter("cluster.rebalance.bytes_moved").inc(moved_bytes)
     return RebalanceReport(
@@ -134,6 +119,5 @@ def split_shard(
         segments_moved=moved_segments,
         bytes_moved=moved_bytes,
         recipes_updated=recipes_updated,
-        seconds=max(0.0, seconds),
         residual_hot_bytes=old_worker.stored_chunk_bytes(),
     )

@@ -23,9 +23,10 @@ into one deduplicating system:
 Each segment's chunk sizes and digests travel with its bytes to every
 worker that cuts like the router, so each byte is chunked and hashed
 once; big-chunk algorithms (Bimodal, SubChunk) take the bytes path.
-The fleet-level cost shows up in :meth:`ClusterRouter.finalize`'s
-:class:`~repro.cluster.fleet.FleetResult`, the same result type the
-by-machine fleet (:func:`~repro.cluster.fleet.dedup_sharded`) reports.
+The fleet-level outcome (per-shard stats) is
+:meth:`ClusterRouter.finalize`'s :class:`~repro.cluster.fleet.FleetResult`,
+the same result type the by-machine fleet
+(:func:`~repro.cluster.fleet.dedup_sharded`) reports.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import itertools
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 
-from ..analysis.timing import DeviceModel
 from ..chunking import Chunk, VectorizedChunker
 from ..core.config import DedupConfig
 from ..hashing import Digest, sha1_many
@@ -82,14 +82,12 @@ class ClusterRouter:
         backend: StorageBackend,
         workers: int | Sequence[str] = 4,
         config: ClusterConfig | None = None,
-        device: DeviceModel | None = None,
         view_factory: Callable[[str, StorageBackend], StorageBackend] | None = None,
     ) -> None:
         self.backend = backend
         #: The coordinator's objects (recipes, membership) on the shared backend.
         self.store = Store(backend)
         self.config = config or ClusterConfig()
-        self.device = device or DeviceModel()
         #: Test seam: wraps a worker's shard view (fault injection).
         self._view_factory = view_factory
         self.metrics = MetricsRegistry()
@@ -270,13 +268,13 @@ class ClusterRouter:
         """Finalize every worker; the fleet-level aggregate.
 
         The cluster *is* a fleet of shard workers with routing in
-        front, so every aggregate of :class:`FleetResult` (makespan vs
-        aggregate seconds, DER, CPU, pipeline) applies unchanged.
+        front, so every aggregate of :class:`FleetResult` (bytes, DER,
+        merged telemetry) applies unchanged.
         """
         if self._finalized:
             raise ClusterError("cluster already finalized")
         self._finalized = True
-        return fleet_result(self.workers, self.device)
+        return fleet_result(self.workers)
 
     def fsck(self, check_entry_hashes: bool = False) -> dict[str, IntegrityReport]:
         """Per-shard integrity reports (all must be ``ok``)."""

@@ -103,7 +103,6 @@ class TestIngestRestore:
         assert {s.shard for s in fleet.shards} == set(router.workers)
         assert fleet.input_bytes >= sum(len(d) for d in originals.values())
         assert fleet.real_der > 1.0
-        assert fleet.makespan_seconds <= fleet.aggregate_seconds
         # collect_metrics=True: per-shard registries merge at fleet level.
         assert fleet.metrics().counter("disk.chunk.write.ops").value > 0
         with pytest.raises(Exception, match="finalized"):
